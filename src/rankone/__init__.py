@@ -4,7 +4,6 @@ from rankone.core import (
     Budget,
     BudgetExceeded,
     CapsMakeConstructionUnfaithful,
-    NotDirectSum,
     NotStronglyArithmetic,
     PreconditionError,
     RankOneError,
@@ -12,7 +11,6 @@ from rankone.core import (
     StageSpec,
     descendant_set,
     explicit_spec,
-    is_direct_sum,
     sum_is_direct,
     sum_set,
 )
@@ -23,7 +21,6 @@ __all__ = [
     "Budget",
     "BudgetExceeded",
     "CapsMakeConstructionUnfaithful",
-    "NotDirectSum",
     "NotStronglyArithmetic",
     "PreconditionError",
     "RankOneError",
@@ -31,7 +28,6 @@ __all__ = [
     "StageSpec",
     "descendant_set",
     "explicit_spec",
-    "is_direct_sum",
     "sum_is_direct",
     "sum_set",
     "__version__",

@@ -16,9 +16,9 @@ A report's verdict is always one of a small vocabulary:
 - ``"inconclusive-at-horizon"``: nothing is contradicted, but the
   criterion did not resolve within the horizon.
 
-Structural preconditions (collision-free sums, staircase-shaped stages)
-raise :class:`rankone.core.PreconditionError` subclasses instead of
-returning a verdict.
+Structural preconditions (staircase-shaped stages, and the doubling-spacer
+family for the decay check) raise :class:`rankone.core.PreconditionError`
+subclasses instead of returning a verdict.
 """
 
 from __future__ import annotations
@@ -34,12 +34,10 @@ from typing import Sequence
 from rankone.core import (
     BudgetExceeded,
     IntSet,
-    NotDirectSum,
     NotStronglyArithmetic,
     PreconditionError,
     RankOneSpec,
     descendant_set,
-    is_direct_sum,
 )
 from rankone.tower import (
     LevelSet,
@@ -105,13 +103,10 @@ def rho_bound(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     """Product lower bound for non-shared k-tuples across stages ``i..j-1``.
 
     Equals the exact probability that ``k`` independent uniform descendant
-    choices never agree on a subcolumn index at any stage, which is why it
-    requires the descendant sums to be collision free.
+    choices never agree on a subcolumn index at any stage.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    if not is_direct_sum(spec, i, j):
-        raise NotDirectSum(f"stages {i}..{j} of {spec.name} are not collision free")
     out = Fraction(1)
     for m in range(i, j):
         out *= 1 - Fraction(1, spec.stage(m).r ** (k - 1))

@@ -91,9 +91,10 @@ def load_spec(path: str, args: argparse.Namespace) -> RankOneSpec:
         )
     _require_keys(builder, _BUILDER_KEYS[kind], f"builder[{kind}]")
 
-    budget_fields = dict(data.get("budget", {}))
+    budget_fields = data.get("budget", {})
     if not isinstance(budget_fields, dict):
         raise SpecFileError('"budget" must be an object')
+    budget_fields = dict(budget_fields)
     _require_keys(budget_fields, _BUDGET_KEYS, "budget")
     if "max_stage" in data:
         budget_fields["max_stage"] = data["max_stage"]
@@ -103,12 +104,14 @@ def load_spec(path: str, args: argparse.Namespace) -> RankOneSpec:
             budget_fields[flag] = v
     try:
         budget = Budget(**budget_fields)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise SpecFileError(f"bad budget: {e}") from e
 
     name = data.get("name", kind)
     try:
         return _build(kind, builder, name, budget)
+    except KeyError as e:
+        raise SpecFileError(f"builder[{kind}] needs field {e}") from e
     except (ValueError, TypeError) as e:
         raise SpecFileError(f"bad builder parameters: {e}") from e
 
@@ -148,9 +151,8 @@ def _build(kind: str, b: dict, name: str, budget: Budget) -> RankOneSpec:
     if kind == "not_eic":
         return gallery.not_eic(b["q"], name=name, budget=budget)
     if kind == "explicit":
-        stages = [(s[0], tuple(s[1])) for s in b["stages"]]
         return explicit_spec(
-            stages, name=name, budget=budget, cycle=bool(b.get("cycle", False))
+            b["stages"], name=name, budget=budget, cycle=bool(b.get("cycle", False))
         )
     raise SpecFileError(f"unhandled builder kind {kind!r}")
 

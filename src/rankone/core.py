@@ -41,10 +41,6 @@ class PreconditionError(RankOneError):
     """An operation's structural precondition on the spec does not hold."""
 
 
-class NotDirectSum(PreconditionError):
-    """An operation required descendant sums to be collision free."""
-
-
 class NotStronglyArithmetic(PreconditionError):
     """A certificate required every stage to be staircase shaped."""
 
@@ -68,6 +64,15 @@ class Budget:
     max_descendants: int = 200_000
     max_pairs: int = 10_000_000
     max_iterate: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError(f"budget field {f.name} must be an int, got {v!r}")
+            floor = 0 if f.name == "max_stage" else 1
+            if v < floor:
+                raise ValueError(f"budget field {f.name} must be at least {floor}, got {v}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -209,6 +214,8 @@ class RankOneSpec:
             self._heights.append(h_next)
             self._wden.append(self._wden[m] * stage.r)
             hset = (0, *hs)
+            if any(b - a < h for a, b in zip(hset, hset[1:])):
+                raise AssertionError(f"a gap of H_{m} is below h_{m}={h}")
             self._hsets.append(hset)
             self._maxdesc.append(self._maxdesc[m] + hset[-1])
         return self
@@ -265,6 +272,16 @@ class RankOneSpec:
         return f"RankOneSpec({self.name!r}, stages_built={self.stages_built})"
 
 
+def _as_stage(s: StageSpec | tuple[int, Sequence[int]]) -> StageSpec:
+    if isinstance(s, StageSpec):
+        return s
+    try:
+        r, spacers = s
+    except (TypeError, ValueError):
+        raise ValueError(f"a stage must be a pair (r, spacers), got {s!r}") from None
+    return StageSpec(r, tuple(spacers))
+
+
 def explicit_spec(
     stages: Sequence[StageSpec | tuple[int, Sequence[int]]],
     *,
@@ -277,10 +294,7 @@ def explicit_spec(
     With ``cycle=True`` the list repeats forever; otherwise materializing
     past the end raises :class:`BudgetExceeded`.
     """
-    normalized = tuple(
-        s if isinstance(s, StageSpec) else StageSpec(s[0], tuple(s[1]))
-        for s in stages
-    )
+    normalized = tuple(_as_stage(s) for s in stages)
     if not normalized:
         raise ValueError("explicit spec needs at least one stage")
 
@@ -305,6 +319,8 @@ def descendant_set(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
     """D(I, j): heights of the descendants in C_j of level ``b`` of C_i.
 
     This is the translated iterated sum set ``b + H_i + ... + H_{j-1}``.
+    Each gap of ``H_m`` is at least ``h_m``, above every partial sum (a level of
+    ``C_m``), so the sum is direct and ``acc + H_m`` is an ordered concatenation.
     """
     if j < i:
         raise ValueError(f"need i <= j, got i={i}, j={j}")
@@ -320,26 +336,5 @@ def descendant_set(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
             )
     acc: IntSet = (b,)
     for m in range(i, j):
-        acc = sum_set(acc, spec.height_set(m), max_products=spec.budget.max_pairs)
+        acc = tuple([h + d for h in spec.height_set(m) for d in acc])
     return acc
-
-
-def is_direct_sum(spec: RankOneSpec, i: int, j: int) -> bool:
-    """True when |D(I, j)| equals the product of the cut counts r_i ... r_{j-1}.
-
-    For any honestly materialized spec this always holds, because each
-    height set's nonzero gaps exceed the maximum accumulated descendant
-    height.  The set-level collision logic lives in :func:`sum_is_direct`
-    so it can be exercised on synthetic inputs.
-    """
-    if j < i:
-        raise ValueError(f"need i <= j, got i={i}, j={j}")
-    expected = 1
-    for m in range(i, j):
-        expected *= spec.stage(m).r
-    if expected > spec.budget.max_descendants:
-        raise BudgetExceeded(
-            f"direct-sum check over {expected} descendants exceeds "
-            f"max_descendants={spec.budget.max_descendants}"
-        )
-    return len(descendant_set(spec, i, j, 0)) == expected

@@ -26,7 +26,6 @@ from rankone.core import (
     PreconditionError,
     RankOneSpec,
     StageSpec,
-    is_direct_sum,
 )
 
 RSeq = int | Sequence[int] | Callable[[int], int]
@@ -85,6 +84,13 @@ def _params_value(value: RSeq) -> object:
     if isinstance(value, int):
         return value
     return list(int(v) for v in value)
+
+
+def _check_int(what: str, value: int, floor: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    if value < floor:
+        raise ValueError(f"need {what} >= {floor}, got {value}")
 
 
 # -- plain and shifted staircases ---------------------------------------------
@@ -314,8 +320,7 @@ def t_q(
     the next height past the triangular spread bound, ten times the next
     cut count, and ten times ``q h``.
     """
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
+    _check_int("q", q, 2)
 
     def odd_r_faithful(even_idx: int, h_even: int, maxd_odd: int) -> int:
         # solved distance inequality at spread m = 4qh, index = even stage
@@ -408,8 +413,7 @@ def partition_staircase(
     while the staircase shape survives.  With ``k = 1`` this is a plain
     staircase in a shifted convention.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _check_int("k", k, 1)
     r_of = _rule(r, extend, "cut count", floor=2)
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
@@ -446,8 +450,7 @@ def not_eic(
     The even height sets block weak mixing while the single spacer keeps
     the construction conservative.
     """
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
+    _check_int("q", q, 2)
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
         h = spec.height(n)
@@ -505,15 +508,6 @@ def verify_declared_properties(spec: RankOneSpec, horizon: int) -> list[dict]:
                         if bad_stage is not None
                         else f"stages 0..{horizon - 1} staircase shaped"
                     ),
-                }
-            )
-        elif tag == "direct-sum":
-            holds = is_direct_sum(spec, 0, horizon)
-            results.append(
-                {
-                    "property": tag,
-                    "holds": holds,
-                    "detail": f"descendant sums through stage {horizon} {'are' if holds else 'are not'} collision free",
                 }
             )
         elif tag.startswith("caps-max-r-"):

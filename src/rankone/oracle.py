@@ -14,14 +14,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from rankone.core import (
-    BudgetExceeded,
-    IntSet,
-    NotDirectSum,
-    RankOneSpec,
-    descendant_set,
-    is_direct_sum,
-)
+from rankone.core import BudgetExceeded, IntSet, RankOneSpec, descendant_set
 from rankone.tower import LevelSet, Point, apply_pointwise, measure, point_eq, point_in
 
 _DEFAULT_CELL_LIMIT = 1_000_000
@@ -91,14 +84,12 @@ def brute_shared_coordinate_fraction(
 ) -> Fraction:
     """Fraction of k-tuples whose product coordinates agree somewhere.
 
-    Each descendant of a direct-sum range corresponds to one choice of
-    subcolumn per stage; this enumerates tuples of such index vectors and
-    counts those with all ``k`` vectors equal in at least one stage slot.
+    Each descendant corresponds to one choice of subcolumn per stage; this
+    enumerates tuples of such index vectors and counts those with all ``k``
+    vectors equal in at least one stage slot.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if not is_direct_sum(spec, i, j):
-        raise NotDirectSum(f"stages {i}..{j} of {spec.name} are not collision free")
     ranges = [range(spec.stage(m).r) for m in range(i, j)]
     total_vectors = math.prod(len(r) for r in ranges) if ranges else 1
     if total_vectors**k * max(1, len(ranges)) > max_ops:

@@ -16,12 +16,11 @@ computed by refining level sets to a stage deep enough that a shift by
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from rankone.core import BudgetExceeded, IntSet, RankOneSpec, sum_set
+from rankone.core import BudgetExceeded, IntSet, RankOneSpec, descendant_set
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,10 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
     """Rewrite ``B`` as a level set of the deeper column ``C_n``.
 
     Each level of ``C_i`` appears in ``C_n`` as its translated descendant
-    set, and descendants of distinct levels are disjoint, so the refined
-    set has exactly ``|B| * r_i * ... * r_{n-1}`` levels and the same
-    measure.
+    set, so the refined set has exactly ``|B| * r_i * ... * r_{n-1}`` levels
+    and the same measure.  Consecutive descendants of the base differ by at
+    least ``h_i``, more than any level of ``B``, so the shifted copies come
+    out already sorted.
     """
     i = B.stage
     if n < i:
@@ -119,16 +119,8 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
             f"refinement to stage {n} needs {copies * len(B.heights)} levels, "
             f"budget is max_descendants={spec.budget.max_descendants}"
         )
-    shifts: IntSet = (0,)
-    for m in range(i, n):
-        shifts = sum_set(shifts, spec.height_set(m), max_products=spec.budget.max_pairs)
-    def shifted(b: int):
-        return (b + s for s in shifts)
-
-    merged = tuple(heapq.merge(*map(shifted, B.heights)))
-    if len(merged) != copies * len(B.heights):
-        raise AssertionError("descendant sets of distinct levels collided")
-    return LevelSet(n, merged)
+    shifts = descendant_set(spec, i, n)
+    return LevelSet(n, tuple([s + b for s in shifts for b in B.heights]))
 
 
 def lift(spec: RankOneSpec, p: Point) -> Point:

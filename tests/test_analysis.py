@@ -32,7 +32,6 @@ from rankone.core import (
     NotStronglyArithmetic,
     PreconditionError,
     explicit_spec,
-    is_direct_sum,
 )
 from rankone.oracle import brute_shared_coordinate_fraction, brute_tuple_fraction
 from rankone.tower import base_level, level, level_set
@@ -102,6 +101,12 @@ def test_rho_bound_frozen():
     assert rho_bound(sp, 0, 2, 3) == Fraction(9, 16)
 
 
+def test_rho_bound_is_a_product_past_the_descendant_budget():
+    # 2*3*...*11 descendants is far over max_descendants, but the bound
+    # never enumerates them: prod (1 - 1/r) telescopes to 1/11
+    assert rho_bound(gallery.staircase(), 0, 10, 2) == Fraction(1, 11)
+
+
 def test_rho_bound_needs_k2():
     sp = explicit_spec(TRIPLE)
     with pytest.raises(ValueError):
@@ -129,7 +134,6 @@ def test_cons_at_least_shared(spec, k):
         total *= r
     if total**k > 30_000:
         return
-    assert is_direct_sum(spec, 0, top)
     cons = cons_fraction_exact(spec, 0, top, k)
     shared = brute_shared_coordinate_fraction(spec, 0, top, k)
     assert cons >= shared == 1 - rho_bound(spec, 0, top, k)

@@ -575,6 +575,34 @@ def test_bad_builder_parameters_exit_2(specfile, capsys):
     assert "spec error" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"builder": {"kind": "staircase"}, "budget": {"max_pairs": "x"}},
+        {"builder": {"kind": "staircase"}, "max_stage": -1},
+        {"builder": {"kind": "staircase"}, "budget": [1]},
+        {"builder": {"kind": "explicit", "stages": [[2]]}},
+        {"builder": {"kind": "explicit"}},
+        {"builder": {"kind": "t_q", "q": 2.5}},
+        {"builder": {"kind": "not_eic", "q": 2.5}},
+    ],
+    ids=[
+        "budget-not-int",
+        "negative-max-stage",
+        "budget-not-object",
+        "explicit-stage-shape",
+        "explicit-no-stages",
+        "t_q-float-q",
+        "not_eic-float-q",
+    ],
+)
+def test_invalid_spec_values_exit_2(data, specfile, capsys):
+    path = specfile(data)
+    code, _, err = run_cli(capsys, "describe", "--spec", path, "-n", "3")
+    assert code == 2
+    assert "spec error" in err
+
+
 def test_usage_error_exits_2(specfile):
     with pytest.raises(SystemExit) as exc:
         cli.main(["describe"])  # --spec is required

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from rankone.core import (
     Budget,
     BudgetExceeded,
-    NotDirectSum,
     PreconditionError,
     RankOneError,
     StageSpec,
     descendant_set,
     explicit_spec,
-    is_direct_sum,
     sum_is_direct,
     sum_set,
 )
@@ -181,10 +179,47 @@ def test_budget_descendants():
 def test_is_direct_sum_on_towers():
     # spacer gaps keep descendant sets collision free for honest towers
     sp = explicit_spec(TRIPLE)
-    assert is_direct_sum(sp, 0, 2)
-    assert is_direct_sum(sp, 1, 2)
+    assert len(descendant_set(sp, 0, 2)) == product_of_cuts(sp, 0, 2) == 9
+    assert len(descendant_set(sp, 1, 2)) == product_of_cuts(sp, 1, 2) == 3
     zero = explicit_spec([(2, (0, 0)), (2, (0, 0)), (2, (0, 0))])
-    assert is_direct_sum(zero, 0, 3)
+    assert len(descendant_set(zero, 0, 3)) == product_of_cuts(zero, 0, 3) == 8
+
+
+def test_materialize_rejects_a_gap_below_the_height():
+    # StageSpec validation forbids negative spacers; a forged one must
+    # still be caught where the height set is built
+    bad = StageSpec(2, (0, 0))
+    object.__setattr__(bad, "spacers", (-1, 0))
+    sp = explicit_spec([(2, (0, 0)), bad])
+    sp.height(1)
+    with pytest.raises(AssertionError):
+        sp.height(2)
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ({"max_pairs": "x"}, TypeError),
+        ({"max_stage": 2.0}, TypeError),
+        ({"max_descendants": True}, TypeError),
+        ({"max_stage": -1}, ValueError),
+        ({"max_height_bits": 0}, ValueError),
+        ({"max_iterate": 0}, ValueError),
+    ],
+)
+def test_budget_validation(fields, error):
+    with pytest.raises(error):
+        Budget(**fields)
+
+
+def test_budget_allows_stage_zero():
+    assert Budget(max_stage=0).max_stage == 0
+
+
+@pytest.mark.parametrize("stages", [[(2,)], [3], [(2, (0, 0), 1)]])
+def test_explicit_spec_rejects_malformed_stages(stages):
+    with pytest.raises(ValueError):
+        explicit_spec(stages)
 
 
 def test_fingerprint_stability():
@@ -207,5 +242,4 @@ def test_notes_dedup():
 
 def test_exception_taxonomy():
     assert issubclass(BudgetExceeded, RankOneError)
-    assert issubclass(NotDirectSum, PreconditionError)
     assert issubclass(PreconditionError, RankOneError)

@@ -127,6 +127,15 @@ def test_t_q_even_stage_cuts_match_q():
         assert sp.stage(2).r == q
 
 
+@pytest.mark.parametrize(
+    "make", [gallery.t_q, gallery.not_eic, gallery.partition_staircase]
+)
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+def test_integer_parameters_reject_other_types(make, bad):
+    with pytest.raises(TypeError):
+        make(bad)
+
+
 def test_caps_warning_fires_once_per_stage():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

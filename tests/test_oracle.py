@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone import gallery
-from rankone.core import NotDirectSum, descendant_set, explicit_spec, is_direct_sum
+from rankone.core import descendant_set, explicit_spec, sum_set
 from rankone.oracle import (
     SplitMix64,
     brute_descendants,
@@ -26,7 +26,7 @@ from rankone.tower import (
 )
 from rankone import analysis
 
-from conftest import small_specs, stage_lists
+from conftest import product_of_cuts, small_specs, stage_lists
 
 TRIPLE = [(3, (0, 1, 2)), (3, (0, 1, 2))]
 
@@ -53,13 +53,21 @@ def test_brute_tuple_fraction_matches_exact():
 
 
 @settings(max_examples=60, deadline=None)
-@given(spec=small_specs())
-def test_tower_sums_are_always_direct(spec):
-    # every descendant of the base is a distinct level, so the iterated
-    # height-set sum can never collide for a genuine tower
+@given(spec=small_specs(), data=st.data())
+def test_tower_sums_are_always_direct(spec, data):
+    # descendant_set concatenates shifted copies on the strength of the
+    # direct-sum lemma; the merging, deduplicating sum_set is the reference
     top = len(spec.params["stages"])
-    for i in range(top):
-        assert is_direct_sum(spec, i, top)
+    for i in range(top + 1):
+        for j in range(i, top + 1):
+            b = data.draw(st.integers(0, spec.height(i) - 1))
+            D = descendant_set(spec, i, j, b)
+            assert all(x < y for x, y in zip(D, D[1:]))
+            assert len(D) == product_of_cuts(spec, i, j)
+            ref = (b,)
+            for m in range(i, j):
+                ref = sum_set(ref, spec.height_set(m))
+            assert D == ref
 
 
 @settings(max_examples=40, deadline=None)
@@ -69,7 +77,7 @@ def test_shared_fraction_complements_rho(spec, k):
     total = 1
     for r, _ in spec.params["stages"]:
         total *= r
-    if total**k > 30_000 or not is_direct_sum(spec, 0, top):
+    if total**k > 30_000:
         return
     rho = analysis.rho_bound(spec, 0, top, k)
     assert 1 - rho == brute_shared_coordinate_fraction(spec, 0, top, k)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rankone import gallery
 from rankone.core import BudgetExceeded, explicit_spec
+from rankone.oracle import brute_descendants
 from rankone.tower import (
     LevelSet,
     apply_pointwise,
@@ -198,6 +199,21 @@ def test_refine_preserves_measure(spec, data):
     R = refine(spec, B, top)
     assert measure(spec, R) == measure(spec, B)
     assert len(R.heights) == len(set(R.heights))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=small_specs(max_stages=3), data=st.data())
+def test_refine_matches_brute_unfolding(spec, data):
+    top = len(spec.params["stages"])
+    stage = data.draw(st.integers(0, top))
+    n = data.draw(st.integers(stage, top))
+    h = spec.height(stage)
+    heights = data.draw(st.sets(st.integers(0, h - 1), min_size=min(h, 2), max_size=6))
+    B = level_set(spec, stage, heights)
+    union = set()
+    for b in B.heights:
+        union.update(brute_descendants(spec, stage, n, b))
+    assert refine(spec, B, n).heights == tuple(sorted(union))
 
 
 @settings(max_examples=30, deadline=None)
