@@ -19,11 +19,15 @@ A report's verdict is always one of a small vocabulary:
 Structural preconditions (staircase-shaped stages, and the doubling-spacer
 family for the decay check) raise :class:`rankone.core.PreconditionError`
 subclasses instead of returning a verdict.
+
+Pair and tuple counts over descendant sets come from
+:func:`rankone.core.difference_counts`, a per-stage convolution, so no pair
+is listed.  The budget is unchanged: ``max_descendants`` still bounds ``|D|``
+and ``max_pairs`` still bounds ``|D|^k``, the pairs or tuples counted.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -37,15 +41,24 @@ from rankone.core import (
     NotStronglyArithmetic,
     PreconditionError,
     RankOneSpec,
-    descendant_set,
+    _convolve,
+    descendant_count,
+    difference_counts,
 )
 from rankone.tower import (
     LevelSet,
     least_valid_stage,
     measure,
-    refine,
+    overlap_counts,
     translate_intersection_measure,
 )
+
+
+def _check_pairs(spec: RankOneSpec, count: int, what: str = "pairs") -> None:
+    if count > spec.budget.max_pairs:
+        raise BudgetExceeded(
+            f"{count} {what} exceeds max_pairs={spec.budget.max_pairs}"
+        )
 
 
 @dataclass(frozen=True)
@@ -123,32 +136,22 @@ def cons_fraction_exact(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    D = descendant_set(spec, i, j)
-    total = len(D) ** k
-    if total > spec.budget.max_pairs:
-        raise BudgetExceeded(
-            f"{total} tuples exceeds max_pairs={spec.budget.max_pairs}"
+    total = descendant_count(spec, i, j) ** k
+    _check_pairs(spec, total, "tuples")
+    # A tuple counts when its difference vector (a_l - a_0) has two or more
+    # realizations.  The sum is direct, so vector counts convolve per stage.
+    # A vector is encoded in balanced base W = 2M + 1: every partial sum has
+    # entries within [-M, M], where the encoding is additive and injective.
+    W = 2 * (spec.max_descendant(j) - spec.max_descendant(i)) + 1
+    powers = [W**l for l in range(k - 1)]
+    counts = {0: 1}
+    for m in range(i, j):
+        step = Counter(
+            sum((a - t[0]) * w for a, w in zip(t[1:], powers))
+            for t in product(spec.height_set(m), repeat=k)
         )
-    if k == 2:
-        mult = Counter(a - b for a in D for b in D)
-        good = sum(c for c in mult.values() if c >= 2)
-        return Fraction(good, total)
-    Dset = set(D)
-    witness_count: dict[tuple[int, ...], int] = {}
-    good = 0
-    seen = 0
-    for tup in product(D, repeat=k):
-        delta = tuple(a - tup[0] for a in tup[1:])
-        cnt = witness_count.get(delta)
-        if cnt is None:
-            cnt = sum(1 for x in D if all(x + d in Dset for d in delta))
-            witness_count[delta] = cnt
-        seen += 1
-        if cnt >= 2:
-            good += 1
-    if seen != total:
-        raise AssertionError("tuple enumeration out of step")
-    return Fraction(good, total)
+        counts = _convolve(counts, step)
+    return Fraction(sum(c for c in counts.values() if c >= 2), total)
 
 
 def conservativity_sufficient(
@@ -293,47 +296,17 @@ def nonconservativity_check(
 # -- ergodicity ---------------------------------------------------------------
 
 
-def nonerg_pair_fraction(
-    spec: RankOneSpec,
-    n: int,
-    b: int,
-    *,
-    require_distinct_witness: bool = False,
-) -> Fraction:
+def nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
     """Fraction of descendant pairs whose difference shifted by ``b`` reappears.
 
     A pair ``(a, a')`` counts when ``(a - a') + b`` is again a difference
-    of two descendants.  With ``require_distinct_witness`` the witnessing
-    pair must differ from ``(a, a')`` in its first coordinate, which only
-    matters when the shifted difference has a unique realization.
+    of two descendants.
     """
-    D = descendant_set(spec, 0, n)
-    if len(D) ** 2 > spec.budget.max_pairs:
-        raise BudgetExceeded(
-            f"{len(D) ** 2} pairs exceeds max_pairs={spec.budget.max_pairs}"
-        )
-    Dset = set(D)
-    mult: dict[int, int] = {}
-    first_minuend: dict[int, int] = {}
-    for d in D:
-        for d2 in D:
-            v = d - d2
-            mult[v] = mult.get(v, 0) + 1
-            if v not in first_minuend:
-                first_minuend[v] = d
-    good = 0
-    for v, pairs in mult.items():
-        target = v + b
-        hits = mult.get(target, 0)
-        if hits == 0:
-            continue
-        if hits == 1 and require_distinct_witness:
-            d = first_minuend[target]
-            # the witness pair is (d, d - target); exclude pairs with a == d
-            good += pairs - (1 if d - v in Dset else 0)
-        else:
-            good += pairs
-    return Fraction(good, len(D) ** 2)
+    size = descendant_count(spec, 0, n)
+    _check_pairs(spec, size**2)
+    N = difference_counts(spec, {0: 1}, 0, n)
+    good = sum(c for v, c in N.items() if v + b in N)
+    return Fraction(good, size**2)
 
 
 def nonergodicity_certificate(
@@ -392,17 +365,10 @@ def rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:
     """Best rigidity shift for stage ``n``: the positive difference of the
     height set maximizing the overlap ratio, smallest shift on ties."""
     H = spec.height_set(n)
-    if len(H) ** 2 > spec.budget.max_pairs:
-        raise BudgetExceeded(
-            f"{len(H) ** 2} height pairs exceeds max_pairs={spec.budget.max_pairs}"
-        )
-    candidates = sorted({y - x for x in H for y in H if y > x})
-    best_a, best_ratio = 0, Fraction(-1)
-    for a in candidates:
-        ratio = rigidity_ratio(H, a)
-        if ratio > best_ratio:
-            best_a, best_ratio = a, ratio
-    return best_a, best_ratio
+    _check_pairs(spec, len(H) ** 2, "height pairs")
+    counts = Counter(y - x for x in H for y in H if y > x)
+    best = max(counts.values())
+    return min(a for a, c in counts.items() if c == best), Fraction(best, len(H))
 
 
 @dataclass(frozen=True)
@@ -439,30 +405,31 @@ def alpha_type_profile(
         raise ValueError(f"need k_max >= 1, got {k_max}")
     threshold = Fraction(threshold)
     s = least_valid_stage(spec, B, k_max)
-    D = refine(spec, B, s).heights
-    if len(D) ** 2 > spec.budget.max_pairs:
-        raise BudgetExceeded(
-            f"{len(D) ** 2} pairs exceeds max_pairs={spec.budget.max_pairs}"
-        )
-    mult = Counter(y - x for x in D for y in D if y > x)
-    base = len(D)
+    size = descendant_count(spec, B.stage, s, len(B.heights))
+    _check_pairs(spec, size**2)
+    N = overlap_counts(spec, B, B, s, 1, k_max)
+    # Ratios N(k) / size are compared as integers.  A shift with N(k) = 0 is
+    # an exception only below a negative threshold and never raises the
+    # supremum, so otherwise the support of N is all there is to visit.
+    p, q = threshold.numerator, threshold.denominator
+    ks = range(1, k_max + 1) if store_ratios or p < 0 else sorted(N)
     exceptions: list[tuple[int, Fraction]] = []
     ratios: list[tuple[int, Fraction]] = []
-    sup_out = Fraction(0)
-    sup_at: int | None = None
-    for k in range(1, k_max + 1):
-        ratio = Fraction(mult.get(k, 0), base)
+    best, sup_at = 0, None
+    for k in ks:
+        c = N[k]
         if store_ratios:
-            ratios.append((k, ratio))
-        if ratio > threshold:
-            exceptions.append((k, ratio))
-        elif ratio > sup_out:
-            sup_out, sup_at = ratio, k
+            ratios.append((k, Fraction(c, size)))
+        if c * q > p * size:
+            exceptions.append((k, Fraction(c, size)))
+        elif c > best:
+            best, sup_at = c, k
+    sup_out = Fraction(best, size)
     return AlphaProfile(
         stage=s,
         k_max=k_max,
         threshold=threshold,
-        base_size=base,
+        base_size=size,
         exceptions=tuple(exceptions),
         sup_outside=sup_out,
         sup_outside_at=sup_at,
@@ -502,6 +469,7 @@ def staircase_subset_detect(
         return ()
     Hset = set(Hs)
     out: list[StaircaseWitness] = []
+    scored: dict[int, tuple[Fraction, bool]] = {}  # run length -> (fraction, > tau)
     for a in Hs:
         for e1 in Hs:
             k = e1 - a - h - 1
@@ -518,8 +486,10 @@ def staircase_subset_detect(
                     length += 1
                 else:
                     break
-            frac = Fraction(length, len(Hs))
-            out.append(StaircaseWitness(a, k, length, frac, frac > tau))
+            if length not in scored:
+                frac = Fraction(length, len(Hs))
+                scored[length] = (frac, frac > tau)
+            out.append(StaircaseWitness(a, k, length, *scored[length]))
     out.sort(key=lambda w: (-w.length, w.a, w.k))
     return tuple(out)
 
@@ -651,32 +621,19 @@ def wde_probe(
             break
         size *= r
         s += 1
-    DA = refine(spec, A, s).heights
-    DB = refine(spec, B, s).heights
-    # Window walks over the sorted height lists; the full difference sets
-    # are never materialized.
-    pair_ops = 0
-    self_hits: set[int] = set()
-    for i, d in enumerate(DA):
-        j = i + 1
-        while j < len(DA) and DA[j] - d <= n_max:
-            self_hits.add(DA[j] - d)
-            j += 1
-        pair_ops += j - i - 1
-        if pair_ops > spec.budget.max_pairs:
-            raise BudgetExceeded("difference scan over pair budget")
-    if not self_hits:
+    # Both refinements must fit the budget, even when no self pair returns.
+    descendant_count(spec, A.stage, s, len(A.heights))
+    descendant_count(spec, B.stage, s, len(B.heights))
+    # The pair budget counts the pairs a walk over the refined sets would
+    # touch: first the self pairs, then the cross pairs, within the window.
+    self_counts = overlap_counts(spec, A, A, s, 1, n_max)
+    pairs = sum(self_counts.values())
+    _check_pairs(spec, pairs, "window pairs")
+    if not self_counts:
         return None
-    cross_hits: set[int] = set()
-    for d in DA:
-        lo = bisect.bisect_right(DB, d)
-        hi = bisect.bisect_right(DB, d + n_max)
-        for j in range(lo, hi):
-            cross_hits.add(DB[j] - d)
-        pair_ops += hi - lo
-        if pair_ops > spec.budget.max_pairs:
-            raise BudgetExceeded("difference scan over pair budget")
-    both = self_hits & cross_hits
+    cross_counts = overlap_counts(spec, A, B, s, 1, n_max)
+    _check_pairs(spec, pairs + sum(cross_counts.values()), "window pairs")
+    both = self_counts.keys() & cross_counts.keys()
     return min(both) if both else None
 
 

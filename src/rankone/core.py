@@ -22,6 +22,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -57,7 +59,13 @@ class CapsMakeConstructionUnfaithful(UserWarning):
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits for lazy materialization and set enumeration."""
+    """Resource limits for lazy materialization and set enumeration.
+
+    ``max_descendants`` bounds the size of a descendant set or refined level
+    set.  ``max_pairs`` bounds the number of pairs (or k-tuples) of such a set
+    a certificate ranges over, ``|D|^k``, whether or not the pairs are listed:
+    difference counts are convolved per stage, but the bound stays the same.
+    """
 
     max_stage: int = 64
     max_height_bits: int = 100_000
@@ -222,32 +230,44 @@ class RankOneSpec:
 
     # -- accessors (auto-materializing, budget checked) --------------------
 
+    def _reach(self, n: int, upto: int) -> None:
+        """Reject a negative stage index ``n``, then materialize through ``upto``."""
+        if n < 0:
+            raise ValueError(f"stage index must be nonnegative, got {n}")
+        self.materialize(upto)
+
     def stage(self, n: int) -> StageSpec:
-        self.materialize(n + 1)
+        if not 0 <= n < len(self._stages):
+            self._reach(n, n + 1)
         return self._stages[n]
 
     def height(self, n: int) -> int:
         """Column height h_n."""
-        self.materialize(n)
+        if not 0 <= n < len(self._heights):
+            self._reach(n, n)
         return self._heights[n]
 
     def width(self, n: int) -> Fraction:
         """Column width w_n = 1 / (r_0 ... r_{n-1}), exact."""
-        self.materialize(n)
+        if not 0 <= n < len(self._wden):
+            self._reach(n, n)
         return Fraction(1, self._wden[n])
 
     def width_denominator(self, n: int) -> int:
-        self.materialize(n)
+        if not 0 <= n < len(self._wden):
+            self._reach(n, n)
         return self._wden[n]
 
     def height_set(self, n: int) -> IntSet:
         """H_n, the copy heights of the base of C_n inside C_{n+1}."""
-        self.materialize(n + 1)
+        if not 0 <= n < len(self._hsets):
+            self._reach(n, n + 1)
         return self._hsets[n]
 
     def max_descendant(self, n: int) -> int:
         """max D(I, n) where I is the base level of C_0."""
-        self.materialize(n)
+        if not 0 <= n < len(self._maxdesc):
+            self._reach(n, n)
         return self._maxdesc[n]
 
     def note(self, text: str) -> None:
@@ -258,18 +278,26 @@ class RankOneSpec:
         """Stable hex digest of the construction's identity.
 
         Covers the name, builder parameters, and budget, so identical spec
-        inputs hash identically across runs.
+        inputs hash identically across runs.  A spec whose parameters include
+        a callable (a gallery rule given as a function) has no stable
+        identity and raises :class:`PreconditionError`.
         """
         payload = {
             "name": self.name,
             "params": self.params,
             "budget": self.budget.to_dict(),
         }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), default=_unfingerprintable
+        )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RankOneSpec({self.name!r}, stages_built={self.stages_built})"
+
+
+def _unfingerprintable(value: object) -> object:
+    raise PreconditionError(f"spec parameter {value!r} cannot be fingerprinted")
 
 
 def _as_stage(s: StageSpec | tuple[int, Sequence[int]]) -> StageSpec:
@@ -315,6 +343,26 @@ def explicit_spec(
     return RankOneSpec(build, name=name, budget=budget, params=params)
 
 
+def descendant_count(spec: RankOneSpec, i: int, j: int, copies: int = 1) -> int:
+    """Size ``copies * r_i * ... * r_{j-1}`` of ``copies`` levels of ``C_i`` refined to ``C_j``.
+
+    The one place a descendant set's size is checked against
+    ``max_descendants``: it raises as soon as a partial product exceeds the
+    budget, before any later stage is materialized.
+    """
+    if j < i:
+        raise ValueError(f"need i <= j, got i={i}, j={j}")
+    size = copies
+    for m in range(i, j):
+        size *= spec.stage(m).r
+        if size > spec.budget.max_descendants:
+            raise BudgetExceeded(
+                f"{size}+ descendants exceed "
+                f"max_descendants={spec.budget.max_descendants}"
+            )
+    return size
+
+
 def descendant_set(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
     """D(I, j): heights of the descendants in C_j of level ``b`` of C_i.
 
@@ -326,15 +374,76 @@ def descendant_set(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
         raise ValueError(f"need i <= j, got i={i}, j={j}")
     if not 0 <= b < spec.height(i):
         raise ValueError(f"level {b} is not a level of C_{i} (h_{i}={spec.height(i)})")
-    size = 1
-    for m in range(i, j):
-        size *= spec.stage(m).r
-        if size > spec.budget.max_descendants:
-            raise BudgetExceeded(
-                f"descendant set of size {size}+ exceeds "
-                f"max_descendants={spec.budget.max_descendants}"
-            )
+    descendant_count(spec, i, j)
     acc: IntSet = (b,)
     for m in range(i, j):
         acc = tuple([h + d for h in spec.height_set(m) for d in acc])
     return acc
+
+
+def difference_counts(
+    spec: RankOneSpec,
+    base: dict[int, int],
+    i: int,
+    n: int,
+    lo: int | None = None,
+    hi: int | None = None,
+) -> Counter:
+    """Difference counts ``N(t) = #{(x, y) in D x E : y - x = t}`` of two stage-``n`` sets.
+
+    ``D = L + H_i + ... + H_{n-1}`` and ``E = M + H_i + ... + H_{n-1}`` refine
+    two level sets ``L``, ``M`` of ``C_i``, and ``base`` is their difference
+    multiset ``{m - l : l in L, m in M}`` (``M = L`` for self differences).
+    Both sums are direct, so a pair ``(x, y)`` is one choice of pair per
+    summand and ``N`` is the convolution of ``base`` with the per-stage
+    difference multisets of ``H_m``: the combinatorial side of the Riesz
+    product formula for rank-one spectral measures.  No set is enumerated.
+
+    With ``lo`` and ``hi`` only ``lo <= t <= hi`` is counted.  Stages are then
+    taken top-down, and a partial sum is dropped as soon as the stages below
+    it, whose differences stay within ``base``'s range widened by
+    ``max H_i + ... + max H_{m-1}``, can no longer bring it into the window.
+    """
+    if n < i:
+        raise ValueError(f"need i <= n, got i={i}, n={n}")
+    windowed = lo is not None or hi is not None
+    if windowed and (lo is None or hi is None):
+        raise ValueError("a window needs both lo and hi")
+    if not base or (windowed and lo > hi):
+        return Counter()
+    bmin, bmax = min(base), max(base)
+    spread = sum(spec.height_set(m)[-1] for m in range(i, n))
+    acc = {0: 1}
+    for m in reversed(range(i, n)):
+        H = spec.height_set(m)
+        spread -= H[-1]  # now max H_i + ... + max H_{m-1}
+        bounds = (lo - bmax - spread, hi - bmin + spread) if windowed else (None, None)
+        acc = _convolve(acc, Counter(y - x for x in H for y in H), *bounds)
+    return Counter(_convolve(acc, base, lo, hi))
+
+
+def _convolve(
+    acc: dict[int, int], counts: dict[int, int], lo: int | None = None, hi: int | None = None
+) -> dict[int, int]:
+    """Convolution of two count multisets, keeping only sums in ``[lo, hi]`` if given.
+
+    The outer loop runs over the smaller multiset; in a window, the sums of
+    each of its elements are cut from the larger one by bisection.
+    """
+    if len(acc) > len(counts):
+        acc, counts = counts, acc
+    if lo is None:
+        items = list(counts.items())
+    else:
+        items = sorted(counts.items())
+        keys = [d for d, _ in items]
+    out: dict[int, int] = {}
+    for p, c in acc.items():
+        if lo is not None:
+            items_p = items[bisect_left(keys, lo - p) : bisect_right(keys, hi - p)]
+        else:
+            items_p = items
+        for d, e in items_p:
+            q = p + d
+            out[q] = out.get(q, 0) + c * e
+    return out

@@ -79,9 +79,9 @@ def _rule(
 
 
 def _params_value(value: RSeq) -> object:
-    if callable(value):
-        return "<callable>"
-    if isinstance(value, int):
+    """A rule as recorded in ``spec.params``; a callable stays itself, so the
+    spec cannot be fingerprinted."""
+    if callable(value) or isinstance(value, int):
         return value
     return list(int(v) for v in value)
 

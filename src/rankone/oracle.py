@@ -6,16 +6,35 @@ level-by-level unfolding of columns, exhaustive tuple enumeration, index
 vectors over the product structure, or seeded random sampling.  None of it
 shares code paths with :mod:`rankone.core` set arithmetic, so agreement is
 meaningful evidence and disagreement localizes a bug.
+
+The ``brute_*`` twins of certificate routines are the exception: they
+build their sets with :func:`rankone.core.descendant_set` and
+:func:`rankone.tower.refine`, then walk every pair (or tuple), where the
+routines convolve per-stage difference counts.  They share the sets, not
+the counting, and check the same budgets, so a twin raises
+:class:`BudgetExceeded` exactly when its routine does.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+from rankone.analysis import AlphaProfile, rigidity_ratio
 from rankone.core import BudgetExceeded, IntSet, RankOneSpec, descendant_set
-from rankone.tower import LevelSet, Point, apply_pointwise, measure, point_eq, point_in
+from rankone.tower import (
+    LevelSet,
+    Point,
+    apply_pointwise,
+    least_valid_stage,
+    measure,
+    point_eq,
+    point_in,
+    refine,
+)
 
 _DEFAULT_CELL_LIMIT = 1_000_000
 _DEFAULT_OP_LIMIT = 100_000_000
@@ -103,6 +122,141 @@ def brute_shared_coordinate_fraction(
         if any(all(v[m] == tup[0][m] for v in tup) for m in range(slots)):
             good += 1
     return Fraction(good, total_vectors**k)
+
+
+def brute_cons_fraction(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
+    """Twin of :func:`rankone.analysis.cons_fraction_exact` over every k-tuple."""
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k}")
+    D = descendant_set(spec, i, j)
+    total = len(D) ** k
+    if total > spec.budget.max_pairs:
+        raise BudgetExceeded(f"{total} tuples exceeds max_pairs={spec.budget.max_pairs}")
+    Dset = set(D)
+    witness_count: dict[tuple[int, ...], int] = {}
+    good = 0
+    for tup in product(D, repeat=k):
+        delta = tuple(a - tup[0] for a in tup[1:])
+        cnt = witness_count.get(delta)
+        if cnt is None:
+            cnt = sum(1 for x in D if all(x + d in Dset for d in delta))
+            witness_count[delta] = cnt
+        if cnt >= 2:
+            good += 1
+    return Fraction(good, total)
+
+
+def brute_nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
+    """Twin of :func:`rankone.analysis.nonerg_pair_fraction` over every pair."""
+    D = descendant_set(spec, 0, n)
+    if len(D) ** 2 > spec.budget.max_pairs:
+        raise BudgetExceeded(f"{len(D) ** 2} pairs exceeds max_pairs={spec.budget.max_pairs}")
+    mult = Counter(d - d2 for d in D for d2 in D)
+    good = sum(pairs for v, pairs in mult.items() if v + b in mult)
+    return Fraction(good, len(D) ** 2)
+
+
+def brute_rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:
+    """Twin of :func:`rankone.analysis.rigidity_scan`: the ratio of every shift."""
+    H = spec.height_set(n)
+    if len(H) ** 2 > spec.budget.max_pairs:
+        raise BudgetExceeded(
+            f"{len(H) ** 2} height pairs exceeds max_pairs={spec.budget.max_pairs}"
+        )
+    best_a, best_ratio = 0, Fraction(-1)
+    for a in sorted({y - x for x in H for y in H if y > x}):
+        ratio = rigidity_ratio(H, a)
+        if ratio > best_ratio:
+            best_a, best_ratio = a, ratio
+    return best_a, best_ratio
+
+
+def brute_alpha_type_profile(
+    spec: RankOneSpec,
+    B: LevelSet,
+    k_max: int,
+    threshold: Fraction = Fraction(1, 2),
+    *,
+    store_ratios: bool = False,
+) -> AlphaProfile:
+    """Twin of :func:`rankone.analysis.alpha_type_profile` over the refined set's pairs."""
+    if k_max < 1:
+        raise ValueError(f"need k_max >= 1, got {k_max}")
+    threshold = Fraction(threshold)
+    s = least_valid_stage(spec, B, k_max)
+    D = refine(spec, B, s).heights
+    if len(D) ** 2 > spec.budget.max_pairs:
+        raise BudgetExceeded(f"{len(D) ** 2} pairs exceeds max_pairs={spec.budget.max_pairs}")
+    mult = Counter(y - x for x in D for y in D if y > x)
+    exceptions: list[tuple[int, Fraction]] = []
+    ratios: list[tuple[int, Fraction]] = []
+    sup_out = Fraction(0)
+    sup_at: int | None = None
+    for k in range(1, k_max + 1):
+        ratio = Fraction(mult.get(k, 0), len(D))
+        ratios.append((k, ratio))
+        if ratio > threshold:
+            exceptions.append((k, ratio))
+        elif ratio > sup_out:
+            sup_out, sup_at = ratio, k
+    return AlphaProfile(
+        stage=s,
+        k_max=k_max,
+        threshold=threshold,
+        base_size=len(D),
+        exceptions=tuple(exceptions),
+        sup_outside=sup_out,
+        sup_outside_at=sup_at,
+        ratios=tuple(ratios) if store_ratios else None,
+    )
+
+
+def brute_wde_probe(spec: RankOneSpec, A: LevelSet, B: LevelSet, n_max: int) -> int | None:
+    """Twin of :func:`rankone.analysis.wde_probe`: window walks over the refined sets."""
+    if n_max < 1:
+        return None
+    target = least_valid_stage(spec, A, n_max)
+    s = max(A.stage, B.stage)
+    size = max(len(A.heights), len(B.heights))
+    while s < target and size * spec.stage(s).r <= spec.budget.max_descendants:
+        size *= spec.stage(s).r
+        s += 1
+    DA = refine(spec, A, s).heights
+    DB = refine(spec, B, s).heights
+    pair_ops = 0
+    self_hits: set[int] = set()
+    for i, d in enumerate(DA):
+        j = i + 1
+        while j < len(DA) and DA[j] - d <= n_max:
+            self_hits.add(DA[j] - d)
+            j += 1
+        pair_ops += j - i - 1
+        if pair_ops > spec.budget.max_pairs:
+            raise BudgetExceeded("difference scan over pair budget")
+    if not self_hits:
+        return None
+    cross_hits: set[int] = set()
+    for d in DA:
+        lo = bisect.bisect_right(DB, d)
+        hi = bisect.bisect_right(DB, d + n_max)
+        cross_hits.update(DB[j] - d for j in range(lo, hi))
+        pair_ops += hi - lo
+        if pair_ops > spec.budget.max_pairs:
+            raise BudgetExceeded("difference scan over pair budget")
+    both = self_hits & cross_hits
+    return min(both) if both else None
+
+
+def brute_intersection_measure(spec: RankOneSpec, A: LevelSet, B: LevelSet, k: int) -> Fraction:
+    """Twin of :func:`rankone.tower.intersection_measure` by set lookups.
+
+    With ``A = B`` it is also the twin of
+    :func:`rankone.tower.translate_intersection_measure`.
+    """
+    n = max(least_valid_stage(spec, A, k), least_valid_stage(spec, B, k))
+    DA = refine(spec, A, n).heights
+    DB = set(refine(spec, B, n).heights)
+    return sum(1 for d in DA if d + k in DB) * spec.width(n)
 
 
 class SplitMix64:

@@ -16,11 +16,18 @@ computed by refining level sets to a stage deep enough that a shift by
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from rankone.core import BudgetExceeded, IntSet, RankOneSpec, descendant_set
+from rankone.core import (
+    IntSet,
+    RankOneSpec,
+    descendant_count,
+    descendant_set,
+    difference_counts,
+)
 
 
 @dataclass(frozen=True)
@@ -111,14 +118,7 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
         raise ValueError(f"cannot refine stage {i} set to earlier stage {n}")
     if n == i:
         return B
-    copies = 1
-    for m in range(i, n):
-        copies *= spec.stage(m).r
-    if copies * len(B.heights) > spec.budget.max_descendants:
-        raise BudgetExceeded(
-            f"refinement to stage {n} needs {copies * len(B.heights)} levels, "
-            f"budget is max_descendants={spec.budget.max_descendants}"
-        )
+    descendant_count(spec, i, n, len(B.heights))
     shifts = descendant_set(spec, i, n)
     return LevelSet(n, tuple([s + b for s in shifts for b in B.heights]))
 
@@ -210,23 +210,46 @@ def least_valid_stage(spec: RankOneSpec, B: LevelSet, k: int) -> int:
     return n
 
 
+def overlap_counts(
+    spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int, lo: int, hi: int
+) -> Counter:
+    """``N(t) = #{x in A_n : x + t in B_n}`` for ``lo <= t <= hi``.
+
+    ``A_n`` and ``B_n`` are the refinements of ``A`` and ``B`` to ``C_n``,
+    checked against the budget as :func:`refine` would.  Only the common stage
+    ``i`` of ``A`` and ``B`` is enumerated: ``x = a + u_A``, ``x + t = b + u_B``
+    with ``u`` in ``H_i + ... + H_{n-1}``, so ``t = (b - a) + u`` with ``u`` a
+    difference of that sum, whose counts in the window widened by the spread
+    of ``b - a`` come from :func:`rankone.core.difference_counts`.  Each
+    ``(u, a)`` then walks the ``b`` in range, so the work beyond those counts
+    is the pairs counted plus one bisection per ``(u, a)``.
+    """
+    descendant_count(spec, A.stage, n, len(A.heights))
+    descendant_count(spec, B.stage, n, len(B.heights))
+    i = max(A.stage, B.stage)
+    DA, DB = refine(spec, A, i).heights, refine(spec, B, i).heights
+    stage_diffs = difference_counts(
+        spec, {0: 1}, i, n, lo - (DB[-1] - DA[0]), hi - (DB[0] - DA[-1])
+    )
+    counts: Counter = Counter()
+    for u, c in stage_diffs.items():
+        for a in DA:
+            for b in DB[bisect_left(DB, a + lo - u) : bisect_right(DB, a + hi - u)]:
+                counts[u + b - a] += c
+    return counts
+
+
 def translate_intersection_measure(spec: RankOneSpec, B: LevelSet, k: int) -> Fraction:
     """Exact measure of the overlap of ``B`` with its image ``k`` steps up.
 
-    Refines ``B`` to the least stage at which a shift by ``k`` stays inside
-    the column, where the overlap is just a count of coinciding levels.
+    At the least stage at which a shift by ``k`` stays inside the column, the
+    overlap is just a count of coinciding levels.
     """
     n = least_valid_stage(spec, B, k)
-    D = refine(spec, B, n).heights
-    Dset = set(D)
-    hits = sum(1 for d in D if d + k in Dset)
-    return hits * spec.width(n)
+    return overlap_counts(spec, B, B, n, k, k)[k] * spec.width(n)
 
 
 def intersection_measure(spec: RankOneSpec, A: LevelSet, B: LevelSet, k: int) -> Fraction:
     """Exact measure of ``T^k A`` meets ``B`` for level sets ``A``, ``B``."""
     n = max(least_valid_stage(spec, A, k), least_valid_stage(spec, B, k))
-    DA = refine(spec, A, n).heights
-    DB = set(refine(spec, B, n).heights)
-    hits = sum(1 for d in DA if d + k in DB)
-    return hits * spec.width(n)
+    return overlap_counts(spec, A, B, n, k, k)[k] * spec.width(n)

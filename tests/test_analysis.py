@@ -216,13 +216,6 @@ def test_nonerg_pair_fraction_frozen():
     assert nonerg_pair_fraction(sp, 1, 1) == Fraction(8, 9)
 
 
-def test_nonerg_distinct_witness_flag():
-    sp = explicit_spec([(3, (0, 1, 2))])
-    plain = nonerg_pair_fraction(sp, 1, 1)
-    strict = nonerg_pair_fraction(sp, 1, 1, require_distinct_witness=True)
-    assert strict <= plain
-
-
 def test_nonergodicity_certificate_rows():
     sp = gallery.main_wde()
     rep = nonergodicity_certificate(sp, 1, 3)

@@ -654,6 +654,19 @@ def test_bad_level_exits_4(specfile, capsys):
     assert "precondition failed" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("rigidity", "--stage", "-1"), ("heights", "--stage", "-2")],
+    ids=["rigidity", "heights"],
+)
+def test_negative_stage_exits_4(argv, specfile, capsys):
+    path = specfile(STAIR)
+    code, out, err = run_cli(capsys, argv[0], "--spec", path, *argv[1:])
+    assert code == 4
+    assert out == ""
+    assert "precondition failed" in err
+
+
 def test_koopman_without_shifts_exits_4(specfile, capsys):
     path = specfile(KOOP)
     code, _, err = run_cli(capsys, "koopman", "--spec", path, "--stage", "1")

@@ -232,6 +232,27 @@ def test_fingerprint_stability():
     assert d.fingerprint() != a.fingerprint()
 
 
+def test_fingerprint_refuses_callable_parameters():
+    from rankone import gallery
+
+    with pytest.raises(PreconditionError):
+        gallery.staircase(lambda n: 2).fingerprint()
+    assert gallery.staircase(2).fingerprint() != gallery.staircase(5).fingerprint()
+
+
+@pytest.mark.parametrize(
+    "accessor",
+    ["stage", "height", "width", "width_denominator", "height_set", "max_descendant"],
+)
+def test_negative_stage_index_is_rejected(accessor):
+    sp = explicit_spec(TRIPLE, cycle=True)
+    with pytest.raises(ValueError):
+        getattr(sp, accessor)(-1)
+    sp.materialize(4)  # a negative index must not wrap to the last stage
+    with pytest.raises(ValueError):
+        getattr(sp, accessor)(-1)
+
+
 def test_notes_dedup():
     sp = explicit_spec(TRIPLE)
     sp.note("same")
