@@ -50,6 +50,7 @@ from rankone.tower import (
     least_valid_stage,
     measure,
     overlap_counts,
+    overlap_total,
     translate_intersection_measure,
 )
 
@@ -304,7 +305,7 @@ def nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
     """
     size = descendant_count(spec, 0, n)
     _check_pairs(spec, size**2)
-    N = difference_counts(spec, {0: 1}, 0, n)
+    N = difference_counts(spec, 0, n)
     good = sum(c for v, c in N.items() if v + b in N)
     return Fraction(good, size**2)
 
@@ -621,19 +622,21 @@ def wde_probe(
             break
         size *= r
         s += 1
-    # Both refinements must fit the budget, even when no self pair returns.
-    descendant_count(spec, A.stage, s, len(A.heights))
+    # B must fit the descendant budget even when no self pair returns.
     descendant_count(spec, B.stage, s, len(B.heights))
     # The pair budget counts the pairs a walk over the refined sets would
     # touch: first the self pairs, then the cross pairs, within the window.
-    self_counts = overlap_counts(spec, A, A, s, 1, n_max)
-    pairs = sum(self_counts.values())
+    # They are totalled before any difference is listed.
+    pairs = overlap_total(spec, A, A, s, 1, n_max)
     _check_pairs(spec, pairs, "window pairs")
-    if not self_counts:
+    if not pairs:
         return None
-    cross_counts = overlap_counts(spec, A, B, s, 1, n_max)
-    _check_pairs(spec, pairs + sum(cross_counts.values()), "window pairs")
-    both = self_counts.keys() & cross_counts.keys()
+    pairs += overlap_total(spec, A, B, s, 1, n_max)
+    _check_pairs(spec, pairs, "window pairs")
+    both = (
+        overlap_counts(spec, A, A, s, 1, n_max).keys()
+        & overlap_counts(spec, A, B, s, 1, n_max).keys()
+    )
     return min(both) if both else None
 
 

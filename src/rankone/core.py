@@ -382,44 +382,36 @@ def descendant_set(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
 
 
 def difference_counts(
-    spec: RankOneSpec,
-    base: dict[int, int],
-    i: int,
-    n: int,
-    lo: int | None = None,
-    hi: int | None = None,
+    spec: RankOneSpec, i: int, n: int, lo: int | None = None, hi: int | None = None
 ) -> Counter:
-    """Difference counts ``N(t) = #{(x, y) in D x E : y - x = t}`` of two stage-``n`` sets.
+    """Difference counts ``N(t) = #{(x, y) in D x D : y - x = t}`` of ``D = H_i + ... + H_{n-1}``.
 
-    ``D = L + H_i + ... + H_{n-1}`` and ``E = M + H_i + ... + H_{n-1}`` refine
-    two level sets ``L``, ``M`` of ``C_i``, and ``base`` is their difference
-    multiset ``{m - l : l in L, m in M}`` (``M = L`` for self differences).
-    Both sums are direct, so a pair ``(x, y)`` is one choice of pair per
-    summand and ``N`` is the convolution of ``base`` with the per-stage
-    difference multisets of ``H_m``: the combinatorial side of the Riesz
-    product formula for rank-one spectral measures.  No set is enumerated.
+    ``D`` is the descendant set in ``C_n`` of the base of ``C_i``.  The sum is
+    direct, so a pair ``(x, y)`` is one choice of pair per summand and ``N``
+    is the convolution of the per-stage difference multisets of ``H_m``: the
+    combinatorial side of the Riesz product formula for rank-one spectral
+    measures.  No set is enumerated.
 
     With ``lo`` and ``hi`` only ``lo <= t <= hi`` is counted.  Stages are then
     taken top-down, and a partial sum is dropped as soon as the stages below
-    it, whose differences stay within ``base``'s range widened by
-    ``max H_i + ... + max H_{m-1}``, can no longer bring it into the window.
+    it, whose differences stay within ``max H_i + ... + max H_{m-1}``, can no
+    longer bring it into the window.
     """
     if n < i:
         raise ValueError(f"need i <= n, got i={i}, n={n}")
     windowed = lo is not None or hi is not None
     if windowed and (lo is None or hi is None):
         raise ValueError("a window needs both lo and hi")
-    if not base or (windowed and lo > hi):
-        return Counter()
-    bmin, bmax = min(base), max(base)
+    if n == i:
+        return Counter({0: 1} if not windowed or lo <= 0 <= hi else {})
     spread = sum(spec.height_set(m)[-1] for m in range(i, n))
     acc = {0: 1}
     for m in reversed(range(i, n)):
         H = spec.height_set(m)
         spread -= H[-1]  # now max H_i + ... + max H_{m-1}
-        bounds = (lo - bmax - spread, hi - bmin + spread) if windowed else (None, None)
+        bounds = (lo - spread, hi + spread) if windowed else (None, None)
         acc = _convolve(acc, Counter(y - x for x in H for y in H), *bounds)
-    return Counter(_convolve(acc, base, lo, hi))
+    return Counter(acc)
 
 
 def _convolve(

@@ -20,12 +20,13 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from rankone.core import (
     IntSet,
     RankOneSpec,
+    _convolve,
     descendant_count,
-    descendant_set,
     difference_counts,
 )
 
@@ -108,10 +109,11 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
     """Rewrite ``B`` as a level set of the deeper column ``C_n``.
 
     Each level of ``C_i`` appears in ``C_n`` as its translated descendant
-    set, so the refined set has exactly ``|B| * r_i * ... * r_{n-1}`` levels
-    and the same measure.  Consecutive descendants of the base differ by at
-    least ``h_i``, more than any level of ``B``, so the shifted copies come
-    out already sorted.
+    set, so the refined set is the direct sum ``B + H_i + ... + H_{n-1}``,
+    with exactly ``|B| * r_i * ... * r_{n-1}`` levels and the same measure.
+    Each gap of ``H_m`` is at least ``h_m``, above every level of ``C_m``, so
+    adding ``H_m`` is an ordered concatenation, as in
+    :func:`rankone.core.descendant_set`.
     """
     i = B.stage
     if n < i:
@@ -119,8 +121,10 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
     if n == i:
         return B
     descendant_count(spec, i, n, len(B.heights))
-    shifts = descendant_set(spec, i, n)
-    return LevelSet(n, tuple([s + b for s in shifts for b in B.heights]))
+    levels = B.heights
+    for m in range(i, n):
+        levels = tuple([h + d for h in spec.height_set(m) for d in levels])
+    return LevelSet(n, levels)
 
 
 def lift(spec: RankOneSpec, p: Point) -> Point:
@@ -210,33 +214,69 @@ def least_valid_stage(spec: RankOneSpec, B: LevelSet, k: int) -> int:
     return n
 
 
+def _common_stage(spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int):
+    """Budget-check ``A`` and ``B`` refined to ``C_n`` as :func:`refine` would,
+    and refine them only to their common stage ``i``."""
+    descendant_count(spec, A.stage, n, len(A.heights))
+    descendant_count(spec, B.stage, n, len(B.heights))
+    i = max(A.stage, B.stage)
+    return i, refine(spec, A, i).heights, refine(spec, B, i).heights
+
+
 def overlap_counts(
     spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int, lo: int, hi: int
 ) -> Counter:
     """``N(t) = #{x in A_n : x + t in B_n}`` for ``lo <= t <= hi``.
 
-    ``A_n`` and ``B_n`` are the refinements of ``A`` and ``B`` to ``C_n``,
-    checked against the budget as :func:`refine` would.  Only the common stage
-    ``i`` of ``A`` and ``B`` is enumerated: ``x = a + u_A``, ``x + t = b + u_B``
-    with ``u`` in ``H_i + ... + H_{n-1}``, so ``t = (b - a) + u`` with ``u`` a
-    difference of that sum, whose counts in the window widened by the spread
-    of ``b - a`` come from :func:`rankone.core.difference_counts`.  Each
-    ``(u, a)`` then walks the ``b`` in range, so the work beyond those counts
-    is the pairs counted plus one bisection per ``(u, a)``.
+    ``A_n`` and ``B_n`` are the refinements of ``A`` and ``B`` to ``C_n``.
+    Only their common stage ``i`` is enumerated: ``x = a + u_A``,
+    ``x + t = b + u_B`` with ``u`` in ``H_i + ... + H_{n-1}``, so
+    ``t = (b - a) + u`` with ``u`` a difference of that sum, whose counts in
+    the window widened by the spread of ``b - a`` come from
+    :func:`rankone.core.difference_counts`.  Each ``(u, a)`` then walks the
+    ``b`` in range, so the work beyond those counts is the pairs counted plus
+    one bisection per ``(u, a)``.
     """
-    descendant_count(spec, A.stage, n, len(A.heights))
-    descendant_count(spec, B.stage, n, len(B.heights))
-    i = max(A.stage, B.stage)
-    DA, DB = refine(spec, A, i).heights, refine(spec, B, i).heights
-    stage_diffs = difference_counts(
-        spec, {0: 1}, i, n, lo - (DB[-1] - DA[0]), hi - (DB[0] - DA[-1])
-    )
+    i, DA, DB = _common_stage(spec, A, B, n)
+    stage_diffs = difference_counts(spec, i, n, lo - (DB[-1] - DA[0]), hi - (DB[0] - DA[-1]))
     counts: Counter = Counter()
     for u, c in stage_diffs.items():
         for a in DA:
             for b in DB[bisect_left(DB, a + lo - u) : bisect_right(DB, a + hi - u)]:
                 counts[u + b - a] += c
     return counts
+
+
+def overlap_total(spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int, lo: int, hi: int) -> int:
+    """The number of pairs :func:`overlap_counts` counts, without listing any difference.
+
+    The stage differences are convolved top-down as in
+    :func:`rankone.core.difference_counts`, but a partial sum all of whose
+    completions, by the stages below and by ``b - a``, land in the window is
+    counted at once and dropped.  What is kept lies within the spread of the
+    stages below of an end of the window, and distinct elements of a stage
+    sum differ by more than that spread, so the work is linear in the size
+    of the stage sum however many pairs there are.
+    """
+    i, DA, DB = _common_stage(spec, A, B, n)
+    if lo > hi:
+        return 0
+    wmin, wmax = DB[0] - DA[-1], DB[-1] - DA[0]  # range of b - a
+    spread = sum(spec.height_set(m)[-1] for m in range(i, n))
+    completions = len(DA) * len(DB) * prod(spec.stage(m).r for m in range(i, n)) ** 2
+    total = 0
+    acc = {0: 1}
+    for m in reversed(range(i, n)):
+        H = spec.height_set(m)
+        spread -= H[-1]  # now max H_i + ... + max H_{m-1}
+        completions //= len(H) ** 2
+        diffs = Counter(y - x for x in H for y in H)
+        acc = _convolve(acc, diffs, lo - wmax - spread, hi - wmin + spread)
+        for p in [p for p in acc if lo - wmin + spread <= p <= hi - wmax - spread]:
+            total += acc.pop(p) * completions
+    for u, c in acc.items():
+        total += c * sum(bisect_right(DB, a + hi - u) - bisect_left(DB, a + lo - u) for a in DA)
+    return total
 
 
 def translate_intersection_measure(spec: RankOneSpec, B: LevelSet, k: int) -> Fraction:

@@ -12,10 +12,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rankone import analysis, oracle, tower
+from rankone import analysis, gallery, oracle, tower
 from rankone.core import (
     Budget,
     BudgetExceeded,
@@ -64,10 +64,6 @@ def level_sets(draw, spec, max_stage=3):
     return tower.level_set(free, stage, heights)
 
 
-def _unfold(spec, i, n, levels):
-    return sorted(d for b in levels for d in oracle.brute_descendants(spec, i, n, b))
-
-
 @settings(max_examples=80, deadline=None)
 @given(stages=stage_lists(max_stages=3, max_r=4), data=st.data())
 def test_difference_counts_match_pair_counts(stages, data):
@@ -75,24 +71,20 @@ def test_difference_counts_match_pair_counts(stages, data):
     top = len(stages)
     i = data.draw(st.integers(0, top))
     n = data.draw(st.integers(i, top))
-    h = spec.height(i)
-    L = data.draw(st.sets(st.integers(0, h - 1), min_size=1, max_size=4))
-    M = data.draw(st.sets(st.integers(0, h - 1), min_size=1, max_size=4))
-    D, E = _unfold(spec, i, n, L), _unfold(spec, i, n, M)
-    ref = Counter(y - x for x in D for y in E)
-    base = Counter(m - l for l in L for m in M)
-    assert difference_counts(spec, base, i, n) == ref
+    D = oracle.brute_descendants(spec, i, n, 0)
+    ref = Counter(y - x for x in D for y in D)
+    assert difference_counts(spec, i, n) == ref
     span = spec.height(n)
     lo = data.draw(st.integers(-span - 2, span + 2))
     hi = data.draw(st.integers(-span - 2, span + 2))  # lo > hi is an empty window
     window = Counter({t: c for t, c in ref.items() if lo <= t <= hi})
-    assert difference_counts(spec, base, i, n, lo, hi) == window
+    assert difference_counts(spec, i, n, lo, hi) == window
 
 
 def test_difference_counts_needs_both_window_ends():
     spec = explicit_spec([(3, (0, 1, 2))])
     with pytest.raises(ValueError):
-        difference_counts(spec, {0: 1}, 0, 1, lo=1)
+        difference_counts(spec, 0, 1, lo=1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,6 +155,76 @@ def test_wde_probe_matches_twin(spec, n_max, data):
     assert _outcome(analysis.wde_probe, spec, A, B, n_max) == _outcome(
         oracle.brute_wde_probe, spec, A, B, n_max
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=budgeted_specs(), data=st.data())
+def test_overlap_counts_and_total_match_pair_counts(spec, data):
+    """Both against pairs listed over the refined sets, and both refusing the
+    same descendant budgets."""
+    A, B = data.draw(level_sets(spec)), data.draw(level_sets(spec))
+    n = data.draw(st.integers(max(A.stage, B.stage), 5))
+    free = explicit_spec(spec.params["stages"], cycle=True)
+    for X in (A, B):
+        assume(len(X.heights) * product_of_cuts(free, X.stage, n) <= 400)
+    span = free.height(n)
+    lo = data.draw(st.integers(-span - 2, span + 2))
+    hi = data.draw(st.integers(-span - 2, span + 2))  # lo > hi is an empty window
+    counts = _outcome(tower.overlap_counts, spec, A, B, n, lo, hi)
+    total = _outcome(tower.overlap_total, spec, A, B, n, lo, hi)
+    if counts is BudgetExceeded:
+        assert total is BudgetExceeded
+        return
+    DA, DB = tower.refine(free, A, n).heights, tower.refine(free, B, n).heights
+    ref = Counter(y - x for x in DA for y in DB if lo <= y - x <= hi)
+    assert counts == ref
+    assert total == sum(ref.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=budgeted_specs(),
+    n_max=st.integers(1, 40),
+    slack=st.sampled_from([-1, 0]),
+    data=st.data(),
+)
+def test_wde_pair_budget_is_the_walked_pair_count(spec, n_max, slack, data):
+    """With ``max_pairs`` just below or at the pairs the window walk touches,
+    self pairs then cross pairs, exactly the first budget refuses."""
+    A, B = data.draw(level_sets(spec)), data.draw(level_sets(spec))
+    stages = spec.params["stages"]
+    free = explicit_spec(stages, cycle=True)
+    try:
+        s = max(A.stage, B.stage, tower.least_valid_stage(free, A, n_max))
+    except BudgetExceeded:  # no spacers: no column ever clears the shift
+        assume(False)
+    for X in (A, B):
+        assume(len(X.heights) * product_of_cuts(free, X.stage, s) <= 400)
+    DA, DB = tower.refine(free, A, s).heights, tower.refine(free, B, s).heights
+    own = sum(1 for x in DA for y in DA if 0 < y - x <= n_max)
+    cross = sum(1 for x in DA for y in DB if 0 < y - x <= n_max)
+    pairs = own + cross if own else 0
+    assume(pairs + slack >= 1)
+    budgeted = explicit_spec(stages, cycle=True, budget=Budget(max_pairs=pairs + slack))
+    got = _outcome(analysis.wde_probe, budgeted, A, B, n_max)
+    assert got == _outcome(oracle.brute_wde_probe, budgeted, A, B, n_max)
+    assert (got is BudgetExceeded) == (slack < 0)
+
+
+def test_wde_probe_refuses_before_counting_differences(monkeypatch):
+    """The differences of ``main_wde`` almost never collide, so its counts hold
+    about one key per window pair: over the pair budget, none may be built."""
+    spec = gallery.main_wde(budget=Budget(max_pairs=1000))
+    A = tower.base_level(spec, 0)
+    n_max = spec.height(3)  # millions of window pairs at the probed stage
+    assert _outcome(oracle.brute_wde_probe, spec, A, A, n_max) is BudgetExceeded
+
+    def refuse(*args):
+        pytest.fail("differences counted past the pair budget")
+
+    monkeypatch.setattr(analysis, "overlap_counts", refuse)
+    with pytest.raises(BudgetExceeded, match="window pairs exceeds max_pairs=1000"):
+        analysis.wde_probe(spec, A, A, n_max)
 
 
 @settings(max_examples=80, deadline=None)
