@@ -41,6 +41,7 @@ from rankone.core import (
     NotStronglyArithmetic,
     PreconditionError,
     RankOneSpec,
+    StageSpec,
     _convolve,
     descendant_count,
     difference_counts,
@@ -201,15 +202,15 @@ def conservativity_sufficient(
     )
 
 
-def _staircase_first_spacer(stage_r: int, spacers: tuple[int, ...]) -> int | None:
+def _staircase_first_spacer(stage: StageSpec) -> int | None:
     """First spacer count if the stage is staircase shaped, else None.
 
     Staircase shaped means consecutive spacer counts grow by exactly one
     on every subcolumn but the last, whose count is unconstrained.
     """
-    s0 = spacers[0]
-    for m in range(stage_r - 1):
-        if spacers[m] != s0 + m:
+    s0 = stage.spacers[0]
+    for m in range(stage.r - 1):
+        if stage.spacers[m] != s0 + m:
             return None
     return s0
 
@@ -245,7 +246,7 @@ def nonconservativity_check(
     all_separated = True
     for j in range(horizon):
         st = spec.stage(j)
-        s0 = _staircase_first_spacer(st.r, st.spacers)
+        s0 = _staircase_first_spacer(st)
         if s0 is None:
             raise NotStronglyArithmetic(
                 f"stage {j} of {spec.name} is not staircase shaped"
@@ -367,7 +368,7 @@ def rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:
     height set maximizing the overlap ratio, smallest shift on ties."""
     H = spec.height_set(n)
     _check_pairs(spec, len(H) ** 2, "height pairs")
-    counts = Counter(y - x for x in H for y in H if y > x)
+    counts = spec.height_differences(n)
     best = max(counts.values())
     return min(a for a, c in counts.items() if c == best), Fraction(best, len(H))
 
@@ -578,18 +579,18 @@ def divisibility_gcd(spec: RankOneSpec, horizon: int) -> tuple[int, str]:
             g = math.gcd(g, e)
     if g == 1:
         return 1, "refuted"
-    declared = _declared_divisors(spec)
-    if any(d >= 2 and g % d == 0 for d in declared):
+    if any(d >= 2 and g % d == 0 for d in _declared_divisors(spec).values()):
         return g, "not-weak-mixing"
     return g, "at-horizon"
 
 
-def _declared_divisors(spec: RankOneSpec) -> list[int]:
-    out = []
+def _declared_divisors(spec: RankOneSpec) -> dict[str, int]:
+    """Each ``all-heights-divisible-by-<d>`` tag of the spec, mapped to ``d``."""
+    out = {}
     for tag in spec.declared_properties:
         if tag.startswith("all-heights-divisible-by-"):
             try:
-                out.append(int(tag.rsplit("-", 1)[-1]))
+                out[tag] = int(tag.rsplit("-", 1)[-1])
             except ValueError:
                 continue
     return out

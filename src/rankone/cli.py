@@ -29,7 +29,6 @@ from rankone.core import (
     RankOneError,
     RankOneSpec,
     descendant_set,
-    explicit_spec,
 )
 
 _JSON_INT_LIMIT = 1 << 53
@@ -41,120 +40,69 @@ class SpecFileError(RankOneError):
 
 # -- spec files ----------------------------------------------------------------
 
-_TOP_KEYS = {"name", "builder", "max_stage", "budget"}
-_BUDGET_KEYS = {"max_descendants", "max_pairs", "max_height_bits"}
-
-_BUILDER_KEYS = {
-    "staircase": {"kind", "r_seq", "extend"},
-    "high_staircase": {"kind", "r_seq", "z_seq", "extend"},
-    "main_wde": {"kind", "max_r"},
-    "rigid_wde": {"kind", "max_r"},
-    "t_q": {"kind", "q", "max_r"},
-    "koopman": {"kind", "max_r"},
-    "partition_staircase": {"kind", "k", "r_seq", "extend"},
-    "not_eic": {"kind", "q"},
-    "explicit": {"kind", "stages", "cycle"},
-}
+# Budget fields a run may set, each also a flag of the same name: the stage
+# limit at the top of a spec file, the others in its "budget" object.
+_STAGE_FIELD = "max_stage"
+_BUDGET_KEYS = ("max_descendants", "max_pairs", "max_height_bits")
+_TOP_KEYS = {"name", "builder", "budget", _STAGE_FIELD}
 
 
-def _require_keys(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _require_keys(mapping: dict, allowed, where: str) -> None:
+    unknown = set(mapping) - set(allowed)
     if unknown:
         raise SpecFileError(f"unknown {where} fields: {sorted(unknown)}")
 
 
-def _caps_from(params: dict) -> gallery.Caps:
-    if "max_r" not in params:
-        return gallery.Caps()
-    return gallery.Caps(max_r=params["max_r"])
-
-
 def load_spec(path: str, args: argparse.Namespace) -> RankOneSpec:
-    """Build a RankOneSpec from a JSON file plus CLI budget overrides."""
+    """Build a RankOneSpec from a JSON file plus CLI budget overrides.
+
+    The builder kinds and their fields are those of :data:`rankone.gallery.BUILDERS`.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise SpecFileError(f"cannot read spec file {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise SpecFileError(f"spec file {path} is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise SpecFileError("spec file must contain a JSON object")
     _require_keys(data, _TOP_KEYS, "spec")
     if "builder" not in data or not isinstance(data["builder"], dict):
         raise SpecFileError('spec file needs a "builder" object')
-    builder = data["builder"]
-    kind = builder.get("kind")
-    if kind not in _BUILDER_KEYS:
+    builder = dict(data["builder"])
+    kind = builder.pop("kind", None)
+    if not isinstance(kind, str) or kind not in gallery.BUILDERS:
         raise SpecFileError(
-            f"unknown builder kind {kind!r}; expected one of {sorted(_BUILDER_KEYS)}"
+            f"unknown builder kind {kind!r}; expected one of {sorted(gallery.BUILDERS)}"
         )
-    _require_keys(builder, _BUILDER_KEYS[kind], f"builder[{kind}]")
+    make, fields = gallery.BUILDERS[kind]
+    _require_keys(builder, fields, f"builder[{kind}]")
 
     budget_fields = data.get("budget", {})
     if not isinstance(budget_fields, dict):
         raise SpecFileError('"budget" must be an object')
     budget_fields = dict(budget_fields)
     _require_keys(budget_fields, _BUDGET_KEYS, "budget")
-    if "max_stage" in data:
-        budget_fields["max_stage"] = data["max_stage"]
-    for flag in ("max_stage", "max_descendants", "max_pairs", "max_height_bits"):
-        v = getattr(args, flag, None)
+    if _STAGE_FIELD in data:
+        budget_fields[_STAGE_FIELD] = data[_STAGE_FIELD]
+    for field in (_STAGE_FIELD, *_BUDGET_KEYS):
+        v = getattr(args, field, None)
         if v is not None:
-            budget_fields[flag] = v
+            budget_fields[field] = v
     try:
         budget = Budget(**budget_fields)
     except (TypeError, ValueError) as e:
         raise SpecFileError(f"bad budget: {e}") from e
 
-    name = data.get("name", kind)
+    kwargs = {"name": data.get("name", kind), "budget": budget}
     try:
-        return _build(kind, builder, name, budget)
-    except KeyError as e:
-        raise SpecFileError(f"builder[{kind}] needs field {e}") from e
+        for field, value in builder.items():
+            keyword, convert = fields[field]
+            kwargs[keyword] = value if convert is None else convert(value)
+        return make(**kwargs)
     except (ValueError, TypeError) as e:
         raise SpecFileError(f"bad builder parameters: {e}") from e
-
-
-def _build(kind: str, b: dict, name: str, budget: Budget) -> RankOneSpec:
-    if kind == "staircase":
-        return gallery.staircase(
-            b.get("r_seq", (2,)),
-            extend=b.get("extend", "increment"),
-            name=name,
-            budget=budget,
-        )
-    if kind == "high_staircase":
-        return gallery.high_staircase(
-            b["r_seq"],
-            b["z_seq"],
-            extend=b.get("extend", "repeat"),
-            name=name,
-            budget=budget,
-        )
-    if kind == "main_wde":
-        return gallery.main_wde(_caps_from(b), name=name, budget=budget)
-    if kind == "rigid_wde":
-        return gallery.rigid_wde(_caps_from(b), name=name, budget=budget)
-    if kind == "t_q":
-        return gallery.t_q(b["q"], _caps_from(b), name=name, budget=budget)
-    if kind == "koopman":
-        return gallery.koopman(_caps_from(b), name=name, budget=budget)
-    if kind == "partition_staircase":
-        return gallery.partition_staircase(
-            b["k"],
-            b.get("r_seq", (2,)),
-            extend=b.get("extend", "increment"),
-            name=name,
-            budget=budget,
-        )
-    if kind == "not_eic":
-        return gallery.not_eic(b["q"], name=name, budget=budget)
-    if kind == "explicit":
-        return explicit_spec(
-            b["stages"], name=name, budget=budget, cycle=bool(b.get("cycle", False))
-        )
-    raise SpecFileError(f"unhandled builder kind {kind!r}")
 
 
 # -- serialization ---------------------------------------------------------------
@@ -266,14 +214,8 @@ def _fraction(text: str) -> Fraction:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True, help="path to a JSON spec file")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--max-stage", type=int, dest="max_stage")
-    p.add_argument("--max-descendants", type=int, dest="max_descendants")
-    p.add_argument("--max-pairs", type=int, dest="max_pairs")
-    p.add_argument("--max-height-bits", type=int, dest="max_height_bits")
-
-
-def _levels(spec: RankOneSpec, stage: int, levels: list[int]) -> tower.LevelSet:
-    return tower.level_set(spec, stage, levels)
+    for field in (_STAGE_FIELD, *_BUDGET_KEYS):
+        p.add_argument("--" + field.replace("_", "-"), type=int, dest=field)
 
 
 # -- handlers ----------------------------------------------------------------------
@@ -314,11 +256,11 @@ def _h_descendants(args, spec):
 
 
 def _h_measure(args, spec):
-    B = _levels(spec, args.stage, args.levels)
+    B = tower.level_set(spec, args.stage, args.levels)
     if args.other_levels is not None:
         other_stage = args.other_stage if args.other_stage is not None else args.stage
         A = B
-        B2 = _levels(spec, other_stage, args.other_levels)
+        B2 = tower.level_set(spec, other_stage, args.other_levels)
         value = tower.intersection_measure(spec, A, B2, args.k)
         what = "shifted-intersection"
     else:
@@ -364,7 +306,7 @@ def _h_rigidity(args, spec):
 
 
 def _h_alpha(args, spec):
-    B = _levels(spec, args.stage, args.levels)
+    B = tower.level_set(spec, args.stage, args.levels)
     prof = analysis.alpha_type_profile(
         spec, B, args.kmax, args.threshold, store_ratios=args.dump
     )
@@ -402,8 +344,8 @@ def _h_divisibility(args, spec):
 
 
 def _h_wde(args, spec):
-    A = _levels(spec, args.a_stage, args.a_levels)
-    B = _levels(spec, args.b_stage, args.b_levels)
+    A = tower.level_set(spec, args.a_stage, args.a_levels)
+    B = tower.level_set(spec, args.b_stage, args.b_levels)
     n = analysis.wde_probe(spec, A, B, args.nmax)
     return {
         "inputs": {
@@ -428,7 +370,7 @@ def _h_koopman(args, spec):
         if span <= 0:
             raise ValueError("need kmin < kmax")
         ks = [args.kmin + rng.next_below(span) for _ in range(args.samples)]
-    B = _levels(spec, args.stage, args.levels)
+    B = tower.level_set(spec, args.stage, args.levels)
     rep = analysis.koopman_decay_check(spec, B, ks)
     return {
         "inputs": {
@@ -460,7 +402,7 @@ def _h_oracle_tuples(args, spec):
 
 
 def _h_oracle_mc(args, spec):
-    B = _levels(spec, args.stage, args.levels)
+    B = tower.level_set(spec, args.stage, args.levels)
     est, err = oracle.monte_carlo_measure(spec, B, args.k, args.samples, args.seed)
     exact = tower.translate_intersection_measure(spec, B, args.k)
     return {

@@ -26,7 +26,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 IntSet = tuple[int, ...]  # strictly increasing tuple of nonnegative ints
 
@@ -57,6 +58,14 @@ class CapsMakeConstructionUnfaithful(UserWarning):
     """
 
 
+def _check_int(what: str, value: int, floor: int) -> None:
+    """Accept only an int (not a bool) that is at least ``floor``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    if value < floor:
+        raise ValueError(f"{what} must be at least {floor}, got {value}")
+
+
 @dataclass(frozen=True)
 class Budget:
     """Resource limits for lazy materialization and set enumeration.
@@ -75,12 +84,8 @@ class Budget:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise TypeError(f"budget field {f.name} must be an int, got {v!r}")
             floor = 0 if f.name == "max_stage" else 1
-            if v < floor:
-                raise ValueError(f"budget field {f.name} must be at least {floor}, got {v}")
+            _check_int(f"budget field {f.name}", getattr(self, f.name), floor)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -94,16 +99,15 @@ class StageSpec:
     spacers: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"cut count must be at least 2, got {self.r}")
-        object.__setattr__(self, "spacers", tuple(int(s) for s in self.spacers))
+        _check_int("cut count", self.r, 2)
+        object.__setattr__(self, "spacers", tuple(self.spacers))
         if len(self.spacers) != self.r:
             raise ValueError(
                 f"need one spacer count per subcolumn: r={self.r}, "
                 f"got {len(self.spacers)} spacer entries"
             )
-        if any(s < 0 for s in self.spacers):
-            raise ValueError("spacer counts must be nonnegative")
+        for s in self.spacers:
+            _check_int("spacer count", s, 0)
 
 
 Builder = Callable[[int, "RankOneSpec"], StageSpec]
@@ -172,6 +176,8 @@ class RankOneSpec:
         params: dict | None = None,
         declared_properties: Iterable[str] = (),
     ) -> None:
+        if not isinstance(name, str):
+            raise TypeError(f"spec name must be a string, got {name!r}")
         self.builder = builder
         self.name = name
         self.budget = budget if budget is not None else Budget()
@@ -182,6 +188,7 @@ class RankOneSpec:
         self._heights: list[int] = [1]  # h_0 = 1
         self._wden: list[int] = [1]  # w_n = 1 / _wden[n]
         self._hsets: list[IntSet] = []
+        self._hdiffs: dict[int, Mapping[int, int]] = {}  # filled on demand
         self._maxdesc: list[int] = [0]  # max D(I, n) for I the base of C_0
 
     # -- materialization ---------------------------------------------------
@@ -201,11 +208,7 @@ class RankOneSpec:
             stage = self.builder(m, self)
             if not isinstance(stage, StageSpec):
                 raise TypeError("builder must return a StageSpec")
-            if stage.r > self.budget.max_descendants:
-                raise BudgetExceeded(
-                    f"stage {m} cuts into {stage.r} subcolumns, "
-                    f"budget is max_descendants={self.budget.max_descendants}"
-                )
+            self.check_cut_count(m, stage.r)
             h = self._heights[m]
             hs = []
             acc = 0
@@ -227,6 +230,19 @@ class RankOneSpec:
             self._hsets.append(hset)
             self._maxdesc.append(self._maxdesc[m] + hset[-1])
         return self
+
+    def check_cut_count(self, n: int, r: int) -> int:
+        """Return ``r``, the cut count of stage ``n``, once it is within ``max_descendants``.
+
+        Every stage passes this check; gallery builders call it before they
+        build a stage's spacers, so an oversized cut costs no memory.
+        """
+        if r > self.budget.max_descendants:
+            raise BudgetExceeded(
+                f"stage {n} cuts into {r} subcolumns, "
+                f"budget is max_descendants={self.budget.max_descendants}"
+            )
+        return r
 
     # -- accessors (auto-materializing, budget checked) --------------------
 
@@ -263,6 +279,18 @@ class RankOneSpec:
         if not 0 <= n < len(self._hsets):
             self._reach(n, n + 1)
         return self._hsets[n]
+
+    def height_differences(self, n: int) -> Mapping[int, int]:
+        """Read-only ``N(t) = #{(x, y) in H_n x H_n : y - x = t}`` for ``t > 0``, built once.
+
+        The rest of the difference multiset follows: ``N(0) = |H_n|``, ``N(-t) = N(t)``.
+        """
+        counts = self._hdiffs.get(n)
+        if counts is None:
+            H = self.height_set(n)
+            counts = Counter(y - x for i, x in enumerate(H) for y in H[i + 1 :])
+            counts = self._hdiffs[n] = MappingProxyType(counts)
+        return counts
 
     def max_descendant(self, n: int) -> int:
         """max D(I, n) where I is the base level of C_0."""
@@ -307,7 +335,7 @@ def _as_stage(s: StageSpec | tuple[int, Sequence[int]]) -> StageSpec:
         r, spacers = s
     except (TypeError, ValueError):
         raise ValueError(f"a stage must be a pair (r, spacers), got {s!r}") from None
-    return StageSpec(r, tuple(spacers))
+    return StageSpec(r, spacers)
 
 
 def explicit_spec(
@@ -322,6 +350,8 @@ def explicit_spec(
     With ``cycle=True`` the list repeats forever; otherwise materializing
     past the end raises :class:`BudgetExceeded`.
     """
+    if not isinstance(cycle, bool):
+        raise TypeError(f"cycle must be a bool, got {cycle!r}")
     normalized = tuple(_as_stage(s) for s in stages)
     if not normalized:
         raise ValueError("explicit spec needs at least one stage")
@@ -407,11 +437,19 @@ def difference_counts(
     spread = sum(spec.height_set(m)[-1] for m in range(i, n))
     acc = {0: 1}
     for m in reversed(range(i, n)):
-        H = spec.height_set(m)
-        spread -= H[-1]  # now max H_i + ... + max H_{m-1}
+        spread -= spec.height_set(m)[-1]  # now max H_i + ... + max H_{m-1}
         bounds = (lo - spread, hi + spread) if windowed else (None, None)
-        acc = _convolve(acc, Counter(y - x for x in H for y in H), *bounds)
+        acc = _convolve(acc, _stage_differences(spec, m), *bounds)
     return Counter(acc)
+
+
+def _stage_differences(spec: RankOneSpec, m: int) -> dict[int, int]:
+    """The whole difference multiset of ``H_m``, from its positive part."""
+    positive = spec.height_differences(m)
+    out = {-t: c for t, c in positive.items()}
+    out[0] = len(spec.height_set(m))
+    out.update(positive)
+    return out
 
 
 def _convolve(

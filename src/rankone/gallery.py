@@ -19,13 +19,15 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from rankone.analysis import gap_pair_count
+from rankone.analysis import _declared_divisors, _staircase_first_spacer, gap_pair_count
 from rankone.core import (
     Budget,
     CapsMakeConstructionUnfaithful,
     PreconditionError,
     RankOneSpec,
     StageSpec,
+    _check_int,
+    explicit_spec,
 )
 
 RSeq = int | Sequence[int] | Callable[[int], int]
@@ -42,8 +44,8 @@ class Caps:
     max_r: int | None = 64
 
     def __post_init__(self) -> None:
-        if self.max_r is not None and self.max_r < 2:
-            raise ValueError(f"max_r must be at least 2, got {self.max_r}")
+        if self.max_r is not None:
+            _check_int("max_r", self.max_r, 2)
 
     def to_dict(self) -> dict:
         return {"max_r": self.max_r}
@@ -56,26 +58,24 @@ def _rule(
 
     Sequences extend past their end either by repeating the last entry or
     by incrementing it once per further stage.  Explicitly given values
-    are range-checked now; callables stay lazy and are checked when the
-    stage materializes.
+    are checked now; callables stay lazy and are checked when the stage
+    materializes.
     """
+    if extend not in ("repeat", "increment"):
+        raise ValueError(f"unknown extend mode {extend!r}")
     if callable(value):
         return value
     if isinstance(value, int):
-        if value < floor:
-            raise ValueError(f"{what} must be at least {floor}, got {value}")
-        v = value
-        return lambda n: v
-    seq = tuple(int(v) for v in value)
+        _check_int(what, value, floor)
+        return lambda n: value
+    seq = tuple(value)
     if not seq:
         raise ValueError(f"{what} sequence must be nonempty")
-    if any(v < floor for v in seq):
-        raise ValueError(f"{what} must be at least {floor}, got {min(seq)}")
+    for v in seq:
+        _check_int(what, v, floor)
     if extend == "repeat":
         return lambda n: seq[n] if n < len(seq) else seq[-1]
-    if extend == "increment":
-        return lambda n: seq[n] if n < len(seq) else seq[-1] + (n - len(seq) + 1)
-    raise ValueError(f"unknown extend mode {extend!r}")
+    return lambda n: seq[n] if n < len(seq) else seq[-1] + (n - len(seq) + 1)
 
 
 def _params_value(value: RSeq) -> object:
@@ -83,14 +83,7 @@ def _params_value(value: RSeq) -> object:
     spec cannot be fingerprinted."""
     if callable(value) or isinstance(value, int):
         return value
-    return list(int(v) for v in value)
-
-
-def _check_int(what: str, value: int, floor: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an int, got {value!r}")
-    if value < floor:
-        raise ValueError(f"need {what} >= {floor}, got {value}")
+    return list(value)
 
 
 # -- plain and shifted staircases ---------------------------------------------
@@ -111,7 +104,7 @@ def staircase(
     r_of = _rule(r, extend, "cut count", floor=2)
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
-        rn = r_of(n)
+        rn = spec.check_cut_count(n, r_of(n))
         return StageSpec(rn, tuple(range(rn)))
 
     return RankOneSpec(
@@ -139,13 +132,13 @@ def high_staircase(
     r_of = _rule(r, extend, "cut count", floor=2)
     z_of = _rule(z, extend, "offset", floor=0)
     if not callable(r) and not isinstance(r, int):
-        seq = tuple(int(v) for v in r)
+        seq = tuple(r)
         if any(b <= a for a, b in zip(seq, seq[1:])):
             raise PreconditionError("cut counts must strictly increase")
     # a repeated or callable tail that goes flat is caught lazily below
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
-        rn, zn = r_of(n), z_of(n)
+        rn, zn = spec.check_cut_count(n, r_of(n)), z_of(n)
         if zn < 0:
             raise ValueError(f"offset must be nonnegative, got z_{n}={zn}")
         if n > 0 and rn <= spec.stage(n - 1).r:
@@ -195,8 +188,9 @@ def _min_r_for_pair_bound(m: int, idx: int) -> int:
 
 
 def _capped(r_faithful: int, caps: Caps, spec: RankOneSpec, stage: int) -> int:
+    """The cut count of ``stage``: the recipe's, capped by ``caps``, within the budget."""
     if caps.max_r is None or r_faithful <= caps.max_r:
-        return r_faithful
+        return spec.check_cut_count(stage, r_faithful)
     note = (
         f"stage {stage}: cut count capped at {caps.max_r} "
         f"(recipe calls for {r_faithful})"
@@ -208,7 +202,7 @@ def _capped(r_faithful: int, caps: Caps, spec: RankOneSpec, stage: int) -> int:
             CapsMakeConstructionUnfaithful,
             stacklevel=3,
         )
-    return caps.max_r
+    return spec.check_cut_count(stage, caps.max_r)
 
 
 def _staircase_run_spacers(r: int) -> tuple[int, ...]:
@@ -334,6 +328,7 @@ def t_q(
     def build(n: int, spec: RankOneSpec) -> StageSpec:
         h = spec.height(n)
         if n % 2 == 0:
+            spec.check_cut_count(n, q)
             maxd_next = spec.max_descendant(n) + (q - 1) * 2 * h
             r_next = odd_r_faithful(n, h, maxd_next)
             if caps.max_r is not None:
@@ -382,9 +377,7 @@ def koopman(
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
         h = spec.height(n)
-        r = n + 2
-        if caps.max_r is not None and r > caps.max_r:
-            r = _capped(r, caps, spec, n)
+        r = _capped(n + 2, caps, spec, n)
         spacers = [h] + [(2**l - 1) * h for l in range(1, r - 1)]
         spacers.append((2 ** (n + 1) + 1) * h)
         return StageSpec(r, tuple(spacers))
@@ -417,7 +410,7 @@ def partition_staircase(
     r_of = _rule(r, extend, "cut count", floor=2)
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
-        rn = r_of(n)
+        rn = spec.check_cut_count(n, r_of(n))
         d = (-spec.height(n)) % k
         return StageSpec(rn, tuple(d + k * m for m in range(rn)))
 
@@ -454,6 +447,7 @@ def not_eic(
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
         h = spec.height(n)
+        spec.check_cut_count(n, q)
         return StageSpec(q, (h,) * (q - 1) + (h + 1,))
 
     return RankOneSpec(
@@ -463,6 +457,27 @@ def not_eic(
         params={"kind": "not_eic", "q": q},
         declared_properties=("all-heights-divisible-by-2",),
     )
+
+
+# -- spec-file registry -----------------------------------------------------------
+
+_RULE_FIELDS = {"r_seq": ("r", None), "extend": ("extend", None)}
+_CAPS_FIELDS = {"max_r": ("caps", Caps)}
+
+#: Builder kinds of a spec file: kind -> (constructor, {field: (keyword, conversion)}).
+#: A field's JSON value goes to the constructor keyword, through the conversion
+#: if there is one; every default and every check is the constructor's own.
+BUILDERS = {
+    "staircase": (staircase, _RULE_FIELDS),
+    "high_staircase": (high_staircase, {**_RULE_FIELDS, "z_seq": ("z", None)}),
+    "main_wde": (main_wde, _CAPS_FIELDS),
+    "rigid_wde": (rigid_wde, _CAPS_FIELDS),
+    "t_q": (t_q, {"q": ("q", None), **_CAPS_FIELDS}),
+    "koopman": (koopman, _CAPS_FIELDS),
+    "partition_staircase": (partition_staircase, {"k": ("k", None), **_RULE_FIELDS}),
+    "not_eic": (not_eic, {"q": ("q", None)}),
+    "explicit": (explicit_spec, {"stages": ("stages", None), "cycle": ("cycle", None)}),
+}
 
 
 # -- declared-property audit ----------------------------------------------------
@@ -475,9 +490,10 @@ def verify_declared_properties(spec: RankOneSpec, horizon: int) -> list[dict]:
     one through the horizon and reports what actually holds.
     """
     results: list[dict] = []
+    divisors = _declared_divisors(spec)
     for tag in sorted(spec.declared_properties):
-        if tag.startswith("all-heights-divisible-by-"):
-            d = int(tag.rsplit("-", 1)[-1])
+        if tag in divisors:
+            d = divisors[tag]
             bad = [
                 (n, e)
                 for n in range(horizon)
@@ -492,13 +508,10 @@ def verify_declared_properties(spec: RankOneSpec, horizon: int) -> list[dict]:
                 }
             )
         elif tag == "strongly-arithmetic":
-            bad_stage = None
-            for n in range(horizon):
-                st = spec.stage(n)
-                s0 = st.spacers[0]
-                if any(st.spacers[m] != s0 + m for m in range(st.r - 1)):
-                    bad_stage = n
-                    break
+            bad_stage = next(
+                (n for n in range(horizon) if _staircase_first_spacer(spec.stage(n)) is None),
+                None,
+            )
             results.append(
                 {
                     "property": tag,

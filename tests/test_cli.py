@@ -5,15 +5,23 @@ capsys; one test round-trips through a real subprocess to confirm the
 output is byte-identical across interpreter runs.
 """
 
+import contextlib
 import csv
+import io
 import json
+import pathlib
+import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankone import analysis, cli, gallery
+from rankone.core import Budget
 
 
 STAIR = {"name": "stair", "builder": {"kind": "staircase"}}
@@ -585,6 +593,13 @@ def test_bad_builder_parameters_exit_2(specfile, capsys):
         {"builder": {"kind": "explicit"}},
         {"builder": {"kind": "t_q", "q": 2.5}},
         {"builder": {"kind": "not_eic", "q": 2.5}},
+        {"builder": {"kind": "main_wde", "max_r": 2.5}},
+        {"builder": {"kind": "explicit", "stages": [[2.0, [0, 0]]]}},
+        {"builder": {"kind": []}},
+        {"builder": {"kind": "explicit", "stages": [[2, [0, 0]]], "cycle": "false"}},
+        {"builder": {"kind": "staircase", "r_seq": [2.9]}},
+        {"builder": {"kind": "explicit", "stages": [[2, "12"]], "cycle": True}},
+        {"name": ["x"], "builder": {"kind": "staircase"}},
     ],
     ids=[
         "budget-not-int",
@@ -594,6 +609,13 @@ def test_bad_builder_parameters_exit_2(specfile, capsys):
         "explicit-no-stages",
         "t_q-float-q",
         "not_eic-float-q",
+        "main_wde-float-max_r",
+        "explicit-float-r",
+        "kind-not-string",
+        "cycle-not-bool",
+        "float-r_seq",
+        "spacers-string",
+        "name-not-string",
     ],
 )
 def test_invalid_spec_values_exit_2(data, specfile, capsys):
@@ -674,29 +696,137 @@ def test_koopman_without_shifts_exits_4(specfile, capsys):
     assert "precondition failed" in err
 
 
-# -- spec loading across the whole gallery ------------------------------------------
+# -- cut counts over budget -----------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "builder",
     [
-        {"kind": "staircase"},
-        {"kind": "staircase", "r_seq": [3, 4], "extend": "repeat"},
-        {"kind": "high_staircase", "r_seq": [3, 4], "z_seq": [1]},
-        {"kind": "main_wde", "max_r": 64},
-        {"kind": "rigid_wde", "max_r": 64},
-        {"kind": "t_q", "q": 2, "max_r": 6},
-        {"kind": "koopman", "max_r": 16},
-        {"kind": "partition_staircase", "k": 3},
-        {"kind": "not_eic", "q": 2},
-        {"kind": "explicit", "stages": [[3, [0, 1, 2]], [3, [0, 1, 2]]]},
+        {"kind": "staircase", "r_seq": [3_000_000]},
+        {"kind": "high_staircase", "r_seq": [3_000_000], "z_seq": [0]},
+        {"kind": "partition_staircase", "k": 1, "r_seq": [3_000_000]},
+        {"kind": "t_q", "q": 3_000_000},
+        {"kind": "not_eic", "q": 3_000_000},
     ],
-    ids=lambda b: b["kind"] + ("-seq" if "r_seq" in b and b["kind"] == "staircase" else ""),
+    ids=lambda b: b["kind"],
 )
-def test_every_builder_kind_loads(builder, specfile, capsys):
+def test_large_cut_count_refused_before_spacers_are_built(builder, specfile, capsys):
     path = specfile({"builder": builder})
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "describe", "--spec", path, "-n", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "stage 0 cuts into 3000000 subcolumns" in err
+    assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("kind", ["main_wde", "rigid_wde", "t_q"])
+def test_uncapped_odd_stage_refused_before_spacers_are_built(kind, specfile, capsys, monkeypatch):
+    # uncapped, stage 3 calls for about 3e7 subcolumns: refuse without building them
+    build = gallery._staircase_run_spacers
+
+    def guarded(r):
+        assert r <= Budget().max_descendants, f"spacers built for {r} subcolumns"
+        return build(r)
+
+    monkeypatch.setattr(gallery, "_staircase_run_spacers", guarded)
+    builder = {"kind": kind, "max_r": None, **({"q": 2} if kind == "t_q" else {})}
+    path = specfile({"builder": builder})
+    code, _, err = run_cli(capsys, "describe", "--spec", path, "-n", "4")
+    assert code == 3
+    assert "stage 3 cuts into" in err
+
+
+# -- spec loading across the whole gallery ------------------------------------------
+
+# one spec-file builder per kind, giving every field the kind takes
+EVERY_FIELD = {
+    "staircase": {"r_seq": [3, 4], "extend": "repeat"},
+    "high_staircase": {"r_seq": [3, 4], "z_seq": [1], "extend": "increment"},
+    "main_wde": {"max_r": 64},
+    "rigid_wde": {"max_r": 64},
+    "t_q": {"q": 2, "max_r": 6},
+    "koopman": {"max_r": 16},
+    "partition_staircase": {"k": 3, "r_seq": [2], "extend": "increment"},
+    "not_eic": {"q": 2},
+    "explicit": {"stages": [[3, [0, 1, 2]], [3, [0, 1, 2]]], "cycle": True},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(gallery.BUILDERS))
+def test_every_builder_kind_loads(kind, specfile, capsys):
+    fields = EVERY_FIELD[kind]
+    assert set(fields) == set(gallery.BUILDERS[kind][1])
+    path = specfile({"builder": {"kind": kind, **fields}})
     code, out, _ = run_cli(capsys, "describe", "--spec", path, "-n", "2")
     assert code == 0
     payload = json.loads(out)
     assert len(payload["rows"]) == 2
-    assert payload["spec"]["builder"].get("kind", builder["kind"]) is not None
+    assert payload["spec"]["builder"]["kind"] == kind
+
+
+def test_readme_lists_the_registered_kinds():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Spec files", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `(\w+)` \|", section, re.M) == sorted(gallery.BUILDERS)
+
+
+# -- fuzzed spec files ----------------------------------------------------------------
+
+_FIELDS = sorted({f for _, fields in gallery.BUILDERS.values() for f in fields})
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2)
+    ),
+    max_leaves=6,
+)
+# cut counts up to 6 and 2**70 go over the budgets the fuzz runs under
+_small = st.integers(-1, 6) | st.just(2**70)
+_stage_lists = st.lists(st.tuples(_small, st.lists(_small, max_size=4)).map(list), max_size=3)
+_values = st.one_of(
+    _small,
+    st.lists(_small, max_size=3),
+    _stage_lists,
+    st.sampled_from(["repeat", "increment"]),
+    _json,
+)
+
+
+def _rarely(draw) -> bool:
+    return draw(st.integers(1, 10)) == 10
+
+
+@st.composite
+def spec_files(draw):
+    """Spec files mostly of the right shape, with values of any JSON type."""
+    kind = draw(st.sampled_from(sorted(gallery.BUILDERS)))
+    own = st.sampled_from(sorted(gallery.BUILDERS[kind][1]))
+    builder = {"kind": draw(_json) if _rarely(draw) else kind}
+    builder.update(draw(st.dictionaries(own, _values, max_size=3)))
+    if _rarely(draw):
+        builder[draw(st.sampled_from([*_FIELDS, "bogus"]))] = draw(_values)
+    data = {"builder": draw(_json) if _rarely(draw) else builder}
+    tops = st.sampled_from(["name", "max_stage", "budget"] + ["extra"] * _rarely(draw))
+    data.update(draw(st.dictionaries(tops, _values | st.text(max_size=3), max_size=2)))
+    return draw(_json) if _rarely(draw) else data
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=spec_files())
+def test_fuzzed_spec_files_keep_the_exit_code_contract(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = ["describe", "--spec", str(path), "-n", "4", "--max-stage", "6",
+            "--max-descendants", "5", "--max-pairs", "50", "--max-height-bits", "64"]
+    runs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        runs.append(out.getvalue())
+    assert runs[0] == runs[1]

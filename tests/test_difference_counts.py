@@ -237,3 +237,14 @@ def test_intersection_measures_match_twin(spec, k, data):
     assert _outcome(tower.intersection_measure, spec, A, B, k) == _outcome(
         oracle.brute_intersection_measure, spec, A, B, k
     )
+
+
+@given(stages=stage_lists(), n=st.integers(0, 3))
+def test_height_differences_are_built_once_and_read_only(stages, n):
+    spec = explicit_spec(stages, cycle=True)
+    counts = spec.height_differences(n)
+    H = spec.height_set(n)
+    assert counts == Counter(y - x for x in H for y in H if y > x)
+    assert spec.height_differences(n) is counts
+    with pytest.raises(TypeError):
+        counts[0] = 0

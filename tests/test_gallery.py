@@ -10,6 +10,7 @@ from rankone.core import (
     Budget,
     CapsMakeConstructionUnfaithful,
     PreconditionError,
+    StageSpec,
 )
 
 pytestmark = pytest.mark.filterwarnings(
@@ -128,7 +129,16 @@ def test_t_q_even_stage_cuts_match_q():
 
 
 @pytest.mark.parametrize(
-    "make", [gallery.t_q, gallery.not_eic, gallery.partition_staircase]
+    "make",
+    [
+        gallery.t_q,
+        gallery.not_eic,
+        gallery.partition_staircase,
+        pytest.param(lambda v: gallery.Caps(max_r=v), id="Caps"),
+        pytest.param(lambda v: gallery.staircase((v,)), id="staircase-rule"),
+        pytest.param(lambda v: StageSpec(v, (0, 0)), id="StageSpec-r"),
+        pytest.param(lambda v: StageSpec(2, (0, v)), id="StageSpec-spacer"),
+    ],
 )
 @pytest.mark.parametrize("bad", [2.5, 2.0, True])
 def test_integer_parameters_reject_other_types(make, bad):
