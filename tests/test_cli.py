@@ -756,10 +756,22 @@ EVERY_FIELD = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(gallery.BUILDERS))
-def test_every_builder_kind_loads(kind, specfile, capsys):
-    fields = EVERY_FIELD[kind]
-    assert set(fields) == set(gallery.BUILDERS[kind][1])
+def test_every_field_case_covers_its_kind():
+    assert set(EVERY_FIELD) == set(gallery.BUILDERS)
+    for kind, fields in EVERY_FIELD.items():
+        assert set(fields) == set(gallery.BUILDERS[kind][1]), kind
+
+
+# each kind with every field, under the staircase id "staircase-seq", and the bare
+# staircase, which loads the defaults of every field
+_LOAD_CASES = [
+    pytest.param(kind, EVERY_FIELD[kind], id=kind + ("-seq" if kind == "staircase" else ""))
+    for kind in sorted(gallery.BUILDERS)
+] + [pytest.param("staircase", {}, id="staircase")]
+
+
+@pytest.mark.parametrize("kind, fields", _LOAD_CASES)
+def test_every_builder_kind_loads(kind, fields, specfile, capsys):
     path = specfile({"builder": {"kind": kind, **fields}})
     code, out, _ = run_cli(capsys, "describe", "--spec", path, "-n", "2")
     assert code == 0
