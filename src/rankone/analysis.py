@@ -368,9 +368,9 @@ def rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:
     height set maximizing the overlap ratio, smallest shift on ties."""
     H = spec.height_set(n)
     _check_pairs(spec, len(H) ** 2, "height pairs")
-    counts = spec.height_differences(n)
-    best = max(counts.values())
-    return min(a for a, c in counts.items() if c == best), Fraction(best, len(H))
+    shifts, counts = spec.height_differences(n)
+    best = max(counts[1:])
+    return shifts[counts.index(best, 1)], Fraction(best, len(H))
 
 
 @dataclass(frozen=True)

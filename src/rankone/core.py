@@ -26,8 +26,9 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import combinations, starmap
+from operator import sub
+from typing import Callable, Iterable, Sequence
 
 IntSet = tuple[int, ...]  # strictly increasing tuple of nonnegative ints
 
@@ -188,7 +189,7 @@ class RankOneSpec:
         self._heights: list[int] = [1]  # h_0 = 1
         self._wden: list[int] = [1]  # w_n = 1 / _wden[n]
         self._hsets: list[IntSet] = []
-        self._hdiffs: dict[int, Mapping[int, int]] = {}  # filled on demand
+        self._hdiffs: dict[int, tuple[IntSet, tuple[int, ...]]] = {}  # filled on demand
         self._maxdesc: list[int] = [0]  # max D(I, n) for I the base of C_0
 
     # -- materialization ---------------------------------------------------
@@ -280,17 +281,19 @@ class RankOneSpec:
             self._reach(n, n + 1)
         return self._hsets[n]
 
-    def height_differences(self, n: int) -> Mapping[int, int]:
-        """Read-only ``N(t) = #{(x, y) in H_n x H_n : y - x = t}`` for ``t > 0``, built once.
+    def height_differences(self, n: int) -> tuple[IntSet, tuple[int, ...]]:
+        """The differences ``t >= 0`` of ``H_n``, increasing, and their counts, built once.
 
-        The rest of the difference multiset follows: ``N(0) = |H_n|``, ``N(-t) = N(t)``.
+        ``N(t) = #{(x, y) in H_n x H_n : y - x = t}``, so ``N(0) = |H_n|``;
+        the rest of the difference multiset follows from ``N(-t) = N(t)``.
         """
-        counts = self._hdiffs.get(n)
-        if counts is None:
+        diffs = self._hdiffs.get(n)
+        if diffs is None:
             H = self.height_set(n)
-            counts = Counter(y - x for i, x in enumerate(H) for y in H[i + 1 :])
-            counts = self._hdiffs[n] = MappingProxyType(counts)
-        return counts
+            counts = Counter(starmap(sub, combinations(reversed(H), 2)))
+            keys = (0, *sorted(counts))
+            diffs = self._hdiffs[n] = keys, (len(H), *map(counts.__getitem__, keys[1:]))
+        return diffs
 
     def max_descendant(self, n: int) -> int:
         """max D(I, n) where I is the base level of C_0."""
@@ -439,41 +442,42 @@ def difference_counts(
     for m in reversed(range(i, n)):
         spread -= spec.height_set(m)[-1]  # now max H_i + ... + max H_{m-1}
         bounds = (lo - spread, hi + spread) if windowed else (None, None)
-        acc = _convolve(acc, _stage_differences(spec, m), *bounds)
+        acc = _convolve_differences(acc, spec, m, *bounds)
     return Counter(acc)
 
 
-def _stage_differences(spec: RankOneSpec, m: int) -> dict[int, int]:
-    """The whole difference multiset of ``H_m``, from its positive part."""
-    positive = spec.height_differences(m)
-    out = {-t: c for t, c in positive.items()}
-    out[0] = len(spec.height_set(m))
-    out.update(positive)
+def _convolve_differences(
+    acc: dict[int, int], spec: RankOneSpec, m: int, lo: int | None = None, hi: int | None = None
+) -> dict[int, int]:
+    """``acc`` convolved with the difference multiset of ``H_m``, in ``[lo, hi]`` if given.
+
+    The multiset is read through its symmetry from the stored half
+    (:meth:`RankOneSpec.height_differences`).  In a window, the differences
+    ``t`` and ``-t`` each ``p`` of ``acc`` takes are cut from that half by
+    bisection, so a narrow window does not visit the whole stage.
+    """
+    keys, counts = spec.height_differences(m)
+    items = list(zip(keys, counts))
+    if lo is None:  # every pair is visited, so listing the whole multiset costs little
+        return _convolve(acc, {**dict(items), **{-t: e for t, e in items[1:]}})
+    out: dict[int, int] = {}
+    for p, c in acc.items():
+        for t, e in items[bisect_left(keys, lo - p) : bisect_right(keys, hi - p)]:
+            q = p + t
+            out[q] = out.get(q, 0) + c * e
+        for t, e in items[bisect_left(keys, max(p - hi, 1)) : bisect_right(keys, p - lo)]:
+            q = p - t
+            out[q] = out.get(q, 0) + c * e
     return out
 
 
-def _convolve(
-    acc: dict[int, int], counts: dict[int, int], lo: int | None = None, hi: int | None = None
-) -> dict[int, int]:
-    """Convolution of two count multisets, keeping only sums in ``[lo, hi]`` if given.
-
-    The outer loop runs over the smaller multiset; in a window, the sums of
-    each of its elements are cut from the larger one by bisection.
-    """
+def _convolve(acc: dict[int, int], counts: dict[int, int]) -> dict[int, int]:
+    """Convolution of two count multisets, the smaller one in the outer loop."""
     if len(acc) > len(counts):
         acc, counts = counts, acc
-    if lo is None:
-        items = list(counts.items())
-    else:
-        items = sorted(counts.items())
-        keys = [d for d, _ in items]
     out: dict[int, int] = {}
     for p, c in acc.items():
-        if lo is not None:
-            items_p = items[bisect_left(keys, lo - p) : bisect_right(keys, hi - p)]
-        else:
-            items_p = items
-        for d, e in items_p:
+        for d, e in counts.items():
             q = p + d
             out[q] = out.get(q, 0) + c * e
     return out

@@ -25,8 +25,7 @@ from math import prod
 from rankone.core import (
     IntSet,
     RankOneSpec,
-    _convolve,
-    _stage_differences,
+    _convolve_differences,
     descendant_count,
     difference_counts,
 )
@@ -271,7 +270,7 @@ def overlap_total(spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int, lo: int, 
         H = spec.height_set(m)
         spread -= H[-1]  # now max H_i + ... + max H_{m-1}
         completions //= len(H) ** 2
-        acc = _convolve(acc, _stage_differences(spec, m), lo - wmax - spread, hi - wmin + spread)
+        acc = _convolve_differences(acc, spec, m, lo - wmax - spread, hi - wmin + spread)
         for p in [p for p in acc if lo - wmin + spread <= p <= hi - wmax - spread]:
             total += acc.pop(p) * completions
     for u, c in acc.items():

@@ -8,6 +8,7 @@ output is byte-identical across interpreter runs.
 import contextlib
 import csv
 import io
+import inspect
 import json
 import pathlib
 import re
@@ -762,12 +763,16 @@ def test_every_field_case_covers_its_kind():
         assert set(fields) == set(gallery.BUILDERS[kind][1]), kind
 
 
-# each kind with every field, under the staircase id "staircase-seq", and the bare
-# staircase, which loads the defaults of every field
+# each kind with every field, under the staircase id "staircase-seq"; the bare
+# staircase, which loads the defaults of every field; and an explicit spec that
+# takes the default cycle and is described up to its last stage
 _LOAD_CASES = [
     pytest.param(kind, EVERY_FIELD[kind], id=kind + ("-seq" if kind == "staircase" else ""))
     for kind in sorted(gallery.BUILDERS)
-] + [pytest.param("staircase", {}, id="staircase")]
+] + [
+    pytest.param("staircase", {}, id="staircase"),
+    pytest.param("explicit", {"stages": [[3, [0, 1, 2]], [3, [0, 1, 2]]]}, id="explicit-no-cycle"),
+]
 
 
 @pytest.mark.parametrize("kind, fields", _LOAD_CASES)
@@ -783,7 +788,14 @@ def test_every_builder_kind_loads(kind, fields, specfile, capsys):
 def test_readme_lists_the_registered_kinds():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Spec files", 1)[1].split("\n## ", 1)[0]
-    assert re.findall(r"^\| `(\w+)` \|", section, re.M) == sorted(gallery.BUILDERS)
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M)
+    assert [kind for kind, _ in rows] == sorted(gallery.BUILDERS)
+    for kind, cell in rows:
+        build, fields = gallery.BUILDERS[kind]
+        params = inspect.signature(build).parameters
+        required = {f for f, (kw, _) in fields.items() if params[kw].default is params[kw].empty}
+        assert sorted(re.findall(r"`(\w+)`", cell)) == sorted(fields), kind
+        assert set(re.findall(r"\*\*`(\w+)`\*\*", cell)) == required, kind
 
 
 # -- fuzzed spec files ----------------------------------------------------------------

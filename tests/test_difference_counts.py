@@ -242,9 +242,11 @@ def test_intersection_measures_match_twin(spec, k, data):
 @given(stages=stage_lists(), n=st.integers(0, 3))
 def test_height_differences_are_built_once_and_read_only(stages, n):
     spec = explicit_spec(stages, cycle=True)
-    counts = spec.height_differences(n)
+    diffs = spec.height_differences(n)
+    shifts, counts = diffs
     H = spec.height_set(n)
-    assert counts == Counter(y - x for x in H for y in H if y > x)
-    assert spec.height_differences(n) is counts
+    assert list(shifts) == sorted(shifts)
+    assert dict(zip(shifts, counts)) == Counter(y - x for x in H for y in H if y >= x)
+    assert spec.height_differences(n) is diffs
     with pytest.raises(TypeError):
         counts[0] = 0
