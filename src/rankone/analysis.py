@@ -455,23 +455,22 @@ class StaircaseWitness:
 
 def staircase_subset_detect(
     H: Sequence[int], h: int, tau: Fraction, min_k: int = -1
-) -> tuple[StaircaseWitness, ...]:
-    """Maximal staircase-patterned runs of a height set.
+) -> StaircaseWitness | None:
+    """The longest maximal staircase-patterned run of a height set, or ``None``.
 
     A run with offset ``k`` visits ``a + m(h + k) + m(m+1)/2``; the m-th
-    increment is ``h + k + m``.  Only runs of length at least two are
-    reported, and a run is skipped when it extends backward (the longer
-    run with offset ``k - 1`` subsumes it, provided that offset is
-    allowed).  ``min_k`` bounds the offsets searched; the plain staircase
-    pattern itself has offset -1.
+    increment is ``h + k + m``.  Only runs of length at least two count,
+    and a run is skipped when it extends backward (the longer run with
+    offset ``k - 1`` subsumes it, provided that offset is allowed).
+    ``min_k`` bounds the offsets searched; the plain staircase pattern
+    itself has offset -1.  Ties in length go to the smallest ``a``, then
+    the smallest ``k``: runs are scanned in that order and only a strictly
+    longer one replaces the best.
     """
-    tau = Fraction(tau)
     Hs = tuple(sorted(set(int(x) for x in H)))
-    if not Hs:
-        return ()
     Hset = set(Hs)
-    out: list[StaircaseWitness] = []
-    scored: dict[int, tuple[Fraction, bool]] = {}  # run length -> (fraction, > tau)
+    best_a = best_k = None
+    best_length = 1
     for a in Hs:
         for e1 in Hs:
             k = e1 - a - h - 1
@@ -488,12 +487,12 @@ def staircase_subset_detect(
                     length += 1
                 else:
                     break
-            if length not in scored:
-                frac = Fraction(length, len(Hs))
-                scored[length] = (frac, frac > tau)
-            out.append(StaircaseWitness(a, k, length, *scored[length]))
-    out.sort(key=lambda w: (-w.length, w.a, w.k))
-    return tuple(out)
+            if length > best_length:
+                best_a, best_k, best_length = a, k, length
+    if best_a is None:
+        return None
+    fraction = Fraction(best_length, len(Hs))
+    return StaircaseWitness(best_a, best_k, best_length, fraction, fraction > Fraction(tau))
 
 
 def arithmetic_report(
@@ -522,8 +521,7 @@ def arithmetic_report(
             rows.append({"stage": n, "r": spec.stage(n).r, "skipped": True})
             notes.append(f"stage {n} skipped: height set too large to scan")
             continue
-        witnesses = staircase_subset_detect(H, spec.height(n), tau, min_k)
-        best = witnesses[0] if witnesses else None
+        best = staircase_subset_detect(H, spec.height(n), tau, min_k)
         qualifies = (
             best is not None and best.length >= 3 and best.exceeds_tau
         )

@@ -141,26 +141,15 @@ def _spec_block(spec: RankOneSpec) -> dict:
     }
 
 
-def _report_block(rep: analysis.CertificateReport) -> dict:
-    return {
-        "kind": rep.kind,
-        "horizon": rep.horizon,
-        "verdict": rep.verdict,
-        "rows": list(rep.rows),
-        "summary": rep.summary,
-        "notes": list(rep.notes),
-    }
-
-
 def _emit(payload: dict, fmt: str, out) -> None:
+    """Write a payload already passed through :func:`_jsonable`."""
     if fmt == "json":
-        json.dump(_jsonable(payload), out, indent=2, sort_keys=True)
+        json.dump(payload, out, indent=2, sort_keys=True)
         out.write("\n")
         return
     rows = payload.get("report", {}).get("rows") or payload.get("rows") or []
     if fmt == "csv":
         if not rows:
-            out.write("")
             return
         writer = csv.writer(out, lineterminator="\n")
         header = list(rows[0].keys())
@@ -187,9 +176,7 @@ def _emit(payload: dict, fmt: str, out) -> None:
 
 
 def _csv_cell(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (list, tuple)):
+    if isinstance(v, list):
         return " ".join(str(x) for x in v)
     return v
 
@@ -211,11 +198,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational like 1/2: {text!r}") from e
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _subcommand(sub, name: str, handler, help_: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help_)
     p.add_argument("--spec", required=True, help="path to a JSON spec file")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     for field in (_STAGE_FIELD, *_BUDGET_KEYS):
         p.add_argument("--" + field.replace("_", "-"), type=int, dest=field)
+    p.set_defaults(handler=handler)
+    return p
 
 
 # -- handlers ----------------------------------------------------------------------
@@ -234,13 +224,12 @@ def _h_describe(args, spec):
                 "max_descendant": spec.max_descendant(n),
             }
         )
-    return {"inputs": {"stages": args.stages}, "rows": rows}
+    return {"rows": rows}
 
 
 def _h_heights(args, spec):
     H = spec.height_set(args.stage)
     return {
-        "inputs": {"stage": args.stage},
         "result": {"h": spec.height(args.stage), "heights": list(H)},
         "rows": [{"index": i, "height": h} for i, h in enumerate(H)],
     }
@@ -249,7 +238,6 @@ def _h_heights(args, spec):
 def _h_descendants(args, spec):
     D = descendant_set(spec, args.i, args.j, args.b)
     return {
-        "inputs": {"i": args.i, "j": args.j, "b": args.b},
         "result": {"size": len(D), "descendants": list(D)},
         "rows": [{"index": i, "height": d} for i, d in enumerate(D)],
     }
@@ -267,13 +255,6 @@ def _h_measure(args, spec):
         value = tower.translate_intersection_measure(spec, B, args.k)
         what = "self-overlap"
     return {
-        "inputs": {
-            "stage": args.stage,
-            "levels": args.levels,
-            "k": args.k,
-            "other_stage": args.other_stage,
-            "other_levels": args.other_levels,
-        },
         "result": {
             "quantity": what,
             "measure": value,
@@ -284,23 +265,22 @@ def _h_measure(args, spec):
 
 def _h_check_cons(args, spec):
     rep = analysis.conservativity_sufficient(spec, args.k, args.horizon, args.threshold)
-    return {"inputs": {"k": args.k, "horizon": args.horizon, "threshold": args.threshold}, "report": rep}
+    return {"report": rep}
 
 
 def _h_check_noncons(args, spec):
     rep = analysis.nonconservativity_check(spec, args.k, args.horizon, args.floor)
-    return {"inputs": {"k": args.k, "horizon": args.horizon, "floor": args.floor}, "report": rep}
+    return {"report": rep}
 
 
 def _h_check_nonerg(args, spec):
     rep = analysis.nonergodicity_certificate(spec, args.b, args.horizon)
-    return {"inputs": {"b": args.b, "horizon": args.horizon}, "report": rep}
+    return {"report": rep}
 
 
 def _h_rigidity(args, spec):
     a, ratio = analysis.rigidity_scan(spec, args.stage)
     return {
-        "inputs": {"stage": args.stage},
         "result": {"best_shift": a, "ratio": ratio, "height_set_size": len(spec.height_set(args.stage))},
     }
 
@@ -311,12 +291,6 @@ def _h_alpha(args, spec):
         spec, B, args.kmax, args.threshold, store_ratios=args.dump
     )
     payload = {
-        "inputs": {
-            "stage": args.stage,
-            "levels": args.levels,
-            "kmax": args.kmax,
-            "threshold": args.threshold,
-        },
         "result": {
             "refined_stage": prof.stage,
             "base_size": prof.base_size,
@@ -332,31 +306,19 @@ def _h_alpha(args, spec):
 
 def _h_arithmetic(args, spec):
     rep = analysis.arithmetic_report(spec, args.horizon, args.tau, args.min_k)
-    return {"inputs": {"horizon": args.horizon, "tau": args.tau, "min_k": args.min_k}, "report": rep}
+    return {"report": rep}
 
 
 def _h_divisibility(args, spec):
     g, verdict = analysis.divisibility_gcd(spec, args.horizon)
-    return {
-        "inputs": {"horizon": args.horizon},
-        "result": {"gcd": g, "verdict": verdict},
-    }
+    return {"result": {"gcd": g, "verdict": verdict}}
 
 
 def _h_wde(args, spec):
     A = tower.level_set(spec, args.a_stage, args.a_levels)
     B = tower.level_set(spec, args.b_stage, args.b_levels)
     n = analysis.wde_probe(spec, A, B, args.nmax)
-    return {
-        "inputs": {
-            "a_stage": args.a_stage,
-            "a_levels": args.a_levels,
-            "b_stage": args.b_stage,
-            "b_levels": args.b_levels,
-            "nmax": args.nmax,
-        },
-        "result": {"first_shift": n, "found": n is not None},
-    }
+    return {"result": {"first_shift": n, "found": n is not None}}
 
 
 def _h_koopman(args, spec):
@@ -372,33 +334,21 @@ def _h_koopman(args, spec):
         ks = [args.kmin + rng.next_below(span) for _ in range(args.samples)]
     B = tower.level_set(spec, args.stage, args.levels)
     rep = analysis.koopman_decay_check(spec, B, ks)
-    return {
-        "inputs": {
-            "stage": args.stage,
-            "levels": args.levels,
-            "shifts": len(ks),
-            "seed": args.seed,
-        },
-        "report": rep,
-    }
+    # the shifts drawn are the input, not the options that drew them
+    inputs = {"stage": args.stage, "levels": args.levels, "shifts": len(ks), "seed": args.seed}
+    return {"inputs": inputs, "report": rep}
 
 
 def _h_oracle_descendants(args, spec):
     D = oracle.brute_descendants(spec, args.i, args.j, args.b)
     agrees = D == descendant_set(spec, args.i, args.j, args.b)
-    return {
-        "inputs": {"i": args.i, "j": args.j, "b": args.b},
-        "result": {"size": len(D), "descendants": list(D), "agrees_with_exact": agrees},
-    }
+    return {"result": {"size": len(D), "descendants": list(D), "agrees_with_exact": agrees}}
 
 
 def _h_oracle_tuples(args, spec):
     brute = oracle.brute_tuple_fraction(spec, args.i, args.j, args.k)
     exact = analysis.cons_fraction_exact(spec, args.i, args.j, args.k)
-    return {
-        "inputs": {"i": args.i, "j": args.j, "k": args.k},
-        "result": {"brute": brute, "exact": exact, "agrees": brute == exact},
-    }
+    return {"result": {"brute": brute, "exact": exact, "agrees": brute == exact}}
 
 
 def _h_oracle_mc(args, spec):
@@ -406,13 +356,6 @@ def _h_oracle_mc(args, spec):
     est, err = oracle.monte_carlo_measure(spec, B, args.k, args.samples, args.seed)
     exact = tower.translate_intersection_measure(spec, B, args.k)
     return {
-        "inputs": {
-            "stage": args.stage,
-            "levels": args.levels,
-            "k": args.k,
-            "samples": args.samples,
-            "seed": args.seed,
-        },
         "result": {
             "estimate": est,
             "stderr": err,
@@ -427,12 +370,6 @@ def _h_oracle_orbit(args, spec):
     agrees = oracle.stepwise_orbit_check(spec, p, args.k)
     q = tower.apply_pointwise(spec, p, args.k)
     return {
-        "inputs": {
-            "stage": args.stage,
-            "height": args.height,
-            "offset": args.offset,
-            "k": args.k,
-        },
         "result": {
             "agrees": agrees,
             "image_stage": q.stage,
@@ -452,70 +389,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(name: str, handler, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
-        _add_common(p)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = cmd("describe", _h_describe, "stage table: r, h, height-set size, descendant spread")
+    p = _subcommand(sub, "describe", _h_describe, "stage table: r, h, height-set size, descendant spread")
     p.add_argument("-n", "--stages", type=int, default=8)
 
-    p = cmd("heights", _h_heights, "height set of one stage")
+    p = _subcommand(sub, "heights", _h_heights, "height set of one stage")
     p.add_argument("-n", "--stage", type=int, required=True)
 
-    p = cmd("descendants", _h_descendants, "descendant heights of a level")
+    p = _subcommand(sub, "descendants", _h_descendants, "descendant heights of a level")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--b", type=int, default=0)
 
-    p = cmd("measure", _h_measure, "exact overlap measure under a shift")
+    p = _subcommand(sub, "measure", _h_measure, "exact overlap measure under a shift")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--levels", type=_int_list, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--other-stage", type=int, dest="other_stage")
     p.add_argument("--other-levels", type=_int_list, dest="other_levels")
 
-    p = cmd("check-cons", _h_check_cons, "sufficient condition for a conservative power")
+    p = _subcommand(sub, "check-cons", _h_check_cons, "sufficient condition for a conservative power")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--threshold", type=_fraction, default=Fraction(1, 1000))
 
-    p = cmd("check-noncons", _h_check_noncons, "finite-horizon non-conservativity certificate")
+    p = _subcommand(sub, "check-noncons", _h_check_noncons, "finite-horizon non-conservativity certificate")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--floor", type=_fraction, default=Fraction(1, 2))
 
-    p = cmd("check-nonerg", _h_check_nonerg, "pair-realignment certificate against ergodicity")
+    p = _subcommand(sub, "check-nonerg", _h_check_nonerg, "pair-realignment certificate against ergodicity")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
 
-    p = cmd("rigidity", _h_rigidity, "best rigidity shift of one stage")
+    p = _subcommand(sub, "rigidity", _h_rigidity, "best rigidity shift of one stage")
     p.add_argument("-n", "--stage", type=int, required=True)
 
-    p = cmd("alpha", _h_alpha, "partial-rigidity profile of a level set")
+    p = _subcommand(sub, "alpha", _h_alpha, "partial-rigidity profile of a level set")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--levels", type=_int_list, default=[0])
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--threshold", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--dump", action="store_true", help="include every (k, ratio) row")
 
-    p = cmd("arithmetic", _h_arithmetic, "recurring staircase-pattern report")
+    p = _subcommand(sub, "arithmetic", _h_arithmetic, "recurring staircase-pattern report")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--tau", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--min-k", type=int, dest="min_k", default=-1)
 
-    p = cmd("divisibility", _h_divisibility, "gcd of height-set elements")
+    p = _subcommand(sub, "divisibility", _h_divisibility, "gcd of height-set elements")
     p.add_argument("--horizon", type=int, required=True)
 
-    p = cmd("wde", _h_wde, "first shift moving one set across itself and another")
+    p = _subcommand(sub, "wde", _h_wde, "first shift moving one set across itself and another")
     p.add_argument("--a-stage", type=int, required=True)
     p.add_argument("--a-levels", type=_int_list, required=True)
     p.add_argument("--b-stage", type=int, required=True)
     p.add_argument("--b-levels", type=_int_list, required=True)
     p.add_argument("--nmax", type=int, required=True)
 
-    p = cmd("koopman", _h_koopman, "overlap-decay window check for the doubling family")
+    p = _subcommand(sub, "koopman", _h_koopman, "overlap-decay window check for the doubling family")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--levels", type=_int_list, default=[0])
     p.add_argument("--k", type=_int_list, default=[])
@@ -527,30 +458,24 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("oracle", help="independent brute-force cross-checks")
     osub = po.add_subparsers(dest="oracle_command", required=True)
 
-    def ocmd(name: str, handler, help_: str) -> argparse.ArgumentParser:
-        p = osub.add_parser(name, help=help_)
-        _add_common(p)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = ocmd("descendants", _h_oracle_descendants, "descendants by literal unfolding")
+    p = _subcommand(osub, "descendants", _h_oracle_descendants, "descendants by literal unfolding")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--b", type=int, default=0)
 
-    p = ocmd("tuples", _h_oracle_tuples, "tuple fraction by exhaustive scan")
+    p = _subcommand(osub, "tuples", _h_oracle_tuples, "tuple fraction by exhaustive scan")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = ocmd("mc", _h_oracle_mc, "overlap measure by seeded sampling")
+    p = _subcommand(osub, "mc", _h_oracle_mc, "overlap measure by seeded sampling")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--levels", type=_int_list, default=[0])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = ocmd("orbit", _h_oracle_orbit, "pointwise map vs single steps")
+    p = _subcommand(osub, "orbit", _h_oracle_orbit, "pointwise map vs single steps")
     p.add_argument("--stage", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--offset", type=_fraction, default=Fraction(0))
@@ -563,12 +488,30 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
 
+# Parsed arguments that are not echoed as "inputs": the command itself, the
+# spec file and its budget overrides, and the flags that only choose what is
+# printed.
+_NOT_INPUTS = {"command", "oracle_command", "handler", "spec", "format", "dump",
+               _STAGE_FIELD, *_BUDGET_KEYS}
+
+
 def main(argv=None) -> int:
     warnings.showwarning = _print_warning
     args = build_parser().parse_args(argv)
+    int_digits = sys.get_int_max_str_digits()
     try:
         spec = load_spec(args.spec, args)
+        # The spec file is read under the interpreter's digit limit; heights
+        # derived from it print in full.
+        sys.set_int_max_str_digits(0)
+        # The handler runs before the spec block is built: stages it
+        # materializes add to the spec's notes.
         payload = args.handler(args, spec)
+        command = args.command if args.command != "oracle" else f"oracle-{args.oracle_command}"
+        inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
+        out = _jsonable(
+            {"command": command, "spec": _spec_block(spec), "inputs": inputs, **payload}
+        )
     except SpecFileError as e:
         print(f"spec error: {e}", file=sys.stderr)
         return 2
@@ -581,12 +524,8 @@ def main(argv=None) -> int:
     except Exception:  # pragma: no cover - defensive
         traceback.print_exc()
         return 1
-    command = args.command if args.command != "oracle" else f"oracle-{args.oracle_command}"
-    out: dict = {"command": command, "spec": _spec_block(spec)}
-    if "report" in payload:
-        payload = dict(payload)
-        payload["report"] = _report_block(payload["report"])
-    out.update(payload)
+    finally:
+        sys.set_int_max_str_digits(int_digits)
     _emit(out, args.format, sys.stdout)
     return 0
 

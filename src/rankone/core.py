@@ -437,10 +437,9 @@ def difference_counts(
         raise ValueError("a window needs both lo and hi")
     if n == i:
         return Counter({0: 1} if not windowed or lo <= 0 <= hi else {})
-    spread = sum(spec.height_set(m)[-1] for m in range(i, n))
     acc = {0: 1}
     for m in reversed(range(i, n)):
-        spread -= spec.height_set(m)[-1]  # now max H_i + ... + max H_{m-1}
+        spread = spec.max_descendant(m) - spec.max_descendant(i)  # max H_i + ... + max H_{m-1}
         bounds = (lo - spread, hi + spread) if windowed else (None, None)
         acc = _convolve_differences(acc, spec, m, *bounds)
     return Counter(acc)

@@ -262,14 +262,12 @@ def overlap_total(spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int, lo: int, 
     if lo > hi:
         return 0
     wmin, wmax = DB[0] - DA[-1], DB[-1] - DA[0]  # range of b - a
-    spread = sum(spec.height_set(m)[-1] for m in range(i, n))
     completions = len(DA) * len(DB) * prod(spec.stage(m).r for m in range(i, n)) ** 2
     total = 0
     acc = {0: 1}
     for m in reversed(range(i, n)):
-        H = spec.height_set(m)
-        spread -= H[-1]  # now max H_i + ... + max H_{m-1}
-        completions //= len(H) ** 2
+        spread = spec.max_descendant(m) - spec.max_descendant(i)  # max H_i + ... + max H_{m-1}
+        completions //= spec.stage(m).r ** 2
         acc = _convolve_differences(acc, spec, m, lo - wmax - spread, hi - wmin + spread)
         for p in [p for p in acc if lo - wmin + spread <= p <= hi - wmax - spread]:
             total += acc.pop(p) * completions

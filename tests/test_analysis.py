@@ -282,8 +282,7 @@ def test_staircase_subset_detect_full_run():
     # increments 13, 14, 15 over h = 12: the m-th step is h + k + m with
     # m starting at 1, so this is the k = 0 chain
     H = (0, 13, 27, 42)
-    runs = staircase_subset_detect(H, 12, Fraction(1, 2))
-    best = runs[0]
+    best = staircase_subset_detect(H, 12, Fraction(1, 2))
     assert isinstance(best, StaircaseWitness)
     assert (best.a, best.k, best.length) == (0, 0, 4)
     assert best.fraction == 1
@@ -295,9 +294,9 @@ def test_staircase_subset_detect_min_k():
     # k = 0 leaves only its tail, which re-reads as a shorter k = 0 run
     H = (0, 12, 25, 39)
     full = staircase_subset_detect(H, 12, Fraction(1, 2))
-    assert (full[0].a, full[0].k, full[0].length) == (0, -1, 4)
+    assert (full.a, full.k, full.length) == (0, -1, 4)
     floored = staircase_subset_detect(H, 12, Fraction(1, 2), min_k=0)
-    assert (floored[0].a, floored[0].k, floored[0].length) == (12, 0, 3)
+    assert (floored.a, floored.k, floored.length) == (12, 0, 3)
 
 
 def test_arithmetic_report_verdicts():

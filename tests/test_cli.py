@@ -16,12 +16,13 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone import analysis, cli, gallery
+from rankone import analysis, cli, core, gallery
 from rankone.core import Budget
 
 
@@ -518,6 +519,137 @@ def test_big_integers_pass_through_as_strings(specfile, capsys):
 
     code, out, _ = run_cli(capsys, "heights", "--spec", path, "--stage", "3")
     assert isinstance(json.loads(out)["result"]["h"], int)
+
+
+def test_integers_past_the_digit_limit_print_in_full(tmp_path, capsys):
+    # 10**4299 has 4300 digits, the most a spec file may hold; the heights
+    # it spaces out have more than Python's default int-to-str limit allows
+    big = "1" + "0" * 4299
+    path = tmp_path / "big.json"
+    path.write_text(
+        '{"builder": {"kind": "explicit", "stages": [[2, [0, %s]]], "cycle": true}}' % big,
+        encoding="utf-8",
+    )
+    spec = core.explicit_spec([(2, (0, 10**4299))], cycle=True)
+    top = str(Decimal(spec.height_set(6)[-1]))  # Decimal prints without the limit
+    assert len(top) > 4300
+    limit = sys.get_int_max_str_digits()
+    for fmt in ("json", "csv", "text"):
+        code, out, err = run_cli(
+            capsys, "heights", "--spec", str(path), "--stage", "6", "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        assert top in out
+        assert sys.get_int_max_str_digits() == limit
+
+    # an integer past the limit in the spec file itself is still a bad spec
+    path.write_text(path.read_text(encoding="utf-8").replace(big, big + "0"), encoding="utf-8")
+    code, _, err = run_cli(capsys, "heights", "--spec", str(path), "--stage", "6")
+    assert code == 2
+    assert err.startswith("spec error:")
+    assert sys.get_int_max_str_digits() == limit
+
+
+# One invocation per leaf subcommand, and the "inputs" block it echoes.
+_COMMANDS = [
+    pytest.param(STAIR, ["describe", "-n", "3"], {"stages": 3}, id="describe"),
+    pytest.param(STAIR, ["heights", "--stage", "2"], {"stage": 2}, id="heights"),
+    pytest.param(
+        TRIPLE, ["descendants", "--i", "0", "--j", "2"], {"i": 0, "j": 2, "b": 0}, id="descendants"
+    ),
+    pytest.param(
+        TRIPLE,
+        ["measure", "--stage", "1", "--levels", "0", "--k", "1"],
+        {"stage": 1, "levels": [0], "k": 1, "other_stage": None, "other_levels": None},
+        id="measure",
+    ),
+    pytest.param(
+        STAIR,
+        ["check-cons", "--k", "2", "--horizon", "6"],
+        {"k": 2, "horizon": 6, "threshold": "1/1000"},
+        id="check-cons",
+    ),
+    pytest.param(
+        DOUBLING,
+        ["check-noncons", "--k", "2", "--horizon", "4"],
+        {"k": 2, "horizon": 4, "floor": "1/2"},
+        id="check-noncons",
+    ),
+    pytest.param(
+        STAIR, ["check-nonerg", "--b", "1", "--horizon", "3"], {"b": 1, "horizon": 3}, id="check-nonerg"
+    ),
+    pytest.param(TQ2, ["rigidity", "--stage", "2"], {"stage": 2}, id="rigidity"),
+    pytest.param(
+        STAIR,
+        ["alpha", "--stage", "1", "--kmax", "12", "--threshold", "1/10", "--dump"],
+        {"stage": 1, "levels": [0], "kmax": 12, "threshold": "1/10"},
+        id="alpha",
+    ),
+    pytest.param(
+        STAIR,
+        ["arithmetic", "--horizon", "6"],
+        {"horizon": 6, "tau": "1/2", "min_k": -1},
+        id="arithmetic",
+    ),
+    pytest.param(KOOP, ["divisibility", "--horizon", "4"], {"horizon": 4}, id="divisibility"),
+    pytest.param(
+        STAIR,
+        ["wde", "--a-stage", "2", "--a-levels", "3", "--b-stage", "2", "--b-levels", "7,8",
+         "--nmax", "54"],
+        {"a_stage": 2, "a_levels": [3], "b_stage": 2, "b_levels": [7, 8], "nmax": 54},
+        id="wde",
+    ),
+    pytest.param(
+        KOOP,
+        ["koopman", "--stage", "1", "--samples", "5", "--kmin", "60", "--kmax", "600",
+         "--seed", "5"],
+        {"stage": 1, "levels": [0], "shifts": 5, "seed": 5},
+        id="koopman",
+    ),
+    pytest.param(
+        TRIPLE,
+        ["oracle", "descendants", "--i", "1", "--j", "2", "--b", "1"],
+        {"i": 1, "j": 2, "b": 1},
+        id="oracle-descendants",
+    ),
+    pytest.param(
+        TRIPLE,
+        ["oracle", "tuples", "--i", "0", "--j", "2", "--k", "2"],
+        {"i": 0, "j": 2, "k": 2},
+        id="oracle-tuples",
+    ),
+    pytest.param(
+        TRIPLE,
+        ["oracle", "mc", "--stage", "1", "--k", "1", "--samples", "1000"],
+        {"stage": 1, "levels": [0], "k": 1, "samples": 1000, "seed": 0},
+        id="oracle-mc",
+    ),
+    pytest.param(
+        STAIR,
+        ["oracle", "orbit", "--stage", "1", "--height", "0", "--offset", "1/100", "--k", "5"],
+        {"stage": 1, "height": 0, "offset": "1/100", "k": 5},
+        id="oracle-orbit",
+    ),
+]
+
+
+@pytest.mark.parametrize("data, argv, inputs", _COMMANDS)
+def test_every_command_echoes_its_inputs(data, argv, inputs, specfile, capsys):
+    path = specfile(data)
+    code, out, _ = run_cli(capsys, *argv, "--spec", path)
+    assert code == 0
+    assert json.loads(out)["inputs"] == inputs
+    for fmt in ("csv", "text"):
+        code, _, _ = run_cli(capsys, *argv, "--spec", path, "--format", fmt)
+        assert code == 0
+
+
+@pytest.mark.parametrize("data, argv, inputs", _COMMANDS)
+def test_csv_and_text_print_rationals_as_p_q(data, argv, inputs, specfile, capsys):
+    path = specfile(data)
+    for fmt in ("csv", "text"):
+        _, out, _ = run_cli(capsys, *argv, "--spec", path, "--format", fmt)
+        assert "Fraction(" not in out
 
 
 def test_fingerprint_consistent_across_commands(specfile, capsys):

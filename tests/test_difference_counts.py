@@ -181,6 +181,15 @@ def test_overlap_counts_and_total_match_pair_counts(spec, data):
     assert total == sum(ref.values())
 
 
+def test_overlap_total_at_the_common_stage_builds_no_stage():
+    """With ``n`` the common stage there is nothing to convolve, so a budget
+    that cannot build that stage does not refuse the count."""
+    spec = explicit_spec([(2, (1, 1))], cycle=True, budget=Budget(max_stage=1))
+    A = tower.LevelSet(3, (0,))
+    assert tower.overlap_counts(spec, A, A, 3, 0, 0) == Counter({0: 1})
+    assert tower.overlap_total(spec, A, A, 3, 0, 0) == 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     spec=budgeted_specs(),
