@@ -10,8 +10,9 @@ A report's verdict is always one of a small vocabulary:
 
 - ``"satisfied"`` / ``"satisfied-at-horizon"``: the finite criterion holds
   through the requested horizon.
-- ``"refuted-conservativity"`` / ``"refuted-ergodicity"``: the computed
-  stages witness the named property failing.
+- ``"refuted-conservativity"`` / ``"refuted-ergodicity"``: every stage
+  through the horizon was computed and witnesses the named property
+  failing.
 - ``"refuted"``: the finite check itself failed on some row.
 - ``"inconclusive-at-horizon"``: nothing is contradicted, but the
   criterion did not resolve within the horizon.
@@ -22,8 +23,7 @@ subclasses instead of returning a verdict.
 
 Pair and tuple counts over descendant sets come from
 :func:`rankone.core.difference_counts`, a per-stage convolution, so no pair
-is listed.  The budget is unchanged: ``max_descendants`` still bounds ``|D|``
-and ``max_pairs`` still bounds ``|D|^k``, the pairs or tuples counted.
+is listed.
 """
 
 from __future__ import annotations
@@ -48,19 +48,13 @@ from rankone.core import (
 )
 from rankone.tower import (
     LevelSet,
+    _probe_stage,
     least_valid_stage,
     measure,
     overlap_counts,
     overlap_total,
     translate_intersection_measure,
 )
-
-
-def _check_pairs(spec: RankOneSpec, count: int, what: str = "pairs") -> None:
-    if count > spec.budget.max_pairs:
-        raise BudgetExceeded(
-            f"{count} {what} exceeds max_pairs={spec.budget.max_pairs}"
-        )
 
 
 @dataclass(frozen=True)
@@ -138,8 +132,7 @@ def cons_fraction_exact(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    total = descendant_count(spec, i, j) ** k
-    _check_pairs(spec, total, "tuples")
+    total = spec.budget.check("max_pairs", descendant_count(spec, i, j) ** k, "{} tuples")
     # A tuple counts when its difference vector (a_l - a_0) has two or more
     # realizations.  The sum is direct, so vector counts convolve per stage.
     # A vector is encoded in balanced base W = 2M + 1: every partial sum has
@@ -305,7 +298,7 @@ def nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
     of two descendants.
     """
     size = descendant_count(spec, 0, n)
-    _check_pairs(spec, size**2)
+    spec.budget.check("max_pairs", size**2, "{} pairs")
     N = difference_counts(spec, 0, n)
     good = sum(c for v, c in N.items() if v + b in N)
     return Fraction(good, size**2)
@@ -316,10 +309,11 @@ def nonergodicity_certificate(
 ) -> CertificateReport:
     """Track the pair-realignment fraction for a fixed shift across stages.
 
-    When the fraction stays at or below one half at every computed stage,
-    a positive-measure set of pairs never realigns to displacement ``b``
-    and ergodicity of the Cartesian square fails.  Stages whose descendant
-    count is over budget are skipped and noted, not silently dropped.
+    When the fraction stays at or below one half at every stage, a
+    positive-measure set of pairs never realigns to displacement ``b`` and
+    ergodicity of the Cartesian square fails.  A stage over budget is
+    skipped, with the refusal as its note, and leaves the verdict
+    inconclusive.
     """
     if horizon < 1:
         raise ValueError(f"need horizon >= 1, got {horizon}")
@@ -330,14 +324,14 @@ def nonergodicity_certificate(
     for n in range(1, horizon + 1):
         try:
             frac = nonerg_pair_fraction(spec, n, b)
-        except BudgetExceeded:
+        except BudgetExceeded as e:
             rows.append({"stage": n, "fraction": None, "skipped": True})
-            notes.append(f"stage {n} skipped: pair count over budget")
+            notes.append(f"stage {n} skipped: {e}")
             continue
         computed += 1
         worst = max(worst, frac)
         rows.append({"stage": n, "fraction": frac, "skipped": False})
-    ok = computed > 0 and worst <= Fraction(1, 2)
+    ok = computed == horizon and worst <= Fraction(1, 2)
     return CertificateReport(
         kind="non-ergodicity",
         horizon=horizon,
@@ -367,7 +361,7 @@ def rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:
     """Best rigidity shift for stage ``n``: the positive difference of the
     height set maximizing the overlap ratio, smallest shift on ties."""
     H = spec.height_set(n)
-    _check_pairs(spec, len(H) ** 2, "height pairs")
+    spec.budget.check("max_pairs", len(H) ** 2, "{} height pairs")
     shifts, counts = spec.height_differences(n)
     best = max(counts[1:])
     return shifts[counts.index(best, 1)], Fraction(best, len(H))
@@ -405,10 +399,12 @@ def alpha_type_profile(
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
+    if store_ratios:
+        spec.budget.check("max_descendants", k_max, "{} listed ratios")
     threshold = Fraction(threshold)
     s = least_valid_stage(spec, B, k_max)
     size = descendant_count(spec, B.stage, s, len(B.heights))
-    _check_pairs(spec, size**2)
+    spec.budget.check("max_pairs", size**2, "{} pairs")
     N = overlap_counts(spec, B, B, s, 1, k_max)
     # Ratios N(k) / size are compared as integers.  A shift with N(k) = 0 is
     # an exception only below a negative threshold and never raises the
@@ -612,26 +608,16 @@ def wde_probe(
     """
     if n_max < 1:
         return None
-    target = least_valid_stage(spec, A, n_max)
-    s = max(A.stage, B.stage)
-    size = max(len(A.heights), len(B.heights))
-    while s < target:
-        r = spec.stage(s).r
-        if size * r > spec.budget.max_descendants:
-            break
-        size *= r
-        s += 1
-    # B must fit the descendant budget even when no self pair returns.
-    descendant_count(spec, B.stage, s, len(B.heights))
+    s = _probe_stage(spec, A, B, n_max)
     # The pair budget counts the pairs a walk over the refined sets would
     # touch: first the self pairs, then the cross pairs, within the window.
     # They are totalled before any difference is listed.
     pairs = overlap_total(spec, A, A, s, 1, n_max)
-    _check_pairs(spec, pairs, "window pairs")
+    spec.budget.check("max_pairs", pairs, "{} window pairs")
     if not pairs:
         return None
     pairs += overlap_total(spec, A, B, s, 1, n_max)
-    _check_pairs(spec, pairs, "window pairs")
+    spec.budget.check("max_pairs", pairs, "{} window pairs")
     both = (
         overlap_counts(spec, A, A, s, 1, n_max).keys()
         & overlap_counts(spec, A, B, s, 1, n_max).keys()

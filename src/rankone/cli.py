@@ -176,8 +176,9 @@ def _emit(payload: dict, fmt: str, out) -> None:
 
 
 def _csv_cell(v):
+    """A list as its items joined by spaces, a dict item as its values joined by ': '."""
     if isinstance(v, list):
-        return " ".join(str(x) for x in v)
+        return " ".join(": ".join(map(str, x.values())) if isinstance(x, dict) else str(x) for x in v)
     return v
 
 

@@ -71,10 +71,8 @@ def _check_int(what: str, value: int, floor: int) -> None:
 class Budget:
     """Resource limits for lazy materialization and set enumeration.
 
-    ``max_descendants`` bounds the size of a descendant set or refined level
-    set.  ``max_pairs`` bounds the number of pairs (or k-tuples) of such a set
-    a certificate ranges over, ``|D|^k``, whether or not the pairs are listed:
-    difference counts are convolved per stage, but the bound stays the same.
+    What each field bounds is listed in the README; :meth:`check` is where a
+    count meets its limit.
     """
 
     max_stage: int = 64
@@ -90,6 +88,18 @@ class Budget:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def check(self, field: str, count: int, what: str) -> int:
+        """Return ``count`` if it is at most the limit ``field``, else refuse.
+
+        The one comparison of a count with a budget limit.  ``what`` names the
+        count, ``{}`` standing for its value; the refusal reads
+        ``<what> exceeds <field>=<limit>``.
+        """
+        limit = getattr(self, field)
+        if count > limit:
+            raise BudgetExceeded(f"{what.format(count)} exceeds {field}={limit}")
+        return count
 
 
 @dataclass(frozen=True)
@@ -114,18 +124,13 @@ class StageSpec:
 Builder = Callable[[int, "RankOneSpec"], StageSpec]
 
 
-def sum_set(a: Sequence[int], b: Sequence[int], *, max_products: int | None = None) -> IntSet:
+def sum_set(a: Sequence[int], b: Sequence[int]) -> IntSet:
     """Sorted, deduplicated set of pairwise sums of two sorted int sets.
 
     Uses a k-way merge of the shifted copies ``a_i + b`` rather than a hash
     set, so output order is canonical and the cost is
     O(|a| |b| log |a|) with no large intermediate collections.
     """
-    if max_products is not None and len(a) * len(b) > max_products:
-        raise BudgetExceeded(
-            f"sum set would enumerate {len(a)}*{len(b)} products, "
-            f"budget is {max_products}"
-        )
     if not a or not b:
         return ()
 
@@ -142,7 +147,7 @@ def sum_set(a: Sequence[int], b: Sequence[int], *, max_products: int | None = No
     return tuple(out)
 
 
-def sum_is_direct(sets: Sequence[Sequence[int]], *, max_products: int | None = None) -> bool:
+def sum_is_direct(sets: Sequence[Sequence[int]]) -> bool:
     """True when the iterated sum of the given sets has no collisions.
 
     The sum is direct exactly when its cardinality is the product of the
@@ -152,7 +157,7 @@ def sum_is_direct(sets: Sequence[Sequence[int]], *, max_products: int | None = N
     acc: IntSet = (0,)
     for s in sets:
         expected *= len(s)
-        acc = sum_set(acc, s, max_products=max_products)
+        acc = sum_set(acc, s)
         if len(acc) < expected:
             return False
     return len(acc) == expected
@@ -200,10 +205,7 @@ class RankOneSpec:
 
     def materialize(self, n: int) -> "RankOneSpec":
         """Ensure stages 0..n-1 (hence heights h_0..h_n) exist."""
-        if n > self.budget.max_stage:
-            raise BudgetExceeded(
-                f"stage {n} exceeds max_stage={self.budget.max_stage}"
-            )
+        self.budget.check("max_stage", n, "stage {}")
         while len(self._stages) < n:
             m = len(self._stages)
             stage = self.builder(m, self)
@@ -217,11 +219,7 @@ class RankOneSpec:
                 acc += h + stage.spacers[k]
                 hs.append(acc)
             h_next = acc + h + stage.spacers[stage.r - 1]
-            if h_next.bit_length() > self.budget.max_height_bits:
-                raise BudgetExceeded(
-                    f"h_{m + 1} needs {h_next.bit_length()} bits, "
-                    f"budget is {self.budget.max_height_bits}"
-                )
+            self.budget.check("max_height_bits", h_next.bit_length(), f"h_{m + 1} of {{}} bits")
             self._stages.append(stage)
             self._heights.append(h_next)
             self._wden.append(self._wden[m] * stage.r)
@@ -238,12 +236,7 @@ class RankOneSpec:
         Every stage passes this check; gallery builders call it before they
         build a stage's spacers, so an oversized cut costs no memory.
         """
-        if r > self.budget.max_descendants:
-            raise BudgetExceeded(
-                f"stage {n} cuts into {r} subcolumns, "
-                f"budget is max_descendants={self.budget.max_descendants}"
-            )
-        return r
+        return self.budget.check("max_descendants", r, f"stage {n} cuts into {{}} subcolumns")
 
     # -- accessors (auto-materializing, budget checked) --------------------
 
@@ -379,20 +372,14 @@ def explicit_spec(
 def descendant_count(spec: RankOneSpec, i: int, j: int, copies: int = 1) -> int:
     """Size ``copies * r_i * ... * r_{j-1}`` of ``copies`` levels of ``C_i`` refined to ``C_j``.
 
-    The one place a descendant set's size is checked against
-    ``max_descendants``: it raises as soon as a partial product exceeds the
-    budget, before any later stage is materialized.
+    Refused as soon as a partial product exceeds ``max_descendants``, before
+    any later stage is materialized.
     """
     if j < i:
         raise ValueError(f"need i <= j, got i={i}, j={j}")
     size = copies
     for m in range(i, j):
-        size *= spec.stage(m).r
-        if size > spec.budget.max_descendants:
-            raise BudgetExceeded(
-                f"{size}+ descendants exceed "
-                f"max_descendants={spec.budget.max_descendants}"
-            )
+        size = spec.budget.check("max_descendants", size * spec.stage(m).r, "{}+ descendants")
     return size
 
 

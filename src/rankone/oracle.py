@@ -11,8 +11,8 @@ The ``brute_*`` twins of certificate routines are the exception: they
 build their sets with :func:`rankone.core.descendant_set` and
 :func:`rankone.tower.refine`, then walk every pair (or tuple), where the
 routines convolve per-stage difference counts.  They share the sets, not
-the counting, and check the same budgets, so a twin raises
-:class:`BudgetExceeded` exactly when its routine does.
+the counting: each twin counts for itself and refuses through
+:meth:`rankone.core.Budget.check`, as its routine does.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from rankone.core import BudgetExceeded, IntSet, RankOneSpec, descendant_set
 from rankone.tower import (
     LevelSet,
     Point,
+    _probe_stage,
     apply_pointwise,
     least_valid_stage,
     measure,
@@ -40,9 +41,7 @@ _DEFAULT_CELL_LIMIT = 1_000_000
 _DEFAULT_OP_LIMIT = 100_000_000
 
 
-def brute_descendants(
-    spec: RankOneSpec, i: int, j: int, b: int = 0, *, max_cells: int = _DEFAULT_CELL_LIMIT
-) -> IntSet:
+def brute_descendants(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
     """Descendant heights of level ``b`` of ``C_i`` inside ``C_j``, the slow way.
 
     Builds the full level array of every intermediate column by literal
@@ -54,9 +53,10 @@ def brute_descendants(
         raise ValueError(f"need i <= j, got i={i}, j={j}")
     if not 0 <= b < spec.height(i):
         raise ValueError(f"level {b} is not a level of C_{i}")
-    if spec.height(j) > max_cells:
+    if spec.height(j) > _DEFAULT_CELL_LIMIT:
         raise BudgetExceeded(
-            f"brute unfolding of C_{j} needs {spec.height(j)} cells, limit is {max_cells}"
+            f"brute unfolding of C_{j} needs {spec.height(j)} cells, "
+            f"limit is {_DEFAULT_CELL_LIMIT}"
         )
     tags = [lvl == b for lvl in range(spec.height(i))]
     for m in range(i, j):
@@ -71,9 +71,7 @@ def brute_descendants(
     return tuple(lvl for lvl, hit in enumerate(tags) if hit)
 
 
-def brute_tuple_fraction(
-    spec: RankOneSpec, i: int, j: int, k: int, *, max_ops: int = _DEFAULT_OP_LIMIT
-) -> Fraction:
+def brute_tuple_fraction(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     """Fraction of k-tuples of descendants admitting a shifted companion tuple.
 
     A tuple ``(a_0, ..., a_{k-1})`` counts when some nonzero shift ``t``
@@ -83,9 +81,10 @@ def brute_tuple_fraction(
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     D = descendant_set(spec, i, j)
-    if len(D) ** (k + 1) > max_ops:
+    if len(D) ** (k + 1) > _DEFAULT_OP_LIMIT:
         raise BudgetExceeded(
-            f"brute tuple scan needs ~{len(D) ** (k + 1)} operations, limit is {max_ops}"
+            f"brute tuple scan needs ~{len(D) ** (k + 1)} operations, "
+            f"limit is {_DEFAULT_OP_LIMIT}"
         )
     Dset = set(D)
     good = 0
@@ -98,9 +97,7 @@ def brute_tuple_fraction(
     return Fraction(good, len(D) ** k)
 
 
-def brute_shared_coordinate_fraction(
-    spec: RankOneSpec, i: int, j: int, k: int, *, max_ops: int = _DEFAULT_OP_LIMIT
-) -> Fraction:
+def brute_shared_coordinate_fraction(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     """Fraction of k-tuples whose product coordinates agree somewhere.
 
     Each descendant corresponds to one choice of subcolumn per stage; this
@@ -111,9 +108,9 @@ def brute_shared_coordinate_fraction(
         raise ValueError(f"need k >= 1, got {k}")
     ranges = [range(spec.stage(m).r) for m in range(i, j)]
     total_vectors = math.prod(len(r) for r in ranges) if ranges else 1
-    if total_vectors**k * max(1, len(ranges)) > max_ops:
+    if total_vectors**k * max(1, len(ranges)) > _DEFAULT_OP_LIMIT:
         raise BudgetExceeded(
-            f"brute coordinate scan over {total_vectors}^{k} tuples exceeds {max_ops}"
+            f"brute coordinate scan over {total_vectors}^{k} tuples exceeds {_DEFAULT_OP_LIMIT}"
         )
     vectors = list(product(*ranges))
     slots = len(ranges)
@@ -129,9 +126,7 @@ def brute_cons_fraction(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     D = descendant_set(spec, i, j)
-    total = len(D) ** k
-    if total > spec.budget.max_pairs:
-        raise BudgetExceeded(f"{total} tuples exceeds max_pairs={spec.budget.max_pairs}")
+    total = spec.budget.check("max_pairs", len(D) ** k, "{} tuples")
     Dset = set(D)
     witness_count: dict[tuple[int, ...], int] = {}
     good = 0
@@ -149,8 +144,7 @@ def brute_cons_fraction(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
 def brute_nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
     """Twin of :func:`rankone.analysis.nonerg_pair_fraction` over every pair."""
     D = descendant_set(spec, 0, n)
-    if len(D) ** 2 > spec.budget.max_pairs:
-        raise BudgetExceeded(f"{len(D) ** 2} pairs exceeds max_pairs={spec.budget.max_pairs}")
+    spec.budget.check("max_pairs", len(D) ** 2, "{} pairs")
     mult = Counter(d - d2 for d in D for d2 in D)
     good = sum(pairs for v, pairs in mult.items() if v + b in mult)
     return Fraction(good, len(D) ** 2)
@@ -159,10 +153,7 @@ def brute_nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
 def brute_rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:
     """Twin of :func:`rankone.analysis.rigidity_scan`: the ratio of every shift."""
     H = spec.height_set(n)
-    if len(H) ** 2 > spec.budget.max_pairs:
-        raise BudgetExceeded(
-            f"{len(H) ** 2} height pairs exceeds max_pairs={spec.budget.max_pairs}"
-        )
+    spec.budget.check("max_pairs", len(H) ** 2, "{} height pairs")
     best_a, best_ratio = 0, Fraction(-1)
     for a in sorted({y - x for x in H for y in H if y > x}):
         ratio = rigidity_ratio(H, a)
@@ -182,11 +173,12 @@ def brute_alpha_type_profile(
     """Twin of :func:`rankone.analysis.alpha_type_profile` over the refined set's pairs."""
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
+    if store_ratios:
+        spec.budget.check("max_descendants", k_max, "{} listed ratios")
     threshold = Fraction(threshold)
     s = least_valid_stage(spec, B, k_max)
     D = refine(spec, B, s).heights
-    if len(D) ** 2 > spec.budget.max_pairs:
-        raise BudgetExceeded(f"{len(D) ** 2} pairs exceeds max_pairs={spec.budget.max_pairs}")
+    spec.budget.check("max_pairs", len(D) ** 2, "{} pairs")
     mult = Counter(y - x for x in D for y in D if y > x)
     exceptions: list[tuple[int, Fraction]] = []
     ratios: list[tuple[int, Fraction]] = []
@@ -215,12 +207,7 @@ def brute_wde_probe(spec: RankOneSpec, A: LevelSet, B: LevelSet, n_max: int) -> 
     """Twin of :func:`rankone.analysis.wde_probe`: window walks over the refined sets."""
     if n_max < 1:
         return None
-    target = least_valid_stage(spec, A, n_max)
-    s = max(A.stage, B.stage)
-    size = max(len(A.heights), len(B.heights))
-    while s < target and size * spec.stage(s).r <= spec.budget.max_descendants:
-        size *= spec.stage(s).r
-        s += 1
+    s = _probe_stage(spec, A, B, n_max)
     DA = refine(spec, A, s).heights
     DB = refine(spec, B, s).heights
     pair_ops = 0
@@ -231,8 +218,7 @@ def brute_wde_probe(spec: RankOneSpec, A: LevelSet, B: LevelSet, n_max: int) -> 
             self_hits.add(DA[j] - d)
             j += 1
         pair_ops += j - i - 1
-        if pair_ops > spec.budget.max_pairs:
-            raise BudgetExceeded("difference scan over pair budget")
+        spec.budget.check("max_pairs", pair_ops, "{} window pairs")
     if not self_hits:
         return None
     cross_hits: set[int] = set()
@@ -241,8 +227,7 @@ def brute_wde_probe(spec: RankOneSpec, A: LevelSet, B: LevelSet, n_max: int) -> 
         hi = bisect.bisect_right(DB, d + n_max)
         cross_hits.update(DB[j] - d for j in range(lo, hi))
         pair_ops += hi - lo
-        if pair_ops > spec.budget.max_pairs:
-            raise BudgetExceeded("difference scan over pair budget")
+        spec.budget.check("max_pairs", pair_ops, "{} window pairs")
     both = self_hits & cross_hits
     return min(both) if both else None
 

@@ -208,10 +208,29 @@ def least_valid_stage(spec: RankOneSpec, B: LevelSet, k: int) -> int:
     is raised.
     """
     n = B.stage
-    while spec.height(n) <= max_descendant_height(spec, B, n) + abs(k):
+    while spec.height(n) <= max_descendant_height(spec, B, n) + abs(k):  # refused past max_stage
         n += 1
-        spec.materialize(n)  # raises BudgetExceeded past max_stage
     return n
+
+
+def _probe_stage(spec: RankOneSpec, A: LevelSet, B: LevelSet, n_max: int) -> int:
+    """The stage at which a probe compares ``A`` and ``B`` over shifts up to ``n_max``.
+
+    It is the common stage of the two sets, deepened while both, refined,
+    fit ``max_descendants`` and the column does not yet clear a shift by
+    ``n_max`` over ``A`` (:func:`least_valid_stage`).  Each set's levels are
+    counted at the common stage, however the set is written.
+    """
+    s = max(A.stage, B.stage)
+    size = max(
+        descendant_count(spec, A.stage, s, len(A.heights)),
+        descendant_count(spec, B.stage, s, len(B.heights)),
+    )
+    target = least_valid_stage(spec, A, n_max)
+    while s < target and size * spec.stage(s).r <= spec.budget.max_descendants:
+        size *= spec.stage(s).r
+        s += 1
+    return s
 
 
 def _common_stage(spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int):

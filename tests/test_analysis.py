@@ -229,8 +229,14 @@ def test_nonergodicity_certificate_rows():
 def test_nonergodicity_skips_over_budget_stages():
     sp = gallery.main_wde()
     rep = nonergodicity_certificate(sp, 1, 5)
-    skipped = [row for row in rep.rows if row["skipped"]]
-    assert skipped, "stage 4 blows the descendant cutoff and must be skipped"
+    skipped = [row["stage"] for row in rep.rows if row["skipped"]]
+    assert skipped == [4, 5], "stages 4 and 5 are over the pair budget and must be skipped"
+    # stages 1-3 stay at or below one half, but a refutation needs every stage
+    assert rep.verdict == "inconclusive-at-horizon"
+    assert rep.notes == (
+        "stage 4 skipped: 115605504 pairs exceeds max_pairs=10000000",
+        "stage 5 skipped: 462422016 pairs exceeds max_pairs=10000000",
+    )
 
 
 # -- rigidity and alpha ------------------------------------------------------

@@ -503,6 +503,13 @@ def test_text_format(specfile, capsys):
     assert code == 0
     assert "measure: 1/3" in out
 
+    # a list of records prints one "k: p/q" per item
+    path = specfile(STAIR)
+    argv = ["--stage", "1", "--kmax", "12", "--threshold", "1/10", "--format", "text"]
+    code, out, _ = run_cli(capsys, "alpha", "--spec", path, *argv)
+    assert code == 0
+    assert "exceptions: 3: 1/3 4: 1/3 7: 5/12 9: 11/60 10: 11/60 11: 7/60 12: 103/360\n" in out
+
 
 def test_big_integers_pass_through_as_strings(specfile, capsys):
     spec = gallery.staircase()
@@ -780,6 +787,19 @@ def test_descendant_budget_exits_3(specfile, capsys):
     )
     assert code == 3
     assert "budget exceeded" in err
+
+
+def test_alpha_dump_lists_at_most_max_descendants_rows(specfile, capsys):
+    path = specfile(KOOP)
+    argv = ["alpha", "--spec", path, "--stage", "1", "--max-descendants", "40"]
+    code, _, _ = run_cli(capsys, *argv, "--kmax", "41")
+    assert code == 0
+    code, _, err = run_cli(capsys, *argv, "--kmax", "41", "--dump")
+    assert code == 3
+    assert "41 listed ratios exceeds max_descendants=40" in err
+    code, out, _ = run_cli(capsys, *argv, "--kmax", "40", "--dump")
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 40
 
 
 def test_stage_budget_flag_exits_3(specfile, capsys):

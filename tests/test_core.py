@@ -1,5 +1,6 @@
 """Exact tower arithmetic: stage recurrences, sum sets, descendant sets."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -78,11 +79,6 @@ def test_sum_set_known():
     assert sum_set((0, 1), (0, 10)) == (0, 1, 10, 11)
     assert sum_set((0, 1), (0, 1)) == (0, 1, 2)  # collision collapses
     assert sum_set((), (0, 1)) == ()
-
-
-def test_sum_set_guard():
-    with pytest.raises(BudgetExceeded):
-        sum_set(tuple(range(100)), tuple(range(100)), max_products=99)
 
 
 def test_sum_is_direct():
@@ -214,6 +210,14 @@ def test_budget_validation(fields, error):
 
 def test_budget_allows_stage_zero():
     assert Budget(max_stage=0).max_stage == 0
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(Budget)])
+def test_budget_check_passes_the_limit_and_refuses_one_more(field):
+    budget = Budget(**{field: 7})
+    assert budget.check(field, 7, "{} things") == 7
+    with pytest.raises(BudgetExceeded, match=f"^8 things exceeds {field}=7$"):
+        budget.check(field, 8, "{} things")
 
 
 @pytest.mark.parametrize("stages", [[(2,)], [3], [(2, (0, 0), 1)]])

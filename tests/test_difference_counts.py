@@ -220,6 +220,20 @@ def test_wde_pair_budget_is_the_walked_pair_count(spec, n_max, slack, data):
     assert (got is BudgetExceeded) == (slack < 0)
 
 
+@pytest.mark.parametrize("probe", [analysis.wde_probe, oracle.brute_wde_probe])
+def test_wde_probe_reads_a_set_the_same_at_any_stage(probe):
+    """Level 0 of ``C_0`` and its descendants in ``C_2`` are one set, so both
+    are probed at the same stage: each set's levels are counted at the
+    stage the two sets share, however the set is written."""
+    spec = gallery.staircase()
+    B = tower.level_set(spec, 2, (7,))
+    A0 = tower.base_level(spec, 0)
+    A2 = tower.refine(spec, A0, 2)
+    assert A2.heights == (0, 1, 3, 4, 7, 8)
+    assert probe(spec, A0, B, 54) == probe(spec, A2, B, 54) == 3
+
+
+@pytest.mark.filterwarnings("ignore::rankone.core.CapsMakeConstructionUnfaithful")
 def test_wde_probe_refuses_before_counting_differences(monkeypatch):
     """The differences of ``main_wde`` almost never collide, so its counts hold
     about one key per window pair: over the pair budget, none may be built."""
