@@ -208,6 +208,13 @@ def _staircase_first_spacer(stage: StageSpec) -> int | None:
     return s0
 
 
+def _separation_bound(r: int, maxd: int) -> int:
+    """What a gap of a staircase stage of ``r`` cuts must exceed: the triangular
+    spread plus twice the accumulated descendant spread ``maxd``, so that wide
+    index tuples stay misaligned."""
+    return r * (r - 1) + 2 * maxd + 1
+
+
 def nonconservativity_check(
     spec: RankOneSpec,
     k: int,
@@ -249,9 +256,7 @@ def nonconservativity_check(
         excluded = st.r**k - _gap_tuple_count(st.r, g, k)
         factor = 1 - Fraction(excluded, st.r**k)
         partial *= factor
-        # Wide index tuples stay misaligned only if one stage gap exceeds
-        # the triangular spread plus twice the accumulated descendants.
-        separated = spec.height(j) + s0 > st.r * (st.r - 1) + 2 * maxd + 1
+        separated = spec.height(j) + s0 > _separation_bound(st.r, maxd)
         if not separated:
             all_separated = False
         rows.append(
@@ -503,7 +508,9 @@ def arithmetic_report(
     its height set and has length at least three (length-two runs exist in
     almost any set and certify nothing).  The pattern counts as recurring
     when at least two stages qualify and their cut counts strictly
-    increase in stage order.
+    increase in stage order.  A stage whose height pairs exceed
+    ``max_pairs`` is skipped, with the refusal as its note, and leaves the
+    verdict inconclusive.
     """
     if horizon < 1:
         raise ValueError(f"need horizon >= 1, got {horizon}")
@@ -513,9 +520,11 @@ def arithmetic_report(
     qualifying: list[tuple[int, int]] = []  # (stage, r)
     for n in range(horizon):
         H = spec.height_set(n)
-        if len(H) ** 2 > spec.budget.max_pairs:
+        try:
+            spec.budget.check("max_pairs", len(H) ** 2, "{} height pairs")
+        except BudgetExceeded as e:
             rows.append({"stage": n, "r": spec.stage(n).r, "skipped": True})
-            notes.append(f"stage {n} skipped: height set too large to scan")
+            notes.append(f"stage {n} skipped: {e}")
             continue
         best = staircase_subset_detect(H, spec.height(n), tau, min_k)
         qualifies = (
@@ -537,7 +546,7 @@ def arithmetic_report(
         if qualifies:
             qualifying.append((n, r))
     increasing = all(b[1] > a[1] for a, b in zip(qualifying, qualifying[1:]))
-    ok = len(qualifying) >= 2 and increasing
+    ok = not notes and len(qualifying) >= 2 and increasing
     return CertificateReport(
         kind="arithmetic",
         horizon=horizon,

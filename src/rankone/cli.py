@@ -95,7 +95,9 @@ def load_spec(path: str, args: argparse.Namespace) -> RankOneSpec:
     except (TypeError, ValueError) as e:
         raise SpecFileError(f"bad budget: {e}") from e
 
-    kwargs = {"name": data.get("name", kind), "budget": budget}
+    kwargs = {"budget": budget}
+    if "name" in data:  # otherwise the constructor's default name applies
+        kwargs["name"] = data["name"]
     try:
         for field, value in builder.items():
             keyword, convert = fields[field]
@@ -147,7 +149,8 @@ def _emit(payload: dict, fmt: str, out) -> None:
         json.dump(payload, out, indent=2, sort_keys=True)
         out.write("\n")
         return
-    rows = payload.get("report", {}).get("rows") or payload.get("rows") or []
+    rep = payload.get("report", {})
+    rows = rep.get("rows") or payload.get("rows") or []
     if fmt == "csv":
         if not rows:
             return
@@ -157,20 +160,18 @@ def _emit(payload: dict, fmt: str, out) -> None:
         for row in rows:
             writer.writerow([_csv_cell(row.get(k)) for k in header])
         return
-    # text
-    rep = payload.get("report")
+    # text: a report's kind, verdict and summary, or the result; then the row
+    # count of any payload with rows, and the notes
     out.write(f"command: {payload['command']}\n")
     out.write(f"spec: {payload['spec']['name']} ({payload['spec']['fingerprint'][:12]})\n")
-    if rep is not None:
+    if rep:
         out.write(f"kind: {rep['kind']}\nverdict: {rep['verdict']}\n")
-        for k, v in rep["summary"].items():
-            out.write(f"{k}: {_csv_cell(v)}\n")
-        out.write(f"rows: {len(rep['rows'])}\n")
-        for note in rep["notes"]:
-            out.write(f"note: {note}\n")
-    else:
-        for k, v in payload.get("result", {}).items():
-            out.write(f"{k}: {_csv_cell(v)}\n")
+    for k, v in rep.get("summary", payload.get("result", {})).items():
+        out.write(f"{k}: {_csv_cell(v)}\n")
+    if rows:
+        out.write(f"rows: {len(rows)}\n")
+    for note in rep.get("notes", ()):
+        out.write(f"note: {note}\n")
     for note in payload["spec"]["notes"]:
         out.write(f"spec note: {note}\n")
 

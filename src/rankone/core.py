@@ -384,21 +384,26 @@ def descendant_count(spec: RankOneSpec, i: int, j: int, copies: int = 1) -> int:
 
 
 def descendant_set(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
-    """D(I, j): heights of the descendants in C_j of level ``b`` of C_i.
-
-    This is the translated iterated sum set ``b + H_i + ... + H_{j-1}``.
-    Each gap of ``H_m`` is at least ``h_m``, above every partial sum (a level of
-    ``C_m``), so the sum is direct and ``acc + H_m`` is an ordered concatenation.
-    """
+    """D(I, j): heights of the descendants in C_j of level ``b`` of C_i,
+    the translated iterated sum set ``b + H_i + ... + H_{j-1}``."""
     if j < i:
         raise ValueError(f"need i <= j, got i={i}, j={j}")
     if not 0 <= b < spec.height(i):
         raise ValueError(f"level {b} is not a level of C_{i} (h_{i}={spec.height(i)})")
-    descendant_count(spec, i, j)
-    acc: IntSet = (b,)
-    for m in range(i, j):
-        acc = tuple([h + d for h in spec.height_set(m) for d in acc])
-    return acc
+    return _refined(spec, (b,), i, j)
+
+
+def _refined(spec: RankOneSpec, levels: IntSet, i: int, n: int) -> IntSet:
+    """Levels of ``C_i`` listed as levels of ``C_n``: ``levels + H_i + ... + H_{n-1}``.
+
+    The listing is refused by ``max_descendants`` before it starts.  Each gap
+    of ``H_m`` is at least ``h_m``, above every level of ``C_m``, so the sum is
+    direct and adding ``H_m`` is an ordered concatenation.
+    """
+    descendant_count(spec, i, n, len(levels))
+    for m in range(i, n):
+        levels = tuple([h + d for h in spec.height_set(m) for d in levels])
+    return levels
 
 
 def difference_counts(

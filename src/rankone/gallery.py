@@ -19,7 +19,12 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from rankone.analysis import _declared_divisors, _staircase_first_spacer, gap_pair_count
+from rankone.analysis import (
+    _declared_divisors,
+    _separation_bound,
+    _staircase_first_spacer,
+    gap_pair_count,
+)
 from rankone.core import (
     Budget,
     CapsMakeConstructionUnfaithful,
@@ -163,13 +168,17 @@ def high_staircase(
 # -- adaptive two-phase recipes -----------------------------------------------
 
 
-def _min_r_for_pair_bound(m: int, idx: int) -> int:
-    """Least cut count keeping close index pairs a ``1/(4 idx^2)`` minority.
+def _min_r_for_pair_bound(n: int, h: int, maxd: int) -> int:
+    """Least cut count of stage ``idx = n + 1`` making close index pairs a ``1/(4 idx^2)`` share.
 
-    Close means coordinates within ``m`` of each other; the count is
-    quadratic in ``r``, so the least admissible ``r`` comes from the upper
-    root of ``r^2 - 4 idx^2 (2m - 1) r + 4 idx^2 (m^2 - m)``.
+    Close means coordinates within ``m = 2 maxd + 2`` of each other, ``maxd``
+    the descendant spread of stage ``idx``; the count is quadratic in ``r``,
+    so the least admissible ``r`` comes from the upper root of
+    ``r^2 - 4 idx^2 (2m - 1) r + 4 idx^2 (m^2 - m)``.  The height ``h`` of
+    stage ``n`` is not used; the signature is that of an odd-stage rule of
+    :func:`_two_phase`.
     """
+    m, idx = 2 * maxd + 2, n + 1
 
     def ok(r: int) -> bool:
         if m > r:
@@ -210,6 +219,44 @@ def _staircase_run_spacers(r: int) -> tuple[int, ...]:
     return tuple(range(1, r)) + (r,)
 
 
+def _two_phase(
+    caps: Caps,
+    even: Callable[[int, int, int], tuple[int, int]],
+    odd_r: Callable[[int, int, int], int],
+    pad: Callable[[int, int], int],
+    **spec_args,
+) -> RankOneSpec:
+    """The doubly-ergodic recipe: spaced copies on even stages, staircase runs on odd ones.
+
+    Even stage ``n`` (height ``h``, descendant spread ``maxd``) cuts into
+    ``r`` copies ``gap`` apart, ``(r, gap) = even(n, h, maxd)``.  Odd stage
+    ``n + 1`` stacks a staircase run of ``odd_r(n, h, maxd_{n+1})``
+    subcolumns, capped by ``caps``.  The even stage predicts that count and
+    pads its last copy so that ``h_{n+2}``, hence each gap of the odd stage,
+    is one past the separation bound
+    :func:`rankone.analysis._separation_bound` or the floor
+    ``pad(r_{n+1}, h)``, whichever is larger.
+    """
+
+    def build(n: int, spec: RankOneSpec) -> StageSpec:
+        if n % 2:
+            maxd = spec.max_descendant(n)
+            r = _capped(odd_r(n - 1, spec.height(n - 1), maxd), caps, spec, n)
+            return StageSpec(r, _staircase_run_spacers(r))
+        h, maxd = spec.height(n), spec.max_descendant(n)
+        r, gap = even(n, h, maxd)
+        spec.check_cut_count(n, r)
+        maxd_next = maxd + (r - 1) * gap
+        r_next = odd_r(n, h, maxd_next)
+        if caps.max_r is not None:
+            r_next = min(r_next, caps.max_r)
+        h_next = max(_separation_bound(r_next, maxd_next), pad(r_next, h)) + 1
+        return StageSpec(r, (gap - h,) * (r - 1) + (h_next - (r - 1) * gap - h,))
+
+    tags = (f"caps-max-r-{caps.max_r}",) if caps.max_r is not None else ()
+    return RankOneSpec(build, declared_properties=tags, **spec_args)
+
+
 def main_wde(
     caps: Caps = Caps(),
     *,
@@ -225,34 +272,14 @@ def main_wde(
     quadratically in the descendant spread, so ``caps`` matters from
     stage 3 on.
     """
-
-    def odd_r(j: int, maxd_j: int) -> int:
-        return _min_r_for_pair_bound(2 * maxd_j + 2, j)
-
-    def build(n: int, spec: RankOneSpec) -> StageSpec:
-        h = spec.height(n)
-        if n % 2 == 0:
-            g = max(2 * spec.max_descendant(n) + 2, h)
-            maxd_next = spec.max_descendant(n) + g
-            r_next = odd_r(n + 1, maxd_next)
-            if caps.max_r is not None:
-                r_next = min(r_next, caps.max_r)
-            # next stage's pair separation needs h_{n+1} to clear the
-            # triangular spread plus twice the descendant spread
-            bound = r_next * (r_next - 1) + 2 * maxd_next + 1
-            h_next = max(g + h, bound + 1)
-            return StageSpec(2, (g - h, h_next - g - h))
-        r = _capped(odd_r(n, spec.max_descendant(n)), caps, spec, n)
-        return StageSpec(r, _staircase_run_spacers(r))
-
-    return RankOneSpec(
-        build,
+    return _two_phase(
+        caps,
+        lambda n, h, maxd: (2, max(2 * maxd + 2, h)),
+        _min_r_for_pair_bound,
+        lambda r_next, h: 0,
         name=name,
         budget=budget,
         params={"kind": "main_wde", "caps": caps.to_dict()},
-        declared_properties=(
-            (f"caps-max-r-{caps.max_r}",) if caps.max_r is not None else ()
-        ),
     )
 
 
@@ -269,31 +296,14 @@ def rigid_wde(
     fraction of the height set into itself; the fraction climbs to one
     along even stages, giving rigidity in the limit.
     """
-
-    def build(n: int, spec: RankOneSpec) -> StageSpec:
-        h = spec.height(n)
-        if n % 2 == 0:
-            r = max(n, 2)
-            maxd_next = spec.max_descendant(n) + (r - 1) * 2 * h
-            r_next = _min_r_for_pair_bound(2 * maxd_next + 2, n + 1)
-            if caps.max_r is not None:
-                r_next = min(r_next, caps.max_r)
-            bound = max(r_next * (r_next - 1) + 2 * maxd_next + 1, 10 * r_next)
-            h_next = max(2 * r * h, bound + 1)
-            return StageSpec(r, (h,) * (r - 1) + (h + h_next - 2 * r * h,))
-        r = _capped(
-            _min_r_for_pair_bound(2 * spec.max_descendant(n) + 2, n), caps, spec, n
-        )
-        return StageSpec(r, _staircase_run_spacers(r))
-
-    return RankOneSpec(
-        build,
+    return _two_phase(
+        caps,
+        lambda n, h, maxd: (max(n, 2), 2 * h),
+        _min_r_for_pair_bound,
+        lambda r_next, h: 10 * r_next,
         name=name,
         budget=budget,
         params={"kind": "rigid_wde", "caps": caps.to_dict()},
-        declared_properties=(
-            (f"caps-max-r-{caps.max_r}",) if caps.max_r is not None else ()
-        ),
     )
 
 
@@ -316,44 +326,21 @@ def t_q(
     """
     _check_int("q", q, 2)
 
-    def odd_r_faithful(even_idx: int, h_even: int, maxd_odd: int) -> int:
+    def odd_r(n: int, h: int, maxd: int) -> int:
         # solved distance inequality at spread m = 4qh, index = even stage
-        m = 4 * q * h_even
-        nn = even_idx
-        rad = nn**2 - 2 * m**2 * nn**2 + nn**4 - 4 * m * nn**4 + 4 * m**2 * nn**4
-        r_dist = 2 * ((2 * m - 1) * nn * nn + math.isqrt(max(rad, 0))) + 1
-        r_pairs = _min_r_for_pair_bound(2 * maxd_odd + 2, even_idx + 1)
-        return max(r_dist, r_pairs, 16 * q * h_even + 1, 2)
+        m = 4 * q * h
+        rad = n**2 - 2 * m**2 * n**2 + n**4 - 4 * m * n**4 + 4 * m**2 * n**4
+        r_dist = 2 * ((2 * m - 1) * n * n + math.isqrt(max(rad, 0))) + 1
+        return max(r_dist, _min_r_for_pair_bound(n, h, maxd), 16 * q * h + 1, 2)
 
-    def build(n: int, spec: RankOneSpec) -> StageSpec:
-        h = spec.height(n)
-        if n % 2 == 0:
-            spec.check_cut_count(n, q)
-            maxd_next = spec.max_descendant(n) + (q - 1) * 2 * h
-            r_next = odd_r_faithful(n, h, maxd_next)
-            if caps.max_r is not None:
-                r_next = min(r_next, caps.max_r)
-            bound = max(
-                r_next * (r_next - 1) + 2 * maxd_next + 1,
-                10 * r_next,
-                10 * q * h,
-            )
-            h_next = max((2 * q - 1) * h, bound + 1)
-            return StageSpec(q, (h,) * (q - 1) + (h_next - (2 * q - 1) * h,))
-        h_even = spec.height(n - 1)
-        r = _capped(
-            odd_r_faithful(n - 1, h_even, spec.max_descendant(n)), caps, spec, n
-        )
-        return StageSpec(r, _staircase_run_spacers(r))
-
-    return RankOneSpec(
-        build,
+    return _two_phase(
+        caps,
+        lambda n, h, maxd: (q, 2 * h),
+        odd_r,
+        lambda r_next, h: max(10 * r_next, 10 * q * h),
         name=name if name is not None else f"doubled-gap-q{q}",
         budget=budget,
         params={"kind": "t_q", "q": q, "caps": caps.to_dict()},
-        declared_properties=(
-            (f"caps-max-r-{caps.max_r}",) if caps.max_r is not None else ()
-        ),
     )
 
 

@@ -20,12 +20,12 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from rankone.core import (
     IntSet,
     RankOneSpec,
     _convolve_differences,
+    _refined,
     descendant_count,
     difference_counts,
 )
@@ -111,20 +111,10 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
     Each level of ``C_i`` appears in ``C_n`` as its translated descendant
     set, so the refined set is the direct sum ``B + H_i + ... + H_{n-1}``,
     with exactly ``|B| * r_i * ... * r_{n-1}`` levels and the same measure.
-    Each gap of ``H_m`` is at least ``h_m``, above every level of ``C_m``, so
-    adding ``H_m`` is an ordered concatenation, as in
-    :func:`rankone.core.descendant_set`.
     """
-    i = B.stage
-    if n < i:
-        raise ValueError(f"cannot refine stage {i} set to earlier stage {n}")
-    if n == i:
-        return B
-    descendant_count(spec, i, n, len(B.heights))
-    levels = B.heights
-    for m in range(i, n):
-        levels = tuple([h + d for h in spec.height_set(m) for d in levels])
-    return LevelSet(n, levels)
+    if n < B.stage:
+        raise ValueError(f"cannot refine stage {B.stage} set to earlier stage {n}")
+    return B if n == B.stage else LevelSet(n, _refined(spec, B.heights, B.stage, n))
 
 
 def lift(spec: RankOneSpec, p: Point) -> Point:
@@ -235,11 +225,12 @@ def _probe_stage(spec: RankOneSpec, A: LevelSet, B: LevelSet, n_max: int) -> int
 
 def _common_stage(spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int):
     """Budget-check ``A`` and ``B`` refined to ``C_n`` as :func:`refine` would,
-    and refine them only to their common stage ``i``."""
-    descendant_count(spec, A.stage, n, len(A.heights))
-    descendant_count(spec, B.stage, n, len(B.heights))
+    and refine them only to their common stage ``i``.  Also returns
+    ``|A_n| * |B_n|``, the number of pairs of the refinements to ``C_n``."""
+    pairs = descendant_count(spec, A.stage, n, len(A.heights))
+    pairs *= descendant_count(spec, B.stage, n, len(B.heights))
     i = max(A.stage, B.stage)
-    return i, refine(spec, A, i).heights, refine(spec, B, i).heights
+    return i, refine(spec, A, i).heights, refine(spec, B, i).heights, pairs
 
 
 def overlap_counts(
@@ -256,7 +247,7 @@ def overlap_counts(
     ``b`` in range, so the work beyond those counts is the pairs counted plus
     one bisection per ``(u, a)``.
     """
-    i, DA, DB = _common_stage(spec, A, B, n)
+    i, DA, DB, _ = _common_stage(spec, A, B, n)
     stage_diffs = difference_counts(spec, i, n, lo - (DB[-1] - DA[0]), hi - (DB[0] - DA[-1]))
     counts: Counter = Counter()
     for u, c in stage_diffs.items():
@@ -277,11 +268,10 @@ def overlap_total(spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int, lo: int, 
     sum differ by more than that spread, so the work is linear in the size
     of the stage sum however many pairs there are.
     """
-    i, DA, DB = _common_stage(spec, A, B, n)
+    i, DA, DB, completions = _common_stage(spec, A, B, n)
     if lo > hi:
         return 0
     wmin, wmax = DB[0] - DA[-1], DB[-1] - DA[0]  # range of b - a
-    completions = len(DA) * len(DB) * prod(spec.stage(m).r for m in range(i, n)) ** 2
     total = 0
     acc = {0: 1}
     for m in reversed(range(i, n)):

@@ -29,6 +29,7 @@ from rankone.analysis import (
     wde_probe,
 )
 from rankone.core import (
+    Budget,
     NotStronglyArithmetic,
     PreconditionError,
     explicit_spec,
@@ -313,6 +314,16 @@ def test_arithmetic_report_verdicts():
     # constant cut counts never qualify as growing structure
     flat = gallery.staircase((4,), extend="repeat")
     assert arithmetic_report(flat, 5).verdict == "inconclusive-at-horizon"
+
+
+def test_arithmetic_report_skipped_stage_is_inconclusive():
+    # stages 1-8 qualify, but stages 9-19 are over the pair budget
+    rep = arithmetic_report(gallery.staircase(budget=Budget(max_pairs=100)), 20)
+    assert rep.verdict == "inconclusive-at-horizon"
+    assert rep.summary["qualifying_stages"] == list(range(1, 9))
+    assert [row["stage"] for row in rep.rows if row["skipped"]] == list(range(9, 20))
+    assert rep.notes[0] == "stage 9 skipped: 121 height pairs exceeds max_pairs=100"
+    assert len(rep.notes) == 11
 
 
 # -- divisibility and probes -------------------------------------------------

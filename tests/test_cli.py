@@ -5,6 +5,7 @@ capsys; one test round-trips through a real subprocess to confirm the
 output is byte-identical across interpreter runs.
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -509,6 +510,21 @@ def test_text_format(specfile, capsys):
     code, out, _ = run_cli(capsys, "alpha", "--spec", path, *argv)
     assert code == 0
     assert "exceptions: 3: 1/3 4: 1/3 7: 5/12 9: 11/60 10: 11/60 11: 7/60 12: 103/360\n" in out
+    assert "rows:" not in out
+
+
+def test_text_format_counts_the_rows_of_every_payload(specfile, capsys):
+    path = specfile(STAIR)
+    argv = ["alpha", "--spec", path, "--stage", "1", "--kmax", "12", "--format", "text"]
+    _, plain, _ = run_cli(capsys, *argv)
+    code, dumped, _ = run_cli(capsys, *argv, "--dump")
+    assert code == 0
+    assert dumped == plain + "rows: 12\n"
+    _, out, _ = run_cli(capsys, "describe", "--spec", path, "-n", "5", "--format", "text")
+    assert out.endswith("rows: 5\n")
+    _, out, _ = run_cli(capsys, "check-nonerg", "--spec", path, "--b", "1", "--horizon", "3",
+                        "--format", "text")
+    assert "max_fraction: " in out and "\nrows: 3\n" in out
 
 
 def test_big_integers_pass_through_as_strings(specfile, capsys):
@@ -935,6 +951,20 @@ def test_every_builder_kind_loads(kind, fields, specfile, capsys):
     payload = json.loads(out)
     assert len(payload["rows"]) == 2
     assert payload["spec"]["builder"]["kind"] == kind
+
+
+@pytest.mark.parametrize("kind", sorted(gallery.BUILDERS))
+def test_nameless_spec_file_takes_the_constructor_name(kind, specfile):
+    path = specfile({"builder": {"kind": kind, **EVERY_FIELD[kind]}})
+    loaded = cli.load_spec(path, argparse.Namespace())
+    make, fields = gallery.BUILDERS[kind]
+    kwargs = {}
+    for field, value in EVERY_FIELD[kind].items():
+        keyword, convert = fields[field]
+        kwargs[keyword] = value if convert is None else convert(value)
+    direct = make(**kwargs)
+    assert loaded.name == direct.name
+    assert loaded.fingerprint() == direct.fingerprint()
 
 
 def test_readme_lists_the_registered_kinds():

@@ -1,5 +1,6 @@
 """Construction recipes: frozen stage data, caps behavior, declarations."""
 
+import hashlib
 import warnings
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from rankone import analysis, gallery
 from rankone.core import (
     Budget,
+    BudgetExceeded,
     CapsMakeConstructionUnfaithful,
     PreconditionError,
     StageSpec,
@@ -126,6 +128,34 @@ def test_t_q_even_stage_cuts_match_q():
         sp = gallery.t_q(q, gallery.Caps(max_r=6))
         assert sp.stage(0).r == q
         assert sp.stage(2).r == q
+
+
+def _two_phase_digest() -> str:
+    """Digest of every stage, refusal, note, name, tag and fingerprint of the
+    two-phase families; integers are written in hex, which has no digit limit."""
+    blob = hashlib.sha256()
+    makers = [gallery.main_wde, gallery.rigid_wde] + [
+        (lambda caps, q=q: gallery.t_q(q, caps)) for q in (2, 3, 7)
+    ]
+    for make in makers:
+        for max_r in (None, 2, 6, 64):
+            sp = make(gallery.Caps(max_r=max_r))
+            for n in range(31):
+                try:
+                    st = sp.stage(n)
+                except BudgetExceeded as e:
+                    blob.update(f"refused {e}\n".encode())
+                    break
+                blob.update(f"{st.r:x} {','.join(f'{s:x}' for s in st.spacers)}\n".encode())
+            tags = sorted(sp.declared_properties)
+            blob.update(repr((sp.notes, sp.name, tags, sp.fingerprint())).encode())
+    return blob.hexdigest()
+
+
+def test_two_phase_recipe_digest():
+    # Literal computed before the three families shared one recipe; a change
+    # to any stage, refusal, note, name, tag or fingerprint moves it.
+    assert _two_phase_digest() == "b24226d7163713b9aa96187e090d6bdfcf1c72d4480ac19841dbd6f7cf2ba1d1"
 
 
 @pytest.mark.parametrize(
