@@ -145,7 +145,7 @@ def cons_fraction_exact(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
             sum((a - t[0]) * w for a, w in zip(t[1:], powers))
             for t in product(spec.height_set(m), repeat=k)
         )
-        counts = _convolve(counts, step)
+        counts = _convolve(counts, step.keys(), step.values())
     return Fraction(sum(c for c in counts.values() if c >= 2), total)
 
 
@@ -368,8 +368,9 @@ def rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:
     H = spec.height_set(n)
     spec.budget.check("max_pairs", len(H) ** 2, "{} height pairs")
     shifts, counts = spec.height_differences(n)
-    best = max(counts[1:])
-    return shifts[counts.index(best, 1)], Fraction(best, len(H))
+    z = len(shifts) // 2  # the centre, t = 0
+    best = max(counts[z + 1 :])
+    return shifts[counts.index(best, z + 1)], Fraction(best, len(H))
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,8 @@ def load_spec(path: str, args: argparse.Namespace) -> RankOneSpec:
 
     kwargs = {"budget": budget}
     if "name" in data:  # otherwise the constructor's default name applies
+        if not isinstance(data["name"], str):
+            raise SpecFileError(f'"name" must be a string, got {data["name"]!r}')
         kwargs["name"] = data["name"]
     try:
         for field, value in builder.items():

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations, starmap
-from operator import sub
+from operator import neg, sub
 from typing import Callable, Iterable, Sequence
 
 IntSet = tuple[int, ...]  # strictly increasing tuple of nonnegative ints
@@ -194,7 +194,7 @@ class RankOneSpec:
         self._heights: list[int] = [1]  # h_0 = 1
         self._wden: list[int] = [1]  # w_n = 1 / _wden[n]
         self._hsets: list[IntSet] = []
-        self._hdiffs: dict[int, tuple[IntSet, tuple[int, ...]]] = {}  # filled on demand
+        self._hdiffs: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}  # filled on demand
         self._maxdesc: list[int] = [0]  # max D(I, n) for I the base of C_0
 
     # -- materialization ---------------------------------------------------
@@ -274,18 +274,20 @@ class RankOneSpec:
             self._reach(n, n + 1)
         return self._hsets[n]
 
-    def height_differences(self, n: int) -> tuple[IntSet, tuple[int, ...]]:
-        """The differences ``t >= 0`` of ``H_n``, increasing, and their counts, built once.
+    def height_differences(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The difference multiset of ``H_n``, built once: differences, increasing, and counts.
 
-        ``N(t) = #{(x, y) in H_n x H_n : y - x = t}``, so ``N(0) = |H_n|``;
-        the rest of the difference multiset follows from ``N(-t) = N(t)``.
+        ``N(t) = #{(x, y) in H_n x H_n : y - x = t}``.  The keys run from ``-max``
+        to ``max``, with ``N(0) = |H_n|`` at the centre and ``N(-t) = N(t)``.
         """
         diffs = self._hdiffs.get(n)
         if diffs is None:
             H = self.height_set(n)
             counts = Counter(starmap(sub, combinations(reversed(H), 2)))
-            keys = (0, *sorted(counts))
-            diffs = self._hdiffs[n] = keys, (len(H), *map(counts.__getitem__, keys[1:]))
+            pos = sorted(counts)
+            ns = [*map(counts.__getitem__, pos)]
+            keys = (*map(neg, reversed(pos)), 0, *pos)
+            diffs = self._hdiffs[n] = keys, (*reversed(ns), len(H), *ns)
         return diffs
 
     def max_descendant(self, n: int) -> int:
@@ -433,42 +435,23 @@ def difference_counts(
     for m in reversed(range(i, n)):
         spread = spec.max_descendant(m) - spec.max_descendant(i)  # max H_i + ... + max H_{m-1}
         bounds = (lo - spread, hi + spread) if windowed else (None, None)
-        acc = _convolve_differences(acc, spec, m, *bounds)
+        acc = _convolve(acc, *spec.height_differences(m), *bounds)
     return Counter(acc)
 
 
-def _convolve_differences(
-    acc: dict[int, int], spec: RankOneSpec, m: int, lo: int | None = None, hi: int | None = None
+def _convolve(
+    acc: dict, keys: Sequence, counts: Sequence, lo: int | None = None, hi: int | None = None
 ) -> dict[int, int]:
-    """``acc`` convolved with the difference multiset of ``H_m``, in ``[lo, hi]`` if given.
+    """``acc`` convolved with each of ``keys`` taken ``counts`` times, in ``[lo, hi]`` if given.
 
-    The multiset is read through its symmetry from the stored half
-    (:meth:`RankOneSpec.height_differences`).  In a window, the differences
-    ``t`` and ``-t`` each ``p`` of ``acc`` takes are cut from that half by
-    bisection, so a narrow window does not visit the whole stage.
+    The one convolution kernel.  In a window the ``keys`` increase, and each ``p``
+    of ``acc`` takes only those in ``[lo - p, hi - p]``, cut by bisection.
     """
-    keys, counts = spec.height_differences(m)
     items = list(zip(keys, counts))
-    if lo is None:  # every pair is visited, so listing the whole multiset costs little
-        return _convolve(acc, {**dict(items), **{-t: e for t, e in items[1:]}})
     out: dict[int, int] = {}
     for p, c in acc.items():
-        for t, e in items[bisect_left(keys, lo - p) : bisect_right(keys, hi - p)]:
+        ts = items if lo is None else items[bisect_left(keys, lo - p) : bisect_right(keys, hi - p)]
+        for t, e in ts:
             q = p + t
-            out[q] = out.get(q, 0) + c * e
-        for t, e in items[bisect_left(keys, max(p - hi, 1)) : bisect_right(keys, p - lo)]:
-            q = p - t
-            out[q] = out.get(q, 0) + c * e
-    return out
-
-
-def _convolve(acc: dict[int, int], counts: dict[int, int]) -> dict[int, int]:
-    """Convolution of two count multisets, the smaller one in the outer loop."""
-    if len(acc) > len(counts):
-        acc, counts = counts, acc
-    out: dict[int, int] = {}
-    for p, c in acc.items():
-        for d, e in counts.items():
-            q = p + d
             out[q] = out.get(q, 0) + c * e
     return out

@@ -19,12 +19,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from rankone.analysis import (
-    _declared_divisors,
-    _separation_bound,
-    _staircase_first_spacer,
-    gap_pair_count,
-)
+from rankone.analysis import _separation_bound, gap_pair_count
 from rankone.core import (
     Budget,
     CapsMakeConstructionUnfaithful,
@@ -465,61 +460,3 @@ BUILDERS = {
     "not_eic": (not_eic, {"q": ("q", None)}),
     "explicit": (explicit_spec, {"stages": ("stages", None), "cycle": ("cycle", None)}),
 }
-
-
-# -- declared-property audit ----------------------------------------------------
-
-
-def verify_declared_properties(spec: RankOneSpec, horizon: int) -> list[dict]:
-    """Check a spec's declared properties against its materialized stages.
-
-    Declarations are recipe promises, not trusted facts; this audits each
-    one through the horizon and reports what actually holds.
-    """
-    results: list[dict] = []
-    divisors = _declared_divisors(spec)
-    for tag in sorted(spec.declared_properties):
-        if tag in divisors:
-            d = divisors[tag]
-            bad = [
-                (n, e)
-                for n in range(horizon)
-                for e in spec.height_set(n)[1:]
-                if e % d != 0
-            ]
-            results.append(
-                {
-                    "property": tag,
-                    "holds": not bad,
-                    "detail": f"first violation {bad[0]}" if bad else f"all heights through stage {horizon} divisible by {d}",
-                }
-            )
-        elif tag == "strongly-arithmetic":
-            bad_stage = next(
-                (n for n in range(horizon) if _staircase_first_spacer(spec.stage(n)) is None),
-                None,
-            )
-            results.append(
-                {
-                    "property": tag,
-                    "holds": bad_stage is None,
-                    "detail": (
-                        f"stage {bad_stage} is not staircase shaped"
-                        if bad_stage is not None
-                        else f"stages 0..{horizon - 1} staircase shaped"
-                    ),
-                }
-            )
-        elif tag.startswith("caps-max-r-"):
-            results.append(
-                {
-                    "property": tag,
-                    "holds": True,
-                    "detail": "cap recorded; see spec notes for stages where it bit",
-                }
-            )
-        else:
-            results.append(
-                {"property": tag, "holds": False, "detail": "unknown property tag"}
-            )
-    return results

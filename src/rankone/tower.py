@@ -24,7 +24,7 @@ from fractions import Fraction
 from rankone.core import (
     IntSet,
     RankOneSpec,
-    _convolve_differences,
+    _convolve,
     _refined,
     descendant_count,
     difference_counts,
@@ -277,7 +277,7 @@ def overlap_total(spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int, lo: int, 
     for m in reversed(range(i, n)):
         spread = spec.max_descendant(m) - spec.max_descendant(i)  # max H_i + ... + max H_{m-1}
         completions //= spec.stage(m).r ** 2
-        acc = _convolve_differences(acc, spec, m, lo - wmax - spread, hi - wmin + spread)
+        acc = _convolve(acc, *spec.height_differences(m), lo - wmax - spread, hi - wmin + spread)
         for p in [p for p in acc if lo - wmin + spread <= p <= hi - wmax - spread]:
             total += acc.pop(p) * completions
     for u, c in acc.items():
@@ -291,8 +291,7 @@ def translate_intersection_measure(spec: RankOneSpec, B: LevelSet, k: int) -> Fr
     At the least stage at which a shift by ``k`` stays inside the column, the
     overlap is just a count of coinciding levels.
     """
-    n = least_valid_stage(spec, B, k)
-    return overlap_counts(spec, B, B, n, k, k)[k] * spec.width(n)
+    return intersection_measure(spec, B, B, k)
 
 
 def intersection_measure(spec: RankOneSpec, A: LevelSet, B: LevelSet, k: int) -> Fraction:

@@ -8,6 +8,7 @@ output is byte-identical across interpreter runs.
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import inspect
 import json
@@ -675,6 +676,67 @@ def test_csv_and_text_print_rationals_as_p_q(data, argv, inputs, specfile, capsy
         assert "Fraction(" not in out
 
 
+
+# -- golden stdout bytes -------------------------------------------------------------
+
+# Every leaf subcommand (the table above), plus the runs that reach other
+# branches: a measure of two sets, alpha without --dump, a non-ergodicity
+# certificate with skipped stages, a probe whose A is written at stage 0, and
+# one refusal each for exit codes 3 and 4.
+_GOLDEN = [(p.id, *p.values[:2]) for p in _COMMANDS] + [
+    ("measure-other", TRIPLE,
+     ["measure", "--stage", "1", "--levels", "0", "--k", "1", "--other-levels", "1,2"]),
+    ("alpha-nodump", STAIR, ["alpha", "--stage", "1", "--kmax", "12", "--threshold", "1/10"]),
+    ("check-nonerg-skips", MAIN_WDE, ["check-nonerg", "--b", "1", "--horizon", "5"]),
+    ("wde-a-stage-0", STAIR,
+     ["wde", "--a-stage", "0", "--a-levels", "0", "--b-stage", "2", "--b-levels", "7",
+      "--nmax", "54"]),
+    ("exit-3", STAIR, ["descendants", "--i", "0", "--j", "9", "--max-descendants", "1000"]),
+    ("exit-4", KOOP, ["check-noncons", "--k", "2", "--horizon", "4"]),
+]
+
+# name -> (exit code, sha256 of the exit code and stdout in json, csv and text).
+# A change that means to move CLI bytes updates this literal in the commit that
+# regenerates perfbench/refs.json; any other change leaves it as it is.
+GOLDEN_DIGESTS = {
+    "describe": (0, "3f7f6a3ecab62d5d4357e8a67a1426b1a44693fd18235cddfe6d8e299a7404f4"),
+    "heights": (0, "31ef9fe7241c0f7523b667e9742cbbd9949e1bf21e7613c2da9e6a42da287343"),
+    "descendants": (0, "87c2ccfb74d76930e4459651423b0b317094732a1e5c48bb9d0ebfa1af479086"),
+    "measure": (0, "1ae724d0fbb7b136e963e73198d723734a1bee1caa96e19149a14fca79a2ec20"),
+    "check-cons": (0, "b017dc1b501f2451f561b830e59dab60a6e6373a1813335941ec6b1528f72942"),
+    "check-noncons": (0, "ae1b59e2dab393d2562cb1d48ca0da45f512f59cc8062723e67af1738911d760"),
+    "check-nonerg": (0, "04592989bd0c322646442d5d91437c7e75f7beb6bf3061e17bb6cc95016f2926"),
+    "rigidity": (0, "3ae0476e9c84a22ccbb106032ec8119502219d76b8c64d1b08dc3cc3ea252494"),
+    "alpha": (0, "c24a4c29e2f15c6a25de3c56f872ac225713db038a5293756ad89fb0f8e1e3fa"),
+    "arithmetic": (0, "03bd50540da86a833df7c6f8b9ee81bee45143dc773180aed5ffddadf361b998"),
+    "divisibility": (0, "140c78c4f28eef049a7b55368bab232ab2491532fdfbde2e9a40cccfb73cc6b1"),
+    "wde": (0, "49ee7e9ccdbdee04b4f0f08622e94afd661101b57759abee61ceefb3aa8b66f4"),
+    "koopman": (0, "2aa7a3be771fde68978f9dd7abba5b00032ef83208d7f0f33fc555a6bbdc3401"),
+    "oracle-descendants": (0, "97523ad0f0579eb5946c9631b260f81c3bb61ceb6e1e3c6387e21b5122a8e2de"),
+    "oracle-tuples": (0, "e6b835f54e859940bad47e45fb661ef83ef7d3406fbd0a58b1114cc4297c9379"),
+    "oracle-mc": (0, "e3866bccdb21394ddd2988368688eb5a835d97068dd2b320b5e5bc5fd806cdaa"),
+    "oracle-orbit": (0, "4fd2c76e93cc182ca3ba2365076ac4539c17555bd7c7e70c2e27e30a4d51304c"),
+    "measure-other": (0, "4301f4d9dd859bdac89046b2bc303be1a189b24bb98dfb8a55b35a49a33813b0"),
+    "alpha-nodump": (0, "42cdd15b165b96ef05a5aa4ebaea8e05fa5f66cd5ea28ba6012f0c4849c63888"),
+    "check-nonerg-skips": (0, "4ff671f98d06966ac8a5e31f80cb4362483bf5d5fe28ef9f44e18dc741e25cac"),
+    "wde-a-stage-0": (0, "5d8d7e47e3e1805cb7a4e82103fbd55c803c45661d18548f99ad5a5c556930bc"),
+    "exit-3": (3, "c8a39165b15e80657356f69e0c3832204163135179890449fff3e790cafd5cb6"),
+    "exit-4": (4, "5e2af60de19158a8dd6431c02a8434f1fea022915ff909d59aadc247b4947350"),
+}
+
+
+def test_golden_cli_digests(specfile, capsys):
+    digests = {}
+    for name, data, argv in _GOLDEN:
+        path = specfile(data)
+        h = hashlib.sha256()
+        for fmt in ("json", "csv", "text"):
+            code, out, _ = run_cli(capsys, *argv, "--spec", path, "--format", fmt)
+            h.update(f"{fmt} {code}\n{out}\0".encode())
+        digests[name] = (code, h.hexdigest())
+    assert digests == GOLDEN_DIGESTS
+
+
 def test_fingerprint_consistent_across_commands(specfile, capsys):
     path = specfile(STAIR)
     _, out1, _ = run_cli(capsys, "describe", "--spec", path, "-n", "3")
@@ -965,6 +1027,17 @@ def test_nameless_spec_file_takes_the_constructor_name(kind, specfile):
     direct = make(**kwargs)
     assert loaded.name == direct.name
     assert loaded.fingerprint() == direct.fingerprint()
+
+
+
+@pytest.mark.parametrize("name", [None, 5], ids=["null", "int"])
+@pytest.mark.parametrize("kind", sorted(gallery.BUILDERS))
+def test_spec_name_must_be_a_string(kind, name, specfile, capsys):
+    path = specfile({"name": name, "builder": {"kind": kind, **EVERY_FIELD[kind]}})
+    code, out, err = run_cli(capsys, "describe", "--spec", path, "-n", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f'spec error: "name" must be a string, got {name!r}\n'
 
 
 def test_readme_lists_the_registered_kinds():

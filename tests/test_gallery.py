@@ -248,9 +248,11 @@ def test_builders_take_budget():
 
 
 # -- declaration audit -------------------------------------------------------
+# A declaration is a recipe promise; each kind of tag is checked through the
+# horizon by the certificate that relies on it.
 
 
-def test_verify_declared_properties_all_hold():
+def test_declared_properties_hold():
     for sp, horizon in (
         (gallery.staircase(), 6),
         (gallery.koopman(), 5),
@@ -259,12 +261,20 @@ def test_verify_declared_properties_all_hold():
         (gallery.t_q(2, gallery.Caps(max_r=6)), 5),
         (gallery.main_wde(), 4),
     ):
-        for row in gallery.verify_declared_properties(sp, horizon):
-            assert row["holds"], (sp.name, row)
+        divisors = analysis._declared_divisors(sp)
+        known = {*divisors, "strongly-arithmetic"}
+        for tag in sp.declared_properties:
+            assert tag in known or tag.startswith("caps-max-r-"), (sp.name, tag)
+        if divisors:
+            g, verdict = analysis.divisibility_gcd(sp, horizon)
+            assert verdict == "not-weak-mixing", sp.name
+            assert all(g % d == 0 for d in divisors.values()), sp.name
+        if "strongly-arithmetic" in sp.declared_properties:
+            analysis.nonconservativity_check(sp, 2, horizon)  # raises if a stage is no staircase
 
 
-def test_verify_declared_properties_catches_lies():
-    from rankone.core import RankOneSpec, StageSpec
+def test_declared_divisor_lie_is_refuted():
+    from rankone.core import RankOneSpec
 
     def build(n, spec):
         return StageSpec(2, (0, 1))
@@ -272,5 +282,4 @@ def test_verify_declared_properties_catches_lies():
     liar = RankOneSpec(
         build, name="liar", declared_properties=("all-heights-divisible-by-2",)
     )
-    rows = gallery.verify_declared_properties(liar, 3)
-    assert any(not row["holds"] for row in rows)
+    assert analysis.divisibility_gcd(liar, 3) == (1, "refuted")
