@@ -444,23 +444,13 @@ def alpha_type_profile(
 # -- arithmetic progressions of stacked spacers --------------------------------
 
 
-@dataclass(frozen=True)
-class StaircaseWitness:
-    """A maximal staircase-patterned run inside one height set."""
-
-    a: int  # first element
-    k: int  # spacer offset: consecutive increments are h + k + m
-    length: int
-    fraction: Fraction
-    exceeds_tau: bool
-
-
 def staircase_subset_detect(
-    H: Sequence[int], h: int, tau: Fraction, min_k: int = -1
-) -> StaircaseWitness | None:
+    H: Sequence[int], h: int, min_k: int = -1
+) -> tuple[int, int, int] | None:
     """The longest maximal staircase-patterned run of a height set, or ``None``.
 
-    A run with offset ``k`` visits ``a + m(h + k) + m(m+1)/2``; the m-th
+    The run is returned as ``(a, k, length)``: it starts at ``a`` and, with
+    spacer offset ``k``, visits ``a + m(h + k) + m(m+1)/2``; the m-th
     increment is ``h + k + m``.  Only runs of length at least two count,
     and a run is skipped when it extends backward (the longer run with
     offset ``k - 1`` subsumes it, provided that offset is allowed).
@@ -491,10 +481,7 @@ def staircase_subset_detect(
                     break
             if length > best_length:
                 best_a, best_k, best_length = a, k, length
-    if best_a is None:
-        return None
-    fraction = Fraction(best_length, len(Hs))
-    return StaircaseWitness(best_a, best_k, best_length, fraction, fraction > Fraction(tau))
+    return None if best_a is None else (best_a, best_k, best_length)
 
 
 def arithmetic_report(
@@ -527,20 +514,19 @@ def arithmetic_report(
             rows.append({"stage": n, "r": spec.stage(n).r, "skipped": True})
             notes.append(f"stage {n} skipped: {e}")
             continue
-        best = staircase_subset_detect(H, spec.height(n), tau, min_k)
-        qualifies = (
-            best is not None and best.length >= 3 and best.exceeds_tau
-        )
+        a, k, length = staircase_subset_detect(H, spec.height(n), min_k) or (None, None, 0)
+        fraction = Fraction(length, len(H))
+        qualifies = length >= 3 and fraction > tau
         r = spec.stage(n).r
         rows.append(
             {
                 "stage": n,
                 "r": r,
                 "skipped": False,
-                "best_a": best.a if best else None,
-                "best_k": best.k if best else None,
-                "best_length": best.length if best else 0,
-                "fraction": best.fraction if best else Fraction(0),
+                "best_a": a,
+                "best_k": k,
+                "best_length": length,
+                "fraction": fraction,
                 "qualifies": qualifies,
             }
         )

@@ -249,19 +249,14 @@ def _h_descendants(args, spec):
 
 def _h_measure(args, spec):
     B = tower.level_set(spec, args.stage, args.levels)
+    other = B
     if args.other_levels is not None:
         other_stage = args.other_stage if args.other_stage is not None else args.stage
-        A = B
-        B2 = tower.level_set(spec, other_stage, args.other_levels)
-        value = tower.intersection_measure(spec, A, B2, args.k)
-        what = "shifted-intersection"
-    else:
-        value = tower.translate_intersection_measure(spec, B, args.k)
-        what = "self-overlap"
+        other = tower.level_set(spec, other_stage, args.other_levels)
     return {
         "result": {
-            "quantity": what,
-            "measure": value,
+            "quantity": "self-overlap" if args.other_levels is None else "shifted-intersection",
+            "measure": tower.intersection_measure(spec, B, other, args.k),
             "set_measure": tower.measure(spec, B),
         },
     }

@@ -20,7 +20,6 @@ those sets.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -125,26 +124,8 @@ Builder = Callable[[int, "RankOneSpec"], StageSpec]
 
 
 def sum_set(a: Sequence[int], b: Sequence[int]) -> IntSet:
-    """Sorted, deduplicated set of pairwise sums of two sorted int sets.
-
-    Uses a k-way merge of the shifted copies ``a_i + b`` rather than a hash
-    set, so output order is canonical and the cost is
-    O(|a| |b| log |a|) with no large intermediate collections.
-    """
-    if not a or not b:
-        return ()
-
-    def shifted(x: int):
-        return (x + y for y in b)
-
-    streams = map(shifted, a)
-    out: list[int] = []
-    last: int | None = None
-    for v in heapq.merge(*streams):
-        if v != last:
-            out.append(v)
-            last = v
-    return tuple(out)
+    """Sorted, deduplicated set of pairwise sums of two int sets."""
+    return tuple(sorted({x + y for x in a for y in b}))
 
 
 def sum_is_direct(sets: Sequence[Sequence[int]]) -> bool:

@@ -72,17 +72,6 @@ def level_set(spec: RankOneSpec, stage: int, heights) -> LevelSet:
     return ls
 
 
-def base_level(spec: RankOneSpec, stage: int) -> LevelSet:
-    """The base level of ``C_stage``."""
-    spec.height(stage)
-    return LevelSet(stage, (0,))
-
-
-def level(spec: RankOneSpec, stage: int, height: int) -> LevelSet:
-    """A single level of ``C_stage``."""
-    return level_set(spec, stage, (height,))
-
-
 def point(spec: RankOneSpec, stage: int, height: int, offset) -> Point:
     """Validated :class:`Point` with ``0 <= height < h_stage``, ``0 <= offset < w_stage``."""
     x = Fraction(offset)
@@ -96,13 +85,6 @@ def point(spec: RankOneSpec, stage: int, height: int, offset) -> Point:
 def measure(spec: RankOneSpec, B: LevelSet) -> Fraction:
     """Exact measure of a level set: level count times column width."""
     return len(B.heights) * spec.width(B.stage)
-
-
-def max_descendant_height(spec: RankOneSpec, B: LevelSet, n: int) -> int:
-    """Largest height any level of ``B`` can reach among its stage-``n`` descendants."""
-    if n < B.stage:
-        raise ValueError(f"need n >= {B.stage}, got {n}")
-    return B.heights[-1] + spec.max_descendant(n) - spec.max_descendant(B.stage)
 
 
 def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
@@ -169,7 +151,7 @@ def point_in(spec: RankOneSpec, p: Point, B: LevelSet) -> bool:
     if p.stage < B.stage:
         p = lift_to(spec, p, B.stage)
     h = project_height(spec, p.stage, p.height, B.stage)
-    return h is not None and h in set(B.heights)
+    return h is not None and bisect_left(B.heights, h) < bisect_right(B.heights, h)
 
 
 def apply_pointwise(spec: RankOneSpec, p: Point, k: int) -> Point:
@@ -190,15 +172,16 @@ def apply_pointwise(spec: RankOneSpec, p: Point, k: int) -> Point:
 def least_valid_stage(spec: RankOneSpec, B: LevelSet, k: int) -> int:
     """Least stage where a shift by ``k`` cannot wrap any descendant of ``B``.
 
-    That is the least ``n >= B.stage`` with
-    ``h_n > max_descendant_height(B, n) + |k|``.  The headroom above the
-    top descendant grows per stage by the last subcolumn's spacer count,
-    so such a stage exists exactly when those counts keep accumulating;
-    when the budget's ``max_stage`` arrives first, :class:`BudgetExceeded`
-    is raised.
+    That is the least ``n >= B.stage`` with ``h_n > max B + max D + |k|``,
+    ``D = H_{B.stage} + ... + H_{n-1}``, so that ``max B + max D`` is the top
+    descendant of ``B`` in ``C_n``.  The headroom above it grows per stage by
+    the last subcolumn's spacer count, so such a stage exists exactly when
+    those counts keep accumulating; when the budget's ``max_stage`` arrives
+    first, :class:`BudgetExceeded` is raised.
     """
     n = B.stage
-    while spec.height(n) <= max_descendant_height(spec, B, n) + abs(k):  # refused past max_stage
+    reach = B.heights[-1] + abs(k) - spec.max_descendant(n)  # refused past max_stage
+    while spec.height(n) <= reach + spec.max_descendant(n):
         n += 1
     return n
 
@@ -296,5 +279,5 @@ def translate_intersection_measure(spec: RankOneSpec, B: LevelSet, k: int) -> Fr
 
 def intersection_measure(spec: RankOneSpec, A: LevelSet, B: LevelSet, k: int) -> Fraction:
     """Exact measure of ``T^k A`` meets ``B`` for level sets ``A``, ``B``."""
-    n = max(least_valid_stage(spec, A, k), least_valid_stage(spec, B, k))
+    n = max(least_valid_stage(spec, X, k) for X in {A, B})
     return overlap_counts(spec, A, B, n, k, k)[k] * spec.width(n)

@@ -7,15 +7,19 @@ criterion is statistical, in which case the tolerance is stated inline.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rankone import analysis, gallery, oracle, tower
 from rankone.core import descendant_set, explicit_spec, sum_is_direct
+
+SRC = Path(__file__).resolve().parents[1] / "src"  # on the PYTHONPATH of CLI child processes
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::rankone.core.CapsMakeConstructionUnfaithful"
@@ -328,7 +332,9 @@ def test_criterion_11_cli_byte_determinism(tmp_path):
         "--seed",
         "5",
     ]
-    runs = [subprocess.run(argv, capture_output=True, check=True) for _ in range(2)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    runs = [subprocess.run(argv, capture_output=True, check=True, env=env) for _ in range(2)]
     ok = runs[0].stdout == runs[1].stdout and runs[0].stdout.startswith(b"{")
     _verdict(
         11,

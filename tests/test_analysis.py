@@ -10,7 +10,6 @@ from rankone import gallery
 from rankone.analysis import (
     AlphaProfile,
     CertificateReport,
-    StaircaseWitness,
     alpha_type_profile,
     arithmetic_report,
     cons_fraction_exact,
@@ -35,7 +34,7 @@ from rankone.core import (
     explicit_spec,
 )
 from rankone.oracle import brute_shared_coordinate_fraction, brute_tuple_fraction
-from rankone.tower import base_level, level, level_set
+from rankone.tower import level_set
 
 from conftest import small_specs
 
@@ -264,7 +263,7 @@ def test_rigidity_scan_rigid_wde_increases():
 
 def test_alpha_profile_frozen():
     sp = gallery.t_q(2, gallery.Caps(max_r=6))
-    B = base_level(sp, 2)
+    B = level_set(sp, 2, (0,))
     prof = alpha_type_profile(sp, B, sp.height(4))
     assert isinstance(prof, AlphaProfile)
     assert prof.exceptions == ()
@@ -275,7 +274,7 @@ def test_alpha_profile_frozen():
 
 def test_alpha_profile_stores_ratios_on_request():
     sp = gallery.staircase()
-    B = base_level(sp, 1)
+    B = level_set(sp, 1, (0,))
     prof = alpha_type_profile(sp, B, 10, store_ratios=True)
     assert prof.ratios is not None and len(prof.ratios) == 10
     assert [k for k, _ in prof.ratios] == list(range(1, 11))
@@ -289,21 +288,15 @@ def test_staircase_subset_detect_full_run():
     # increments 13, 14, 15 over h = 12: the m-th step is h + k + m with
     # m starting at 1, so this is the k = 0 chain
     H = (0, 13, 27, 42)
-    best = staircase_subset_detect(H, 12, Fraction(1, 2))
-    assert isinstance(best, StaircaseWitness)
-    assert (best.a, best.k, best.length) == (0, 0, 4)
-    assert best.fraction == 1
-    assert best.exceeds_tau
+    assert staircase_subset_detect(H, 12) == (0, 0, 4)
 
 
 def test_staircase_subset_detect_min_k():
     # increments 12, 13, 14 form the k = -1 chain; raising the floor to
     # k = 0 leaves only its tail, which re-reads as a shorter k = 0 run
     H = (0, 12, 25, 39)
-    full = staircase_subset_detect(H, 12, Fraction(1, 2))
-    assert (full.a, full.k, full.length) == (0, -1, 4)
-    floored = staircase_subset_detect(H, 12, Fraction(1, 2), min_k=0)
-    assert (floored.a, floored.k, floored.length) == (12, 0, 3)
+    assert staircase_subset_detect(H, 12) == (0, -1, 4)
+    assert staircase_subset_detect(H, 12, min_k=0) == (12, 0, 3)
 
 
 def test_arithmetic_report_verdicts():
@@ -347,8 +340,8 @@ def test_divisibility_gcd_cases():
 
 def test_wde_probe_finds_and_respects_horizon():
     sp = gallery.staircase(3)
-    A = level(sp, 1, 0)
-    B = level(sp, 1, 1)
+    A = level_set(sp, 1, (0,))
+    B = level_set(sp, 1, (1,))
     n = wde_probe(sp, A, B, sp.height(2))
     assert n is not None and 1 <= n <= sp.height(2)
     assert wde_probe(sp, A, B, 0) is None
@@ -358,8 +351,8 @@ def test_wde_probe_certifies_positivity():
     from rankone.tower import intersection_measure
 
     sp = gallery.staircase()
-    A = level(sp, 2, 3)
-    B = level(sp, 2, 7)
+    A = level_set(sp, 2, (3,))
+    B = level_set(sp, 2, (7,))
     n = wde_probe(sp, A, B, sp.height(3))
     assert n is not None
     assert intersection_measure(sp, A, A, n) > 0
@@ -368,7 +361,7 @@ def test_wde_probe_certifies_positivity():
 
 def test_koopman_decay_check():
     ko = gallery.koopman()
-    B = base_level(ko, 1)
+    B = level_set(ko, 1, (0,))
     ks = [ko.height(3), ko.height(3) + 12, ko.height(4) - 6]
     rep = koopman_decay_check(ko, B, ks)
     assert rep.verdict == "satisfied"
@@ -378,10 +371,10 @@ def test_koopman_decay_check():
 def test_koopman_decay_requires_family():
     sp = gallery.staircase()
     with pytest.raises(PreconditionError):
-        koopman_decay_check(sp, base_level(sp, 1), [10])
+        koopman_decay_check(sp, level_set(sp, 1, (0,)), [10])
 
 
 def test_koopman_decay_rejects_small_shifts():
     ko = gallery.koopman()
     with pytest.raises(ValueError):
-        koopman_decay_check(ko, base_level(ko, 1), [1])
+        koopman_decay_check(ko, level_set(ko, 1, (0,)), [1])

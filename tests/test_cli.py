@@ -12,6 +12,7 @@ import hashlib
 import io
 import inspect
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -26,6 +27,8 @@ from hypothesis import strategies as st
 
 from rankone import analysis, cli, core, gallery
 from rankone.core import Budget
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"  # on the PYTHONPATH of CLI child processes
 
 
 STAIR = {"name": "stair", "builder": {"kind": "staircase"}}
@@ -413,8 +416,10 @@ def test_json_deterministic_across_processes(specfile, capsys):
         "-n",
         "6",
     ]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    first = subprocess.run(argv, capture_output=True, check=True, env=env)
+    second = subprocess.run(argv, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     _, inproc, _ = run_cli(capsys, "describe", "--spec", path, "-n", "6")
     assert first.stdout.decode() == inproc

@@ -227,7 +227,7 @@ def test_wde_probe_reads_a_set_the_same_at_any_stage(probe):
     stage the two sets share, however the set is written."""
     spec = gallery.staircase()
     B = tower.level_set(spec, 2, (7,))
-    A0 = tower.base_level(spec, 0)
+    A0 = tower.level_set(spec, 0, (0,))
     A2 = tower.refine(spec, A0, 2)
     assert A2.heights == (0, 1, 3, 4, 7, 8)
     assert probe(spec, A0, B, 54) == probe(spec, A2, B, 54) == 3
@@ -238,7 +238,7 @@ def test_wde_probe_refuses_before_counting_differences(monkeypatch):
     """The differences of ``main_wde`` almost never collide, so its counts hold
     about one key per window pair: over the pair budget, none may be built."""
     spec = gallery.main_wde(budget=Budget(max_pairs=1000))
-    A = tower.base_level(spec, 0)
+    A = tower.level_set(spec, 0, (0,))
     n_max = spec.height(3)  # millions of window pairs at the probed stage
     assert _outcome(oracle.brute_wde_probe, spec, A, A, n_max) is BudgetExceeded
 

@@ -18,7 +18,6 @@ from rankone.oracle import (
     stepwise_orbit_check,
 )
 from rankone.tower import (
-    base_level,
     level_set,
     measure,
     point,
@@ -103,19 +102,19 @@ def test_splitmix_below_and_unit():
 
 def test_monte_carlo_exact_zero():
     ko = gallery.koopman()
-    est, err = monte_carlo_measure(ko, base_level(ko, 1), 3, 1000, seed=5)
+    est, err = monte_carlo_measure(ko, level_set(ko, 1, (0,)), 3, 1000, seed=5)
     assert est == 0 and err == 0
 
 
 def test_monte_carlo_requires_samples():
     sp = explicit_spec(TRIPLE, cycle=True)
     with pytest.raises(ValueError):
-        monte_carlo_measure(sp, base_level(sp, 1), 1, 10, seed=1)
+        monte_carlo_measure(sp, level_set(sp, 1, (0,)), 1, 10, seed=1)
 
 
 def test_monte_carlo_three_sigma():
     sp = gallery.staircase()
-    B = base_level(sp, 1)
+    B = level_set(sp, 1, (0,))
     exact = translate_intersection_measure(sp, B, 4)
     est, err = monte_carlo_measure(sp, B, 4, 20_000, seed=99)
     p = float(exact / measure(sp, B))

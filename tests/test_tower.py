@@ -6,16 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rankone import gallery
+from rankone import gallery, tower
 from rankone.core import BudgetExceeded, explicit_spec
 from rankone.oracle import brute_descendants
 from rankone.tower import (
     LevelSet,
     apply_pointwise,
-    base_level,
     intersection_measure,
     least_valid_stage,
-    level,
     level_set,
     lift,
     lift_to,
@@ -53,10 +51,10 @@ def test_level_set_validation(sp):
 
 
 def test_measure(sp):
-    assert measure(sp, base_level(sp, 0)) == 1
-    assert measure(sp, base_level(sp, 1)) == Fraction(1, 3)
+    assert measure(sp, level_set(sp, 0, (0,))) == 1
+    assert measure(sp, level_set(sp, 1, (0,))) == Fraction(1, 3)
     assert measure(sp, level_set(sp, 1, (0, 1, 2))) == 1
-    assert measure(sp, level(sp, 2, 7)) == Fraction(1, 9)
+    assert measure(sp, level_set(sp, 2, (7,))) == Fraction(1, 9)
 
 
 def test_refine_cardinality_and_measure(sp):
@@ -70,7 +68,7 @@ def test_refine_cardinality_and_measure(sp):
 
 
 def test_refine_identity_and_errors(sp):
-    B = base_level(sp, 1)
+    B = level_set(sp, 1, (0,))
     assert refine(sp, B, 1) is B
     with pytest.raises(ValueError):
         refine(sp, B, 0)
@@ -119,7 +117,7 @@ def test_project_height(sp):
 
 
 def test_point_in(sp):
-    B = base_level(sp, 1)
+    B = level_set(sp, 1, (0,))
     p = point(sp, 2, sp.height_set(1)[2], Fraction(1, 100))
     assert point_in(sp, p, B)
     q = point(sp, 2, 1, Fraction(1, 100))
@@ -144,7 +142,7 @@ def test_apply_pointwise_budget():
 
 def test_least_valid_stage_monotone():
     sp = explicit_spec(TRIPLE, cycle=True)
-    B = base_level(sp, 1)
+    B = level_set(sp, 1, (0,))
     s1 = least_valid_stage(sp, B, 1)
     s2 = least_valid_stage(sp, B, 40)
     assert s1 <= s2
@@ -153,7 +151,7 @@ def test_least_valid_stage_monotone():
 
 def test_translate_intersection_frozen(sp):
     # base of C_0 inside the triple tower: D - D contains 1 twice, 2 once
-    B = base_level(sp, 0)
+    B = level_set(sp, 0, (0,))
     assert translate_intersection_measure(sp, B, 2) == Fraction(1, 3)
     assert translate_intersection_measure(sp, B, 0) == measure(sp, B)
 
@@ -168,21 +166,39 @@ def test_translate_symmetric():
 
 
 def test_intersection_measure_disjoint_levels(sp):
-    A = level(sp, 1, 0)
-    B = level(sp, 1, 1)
+    A = level_set(sp, 1, (0,))
+    B = level_set(sp, 1, (1,))
     assert intersection_measure(sp, A, B, 0) == 0
     # shifting A up one level lands exactly on B
     assert intersection_measure(sp, A, B, 1) == measure(sp, A)
 
 
 def test_intersection_asymmetric_direction(sp):
-    A = level(sp, 1, 0)
-    B = level(sp, 1, 3)
+    A = level_set(sp, 1, (0,))
+    B = level_set(sp, 1, (3,))
     # the whole of A shifts up onto B
     assert intersection_measure(sp, A, B, 3) == measure(sp, A)
     # downward only the copies of A that sit above height 3 contribute:
     # descendants {0, 6, 13} shifted to {-3, 3, 10} meet {3, 9, 16} once
     assert intersection_measure(sp, A, B, -3) == Fraction(1, 9)
+
+
+def test_intersection_measure_reads_each_distinct_set_once(sp, monkeypatch):
+    # the clearing stage is read once per distinct set, not once per argument
+    calls = []
+
+    def counted(spec, B, k):
+        calls.append(B)
+        return least_valid_stage(spec, B, k)
+
+    monkeypatch.setattr(tower, "least_valid_stage", counted)
+    A = level_set(sp, 1, (0,))
+    B = level_set(sp, 1, (3,))
+    translate_intersection_measure(sp, A, 2)
+    assert calls == [A]
+    calls.clear()
+    intersection_measure(sp, A, B, 3)
+    assert sorted(calls, key=lambda X: X.heights) == [A, B]
 
 
 @settings(max_examples=30, deadline=None)
@@ -225,7 +241,7 @@ def test_translate_measure_is_shift_invariant(stages, data):
     # positive somewhere in the cycle or big shifts never fit
     assume(any(spacers[-1] > 0 for _, spacers in stages))
     spec = explicit_spec(stages, cycle=True)
-    B = base_level(spec, len(stages))
+    B = level_set(spec, len(stages), (0,))
     k = data.draw(st.integers(-8, 8))
     assert translate_intersection_measure(
         spec, B, k
