@@ -426,12 +426,17 @@ def _convolve(
     """``acc`` convolved with each of ``keys`` taken ``counts`` times, in ``[lo, hi]`` if given.
 
     The one convolution kernel.  In a window the ``keys`` increase, and each ``p``
-    of ``acc`` takes only those in ``[lo - p, hi - p]``, cut by bisection.
+    of ``acc`` pairs only those in ``[lo - p, hi - p]``, cut by bisection, with
+    their counts; without one, the whole multiset is paired once for every ``p``.
     """
-    items = list(zip(keys, counts))
+    items = list(zip(keys, counts)) if lo is None else ()
     out: dict[int, int] = {}
     for p, c in acc.items():
-        ts = items if lo is None else items[bisect_left(keys, lo - p) : bisect_right(keys, hi - p)]
+        if lo is None:
+            ts = items
+        else:
+            a, b = bisect_left(keys, lo - p), bisect_right(keys, hi - p)
+            ts = zip(keys[a:b], counts[a:b])
         for t, e in ts:
             q = p + t
             out[q] = out.get(q, 0) + c * e

@@ -28,12 +28,13 @@ from rankone.core import BudgetExceeded, IntSet, RankOneSpec, descendant_set
 from rankone.tower import (
     LevelSet,
     Point,
+    _height_in,
     _probe_stage,
+    _walk,
     apply_pointwise,
     least_valid_stage,
     measure,
     point_eq,
-    point_in,
     refine,
 )
 
@@ -244,6 +245,24 @@ def brute_intersection_measure(spec: RankOneSpec, A: LevelSet, B: LevelSet, k: i
     return sum(1 for d in DA if d + k in DB) * spec.width(n)
 
 
+def brute_apply_pointwise(spec: RankOneSpec, p: Point, k: int, stage: int = 0) -> Point:
+    """Twin of :func:`rankone.tower.apply_pointwise` in absolute ``Fraction`` offsets.
+
+    The image is addressed at the least stage at or after ``p.stage`` and
+    ``stage`` at which the shift stays in the column, so ``k = 0`` is the
+    twin of :func:`rankone.tower.lift_to`.  Each lift divides the offset by
+    the next column width to find the cut, with a gcd per step.
+    """
+    n, h, x = p.stage, p.height, p.offset
+    while n < stage or not 0 <= h + k < spec.height(n):
+        w_next = spec.width(n + 1)
+        c = int(x / w_next)
+        h += spec.height_set(n)[c]
+        x -= c * w_next
+        n += 1
+    return Point(n, h + k, x)
+
+
 class SplitMix64:
     """Tiny deterministic 64-bit generator for reproducible sampling."""
 
@@ -280,14 +299,14 @@ def monte_carlo_measure(
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples for a usable estimate, got {samples}")
+    spec.budget.check("max_iterate", samples, "{} samples")
     rng = SplitMix64(seed)
-    w = spec.width(B.stage)
     hits = 0
     for _ in range(samples):
         h = B.heights[rng.next_below(len(B.heights))]
-        p = Point(B.stage, h, rng.next_unit() * w)
-        if point_in(spec, apply_pointwise(spec, p, k), B):
-            hits += 1
+        # the offset is next_unit() of the column width, as a numerator over 2^64
+        n, h, _ = _walk(spec, B.stage, h, rng.next_u64(), 1 << 64, k, B.stage)
+        hits += _height_in(spec, n, h, B)
     p_hat = hits / samples
     stderr = float(measure(spec, B)) * math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return measure(spec, B) * Fraction(hits, samples), stderr
@@ -299,6 +318,7 @@ def stepwise_orbit_check(spec: RankOneSpec, p: Point, k: int) -> bool:
     Exercises the lifting logic along the whole orbit segment instead of
     jumping straight to the final height.
     """
+    spec.budget.check("max_iterate", abs(k), "{} orbit steps")
     direct = apply_pointwise(spec, p, k)
     step = 1 if k >= 0 else -1
     q = p

@@ -3,9 +3,14 @@
 A point of the space is addressed relative to a stage: ``Point(n, h, x)``
 is the point of column ``C_n`` sitting at height ``h`` (an integer level)
 and horizontal offset ``x``, an exact rational with ``0 <= x < w_n``.  The
-same point has an address at every later stage; :func:`lift` rewrites the
-address one stage up and :func:`point_eq` compares points by lifting both
-to a common stage.
+same point has an address at every later stage.  Inside the walk that
+rewrites an address stage by stage, the offset is an integer numerator
+``num`` over a fixed denominator ``den``, relative to the column width:
+``x = (num / den) w_n``.  One stage up, ``num * r_n = c * den + num'`` picks
+the cut ``c`` and the new numerator, so ``den`` never changes and no gcd
+runs; this is the mixed-radix (odometer) address of the point.
+:class:`fractions.Fraction` appears only where a :class:`Point` enters or
+leaves the walk.
 
 Measurable sets are finite unions of levels, :class:`LevelSet`.  All
 measures are exact :class:`fractions.Fraction` values: a level of ``C_n``
@@ -58,7 +63,8 @@ class Point:
     offset: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "offset", Fraction(self.offset))
+        if not isinstance(self.offset, Fraction):
+            object.__setattr__(self, "offset", Fraction(self.offset))
 
 
 def level_set(spec: RankOneSpec, stage: int, heights) -> LevelSet:
@@ -99,26 +105,37 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
     return B if n == B.stage else LevelSet(n, _refined(spec, B.heights, B.stage, n))
 
 
-def lift(spec: RankOneSpec, p: Point) -> Point:
-    """The same point addressed one stage deeper.
+def _walk(spec: RankOneSpec, n: int, h: int, num: int, den: int, k: int, stage: int):
+    """Lift the point at height ``h`` of ``C_n``, offset ``num / den`` of the width,
+    until it is addressed at ``stage`` or later and a shift by ``k`` stays in the column.
 
-    The offset selects the subcolumn: cut ``c = floor(offset / w_{n+1})``,
-    after which the height gains the c-th entry of the height set and the
-    offset loses ``c`` widths.
+    Returns the stage, the shifted height ``h + k`` and the new numerator.  The
+    offset selects the subcolumn: cut ``c = floor(num * r_n / den)``, after
+    which the height gains the c-th entry of ``H_n``.
     """
-    n = p.stage
-    w_next = spec.width(n + 1)
-    c = int(p.offset / w_next)
-    H = spec.height_set(n)
-    return Point(n + 1, p.height + H[c], p.offset - c * w_next)
+    while n < stage or not 0 <= h + k < spec.height(n):
+        c, num = divmod(num * spec.stage(n).r, den)
+        h += spec.height_set(n)[c]
+        n += 1
+    return n, h + k, num
+
+
+def _moved(spec: RankOneSpec, p: Point, k: int, stage: int) -> Point:
+    """:func:`_walk` from and back to a :class:`Point`, one ``Fraction`` each way."""
+    u = p.offset * spec.width_denominator(p.stage)
+    n, h, num = _walk(spec, p.stage, p.height, u.numerator, u.denominator, k, stage)
+    return Point(n, h, Fraction(num, u.denominator * spec.width_denominator(n)))
+
+
+def lift(spec: RankOneSpec, p: Point) -> Point:
+    """The same point addressed one stage deeper."""
+    return lift_to(spec, p, p.stage + 1)
 
 
 def lift_to(spec: RankOneSpec, p: Point, n: int) -> Point:
     if n < p.stage:
         raise ValueError(f"cannot lower a stage-{p.stage} address to stage {n}")
-    while p.stage < n:
-        p = lift(spec, p)
-    return p
+    return _moved(spec, p, 0, n)
 
 
 def point_eq(spec: RankOneSpec, p: Point, q: Point) -> bool:
@@ -146,12 +163,17 @@ def project_height(spec: RankOneSpec, stage: int, height: int, n: int) -> int | 
     return h
 
 
+def _height_in(spec: RankOneSpec, n: int, h: int, B: LevelSet) -> bool:
+    """Whether level ``h`` of ``C_n``, ``n >= B.stage``, lies in ``B``."""
+    h = project_height(spec, n, h, B.stage)
+    return h is not None and bisect_left(B.heights, h) < bisect_right(B.heights, h)
+
+
 def point_in(spec: RankOneSpec, p: Point, B: LevelSet) -> bool:
     """Membership of a point in a level set, regardless of address stages."""
     if p.stage < B.stage:
         p = lift_to(spec, p, B.stage)
-    h = project_height(spec, p.stage, p.height, B.stage)
-    return h is not None and bisect_left(B.heights, h) < bisect_right(B.heights, h)
+    return _height_in(spec, p.stage, p.height, B)
 
 
 def apply_pointwise(spec: RankOneSpec, p: Point, k: int) -> Point:
@@ -163,10 +185,7 @@ def apply_pointwise(spec: RankOneSpec, p: Point, k: int) -> Point:
     stays outside every column at every stage, which surfaces as
     :class:`BudgetExceeded` once ``max_stage`` is hit.
     """
-    q = p
-    while not 0 <= q.height + k < spec.height(q.stage):
-        q = lift(spec, q)
-    return Point(q.stage, q.height + k, q.offset)
+    return _moved(spec, p, k, p.stage)
 
 
 def least_valid_stage(spec: RankOneSpec, B: LevelSet, k: int) -> int:

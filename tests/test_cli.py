@@ -894,6 +894,27 @@ def test_stage_budget_flag_exits_3(specfile, capsys):
     assert "budget exceeded" in err
 
 
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (
+            ["orbit", "--stage", "2", "--height", "5", "--offset", "1/100", "--k", "100000000"],
+            "100000000 orbit steps exceeds max_iterate=1000000",
+        ),
+        (
+            ["mc", "--stage", "1", "--levels", "0", "--k", "4", "--samples", "1000001"],
+            "1000001 samples exceeds max_iterate=1000000",
+        ),
+    ],
+)
+def test_oracle_loops_refuse_past_max_iterate_before_any_work(argv, refusal, specfile, capsys):
+    path = specfile(STAIR)
+    code, out, err = run_cli(capsys, "oracle", argv[0], "--spec", path, *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert refusal in err
+
+
 def test_shape_precondition_exits_4(specfile, capsys):
     path = specfile(KOOP)
     code, _, err = run_cli(

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone import gallery
-from rankone.core import descendant_set, explicit_spec, sum_set
+from rankone.core import Budget, BudgetExceeded, descendant_set, explicit_spec, sum_set
 from rankone.oracle import (
     SplitMix64,
+    brute_apply_pointwise,
     brute_descendants,
     brute_shared_coordinate_fraction,
     brute_tuple_fraction,
@@ -18,9 +19,12 @@ from rankone.oracle import (
     stepwise_orbit_check,
 )
 from rankone.tower import (
+    apply_pointwise,
     level_set,
+    lift_to,
     measure,
     point,
+    point_eq,
     translate_intersection_measure,
 )
 from rankone import analysis
@@ -144,3 +148,88 @@ def test_stepwise_orbit_random(data):
     p = point(sp, 2, h, Fraction(num, 127) * sp.width(2))
     k = data.draw(st.integers(-30, 30))
     assert stepwise_orbit_check(sp, p, k)
+
+
+def test_stepwise_orbit_steps_are_budgeted():
+    sp = explicit_spec(TRIPLE, cycle=True, budget=Budget(max_iterate=5))
+    p = point(sp, 1, 0, Fraction(1, 100))
+    assert stepwise_orbit_check(sp, p, -5)
+    with pytest.raises(BudgetExceeded, match="6 orbit steps exceeds max_iterate=5"):
+        stepwise_orbit_check(sp, p, -6)
+
+
+def test_monte_carlo_samples_are_budgeted():
+    sp = explicit_spec(TRIPLE, cycle=True, budget=Budget(max_iterate=1000))
+    B = level_set(sp, 1, (0,))
+    monte_carlo_measure(sp, B, 1, 1000, seed=1)
+    with pytest.raises(BudgetExceeded, match="1001 samples exceeds max_iterate=1000"):
+        monte_carlo_measure(sp, B, 1, 1001, seed=1)
+
+
+@pytest.mark.filterwarnings("ignore::rankone.core.CapsMakeConstructionUnfaithful")
+def test_monte_carlo_estimates_are_pinned():
+    # the rows of acceptance criterion 9 at 2000 samples: any change in the
+    # order or use of the random draws moves these
+    stair, koop = gallery.staircase(), gallery.koopman()
+    tq = gallery.t_q(2, gallery.Caps(max_r=6))
+    triple = explicit_spec(TRIPLE, cycle=True)
+    matrix = [
+        (stair, level_set(stair, 1, (0,)), 4),
+        (stair, level_set(stair, 2, (0, 5)), 7),
+        (koop, level_set(koop, 1, (0,)), 2 * koop.height(1)),
+        (tq, level_set(tq, 2, (0, 3)), 2 * tq.height(2)),
+        (triple, level_set(triple, 1, (0, 3)), 7),
+    ]
+    got = [monte_carlo_measure(spec, B, k, 2000, 99 + i) for i, (spec, B, k) in enumerate(matrix)]
+    assert got == [
+        (Fraction(691, 4000), 0.005316598419102199),
+        (Fraction(1, 24), 0.0024650332429581733),
+        (Fraction(673, 2000), 0.00524489037063693),
+        (Fraction(67, 800), 0.00186336668872948),
+        (Fraction(179, 750), 0.007146654228844898),
+    ]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetExceeded as e:
+        return ("refused", str(e))
+
+
+@st.composite
+def unit_offsets(draw, edge_den: int):
+    """A fraction in [0, 1) with a prime, dyadic, arbitrary or cut-edge denominator."""
+    den = draw(
+        st.sampled_from([127, 8191, 1 << 64, edge_den])
+        | st.integers(2, 63).map(lambda e: 1 << e)
+        | st.integers(1, 10**12)
+    )
+    return Fraction(draw(st.integers(0, den - 1)), den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stages=stage_lists(max_stages=3, max_r=4, max_spacer=3), data=st.data())
+def test_pointwise_map_matches_fraction_twin(stages, data):
+    # backward orbits from a cut edge and forward ones from the top of a
+    # spacer-free last subcolumn never resolve: a small max_stage turns them
+    # into refusals, which both sides must raise on the same inputs
+    top = data.draw(st.integers(3, 7))
+    spec = explicit_spec(stages, cycle=True, budget=Budget(max_stage=top))
+    reach = spec.height(3)
+
+    def draw_point():
+        stage = data.draw(st.integers(0, 2))
+        h = data.draw(st.integers(0, spec.height(stage) - 1))
+        frac = data.draw(unit_offsets(spec.width_denominator(3)))
+        return point(spec, stage, h, frac * spec.width(stage))
+
+    p, q = draw_point(), draw_point()
+    k = data.draw(st.integers(-reach, reach))
+    assert _outcome(apply_pointwise, spec, p, k) == _outcome(brute_apply_pointwise, spec, p, k)
+    n = data.draw(st.integers(p.stage, top + 1))
+    assert _outcome(lift_to, spec, p, n) == _outcome(brute_apply_pointwise, spec, p, 0, n)
+    m = max(p.stage, q.stage)
+    same = brute_apply_pointwise(spec, p, 0, m) == brute_apply_pointwise(spec, q, 0, m)
+    assert point_eq(spec, p, q) == same
+    assert point_eq(spec, p, brute_apply_pointwise(spec, p, 0, m))
