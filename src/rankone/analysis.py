@@ -458,15 +458,28 @@ def staircase_subset_detect(
     itself has offset -1.  Ties in length go to the smallest ``a``, then
     the smallest ``k``: runs are scanned in that order and only a strictly
     longer one replaces the best.
+
+    Two cuts skip only pairs ``(a, e1)`` whose run cannot beat the best
+    length ``L`` so far, so the answer is the full scan's
+    (:func:`rankone.oracle.brute_staircase_subset_detect`).  A run of
+    ``L + 1`` needs ``L + 1`` elements at or above ``a``, so the scan stops
+    once fewer remain.  With first step ``d = e1 - a`` such a run ends at
+    ``a + L d + L(L-1)/2``, so the scan of ``e1`` stops once that passes
+    ``max H``: ``d`` grows with ``e1``.  The worst case stays ``|H|^2`` pairs.
     """
-    Hs = tuple(sorted(set(int(x) for x in H)))
+    Hs = sorted(set(int(x) for x in H))
     Hset = set(Hs)
     best_a = best_k = None
     best_length = 1
-    for a in Hs:
-        for e1 in Hs:
-            k = e1 - a - h - 1
-            if e1 <= a or k < min_k:
+    for i, a in enumerate(Hs):
+        if len(Hs) - i <= best_length:
+            break
+        for e1 in Hs[i + 1 :]:
+            d = e1 - a
+            if a + best_length * d + best_length * (best_length - 1) // 2 > Hs[-1]:
+                break
+            k = d - h - 1
+            if k < min_k:
                 continue
             if a - h - k in Hset and k - 1 >= min_k:
                 continue  # extends backward; not maximal

@@ -20,6 +20,7 @@ import sys
 import traceback
 import warnings
 from fractions import Fraction
+from itertools import islice
 
 from rankone import analysis, gallery, oracle, tower
 from rankone.core import (
@@ -148,7 +149,11 @@ def _spec_block(spec: RankOneSpec) -> dict:
 def _emit(payload: dict, fmt: str, out) -> None:
     """Write a payload already passed through :func:`_jsonable`."""
     if fmt == "json":
-        json.dump(payload, out, indent=2, sort_keys=True)
+        # Joined in batches: a write per chunk is slow, and one string of the
+        # whole payload holds every chunk at once.
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+        while batch := "".join(islice(chunks, 4096)):
+            out.write(batch)
         out.write("\n")
         return
     rep = payload.get("report", {})

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import combinations, starmap
+from itertools import combinations, compress, starmap
 from operator import neg, sub
+from sys import byteorder
 from typing import Callable, Iterable, Sequence
 
 IntSet = tuple[int, ...]  # strictly increasing tuple of nonnegative ints
@@ -427,8 +429,13 @@ def _convolve(
 
     The one convolution kernel.  In a window the ``keys`` increase, and each ``p``
     of ``acc`` pairs only those in ``[lo - p, hi - p]``, cut by bisection, with
-    their counts; without one, the whole multiset is paired once for every ``p``.
+    their counts; without one, the whole multiset is paired once for every ``p``,
+    unless :func:`_convolve_packed` takes the product.
     """
+    if lo is None and acc and keys:
+        packed = _convolve_packed(acc, keys, counts)
+        if packed is not None:
+            return packed
     items = list(zip(keys, counts)) if lo is None else ()
     out: dict[int, int] = {}
     for p, c in acc.items():
@@ -441,3 +448,47 @@ def _convolve(
             q = p + t
             out[q] = out.get(q, 0) + c * e
     return out
+
+
+_DIGIT_CODES = {array(c).itemsize: c for c in "BHILQ"}  # digit bytes -> array code, increasing
+
+
+def _convolve_packed(acc: dict, keys: Sequence, counts: Sequence) -> dict[int, int] | None:
+    """The full product of :func:`_convolve` as one big-integer multiply, or ``None``.
+
+    Kronecker substitution: ``acc`` and the multiset become the digits of two
+    integers, laid out over their key ranges (taken by ``min`` and ``max``, as
+    the keys need not be sorted), and the digits of the product are the output
+    counts.  A digit has ``B`` bytes, the least of 1, 2, 4 and 8 with
+    ``sum(acc) * sum(counts) < 2^(8B)``, so no digit carries into the next; the
+    product is unpacked by one C-level cast.  It is taken only when dense, with
+    ``|acc| * |keys| >= 4 * span`` for ``span`` the output key range, so the
+    packed operands, at most ``span * B`` bytes, never outgrow the pairs the
+    dict loop would touch.  ``None`` (sparser, or wider than 8 bytes) leaves
+    the product to that loop.
+    """
+    k0 = min(keys)
+    klen = max(keys) - k0 + 1
+    pairs = len(acc) * len(keys)
+    if pairs < 4 * (len(acc) + klen - 1):  # the keys of acc span at least |acc|
+        return None
+    a0 = min(acc)
+    alen = max(acc) - a0 + 1
+    span = alen + klen - 1
+    if pairs < 4 * span:
+        return None
+    bound = sum(acc.values()) * sum(counts)
+    width = next((b for b in _DIGIT_CODES if bound < 1 << 8 * b), None)
+    if width is None:
+        return None
+    code = _DIGIT_CODES[width]
+    x = [0] * alen
+    for p, c in acc.items():
+        x[p - a0] = c
+    y = [0] * klen
+    for t, e in zip(keys, counts):
+        y[t - k0] += e
+    prod = int.from_bytes(array(code, x), byteorder) * int.from_bytes(array(code, y), byteorder)
+    digits = memoryview(prod.to_bytes(span * width, byteorder)).cast(code).tolist()
+    base = a0 + k0
+    return dict(zip(compress(range(base, base + span), digits), filter(None, digits)))

@@ -22,6 +22,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 from rankone.analysis import AlphaProfile, rigidity_ratio
 from rankone.core import BudgetExceeded, IntSet, RankOneSpec, descendant_set
@@ -149,6 +150,35 @@ def brute_nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
     mult = Counter(d - d2 for d in D for d2 in D)
     good = sum(pairs for v, pairs in mult.items() if v + b in mult)
     return Fraction(good, len(D) ** 2)
+
+
+def brute_staircase_subset_detect(
+    H: Sequence[int], h: int, min_k: int = -1
+) -> tuple[int, int, int] | None:
+    """Twin of :func:`rankone.analysis.staircase_subset_detect`: the run from every pair."""
+    Hs = tuple(sorted(set(int(x) for x in H)))
+    Hset = set(Hs)
+    best_a = best_k = None
+    best_length = 1
+    for a in Hs:
+        for e1 in Hs:
+            k = e1 - a - h - 1
+            if e1 <= a or k < min_k:
+                continue
+            if a - h - k in Hset and k - 1 >= min_k:
+                continue  # extends backward; not maximal
+            length = 2
+            nxt = e1
+            while True:
+                step = h + k + length  # increment into position `length`
+                if nxt + step in Hset:
+                    nxt += step
+                    length += 1
+                else:
+                    break
+            if length > best_length:
+                best_a, best_k, best_length = a, k, length
+    return None if best_a is None else (best_a, best_k, best_length)
 
 
 def brute_rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:
@@ -282,10 +312,6 @@ class SplitMix64:
         """Uniform-enough integer in [0, n) via multiply-shift."""
         return (self.next_u64() * n) >> 64
 
-    def next_unit(self) -> Fraction:
-        """Exact dyadic rational in [0, 1)."""
-        return Fraction(self.next_u64(), 1 << 64)
-
 
 def monte_carlo_measure(
     spec: RankOneSpec, B: LevelSet, k: int, samples: int, seed: int
@@ -304,7 +330,7 @@ def monte_carlo_measure(
     hits = 0
     for _ in range(samples):
         h = B.heights[rng.next_below(len(B.heights))]
-        # the offset is next_unit() of the column width, as a numerator over 2^64
+        # the offset, in units of the column width, is the next draw over 2^64
         n, h, _ = _walk(spec, B.stage, h, rng.next_u64(), 1 << 64, k, B.stage)
         hits += _height_in(spec, n, h, B)
     p_hat = hits / samples

@@ -33,7 +33,11 @@ from rankone.core import (
     PreconditionError,
     explicit_spec,
 )
-from rankone.oracle import brute_shared_coordinate_fraction, brute_tuple_fraction
+from rankone.oracle import (
+    brute_shared_coordinate_fraction,
+    brute_staircase_subset_detect,
+    brute_tuple_fraction,
+)
 from rankone.tower import level_set
 
 from conftest import small_specs
@@ -299,6 +303,36 @@ def test_staircase_subset_detect_min_k():
     assert staircase_subset_detect(H, 12, min_k=0) == (12, 0, 3)
 
 
+@st.composite
+def run_sets(draw):
+    """An unsorted height set with repeats and ``h >= 0``, often holding planted runs."""
+    h = draw(st.integers(0, 6))
+    H = draw(st.lists(st.integers(0, 80), max_size=14))
+    for _ in range(draw(st.integers(0, 3))):
+        x = draw(st.integers(0, 40))
+        k = draw(st.integers(-h, 3))  # the first step h + k + 1 stays positive
+        for m in range(draw(st.integers(2, 7))):
+            H.append(x)
+            x += h + k + m + 1
+    if H:
+        H += draw(st.lists(st.sampled_from(H), max_size=4))
+    return draw(st.permutations(H)), h
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=run_sets(), min_k=st.integers(-4, 2))
+def test_staircase_subset_detect_matches_twin(case, min_k):
+    H, h = case
+    assert staircase_subset_detect(H, h, min_k) == brute_staircase_subset_detect(H, h, min_k)
+
+
+def test_staircase_subset_detect_matches_twin_on_staircase_stages():
+    spec = gallery.staircase()
+    for n in range(60):
+        H, h = spec.height_set(n), spec.height(n)
+        assert staircase_subset_detect(H, h) == brute_staircase_subset_detect(H, h)
+
+
 def test_arithmetic_report_verdicts():
     assert arithmetic_report(gallery.staircase(), 6).verdict == "satisfied-at-horizon"
     hi = gallery.high_staircase((3, 4, 5, 6, 7), (1,))
@@ -317,6 +351,18 @@ def test_arithmetic_report_skipped_stage_is_inconclusive():
     assert [row["stage"] for row in rep.rows if row["skipped"]] == list(range(9, 20))
     assert rep.notes[0] == "stage 9 skipped: 121 height pairs exceeds max_pairs=100"
     assert len(rep.notes) == 11
+
+
+def test_arithmetic_report_scale_canary():
+    # 150 staircase stages, each height set one whole run, which the search
+    # finds from its first pair; a scan of every pair costs |H|^2 per stage
+    rep = arithmetic_report(gallery.staircase(budget=Budget(max_stage=150)), 150)
+    assert rep.verdict == "satisfied-at-horizon"
+    assert rep.summary["qualifying_stages"] == list(range(1, 150))
+    assert all(
+        (row["best_a"], row["best_k"], row["best_length"]) == (0, -1, row["r"])
+        for row in rep.rows
+    )
 
 
 # -- divisibility and probes -------------------------------------------------

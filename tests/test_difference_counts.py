@@ -19,6 +19,8 @@ from rankone import analysis, gallery, oracle, tower
 from rankone.core import (
     Budget,
     BudgetExceeded,
+    _convolve,
+    _convolve_packed,
     descendant_count,
     difference_counts,
     explicit_spec,
@@ -79,6 +81,61 @@ def test_difference_counts_match_pair_counts(stages, data):
     hi = data.draw(st.integers(-span - 2, span + 2))  # lo > hi is an empty window
     window = Counter({t: c for t, c in ref.items() if lo <= t <= hi})
     assert difference_counts(spec, i, n, lo, hi) == window
+
+
+def _pairwise(acc, keys, counts):
+    out = Counter()
+    for p, c in acc.items():
+        for t, e in zip(keys, counts):
+            out[p + t] += c * e
+    return out
+
+
+# counts on both sides of each digit width's limit, so that every width and
+# the fallback past 8 bytes run
+NEAR_WIDTH_LIMITS = [2**b + d for b in (8, 16, 32, 64) for d in (-1, 0, 1)]
+
+
+@st.composite
+def convolution_inputs(draw):
+    """A running sum and a stage multiset, sparse or dense about the switch.
+
+    Keys may be negative; the multiset is either sorted, as a stage's
+    differences are, or the unsorted ``dict_keys`` that
+    ``cons_fraction_exact`` passes.
+    """
+
+    def counts():  # keys over a range with holes, in any order, with counts up to a limit
+        start = draw(st.integers(-40, 40))
+        full = range(start, start + draw(st.integers(1, 30)))
+        holes = draw(st.sets(st.sampled_from(full), max_size=len(full) - 1))
+        count = st.integers(1, draw(st.sampled_from([9, *NEAR_WIDTH_LIMITS])))
+        return {x: draw(count) for x in draw(st.permutations(full)) if x not in holes}
+
+    acc, step = counts(), counts()
+    if draw(st.booleans()):
+        return acc, step.keys(), step.values()
+    keys = sorted(step)
+    return acc, keys, [step[t] for t in keys]
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=convolution_inputs())
+def test_convolve_matches_pairwise(inputs):
+    assert _convolve(*inputs) == _pairwise(*inputs)
+
+
+@pytest.mark.parametrize("e", [1, *NEAR_WIDTH_LIMITS])
+def test_convolve_switch_and_digit_widths(e):
+    # 6 sums by 10 keys fill an output range of 15: 60 pairs, exactly 4 * span
+    acc = {p: 1 for p in range(-3, 3)}
+    keys, counts = range(-5, 5), [e] * 10
+    packed = _convolve_packed(acc, keys, counts)
+    assert (packed is None) == (sum(acc.values()) * sum(counts) >= 2**64)
+    assert _convolve(acc, keys, counts) == _pairwise(acc, keys, counts)
+    del acc[0]  # 50 pairs over the same range: the pair loop
+    assert _convolve_packed(acc, keys, counts) is None
+    assert _convolve(acc, keys, counts) == _pairwise(acc, keys, counts)
 
 
 def test_difference_counts_needs_both_window_ends():
