@@ -72,22 +72,22 @@ class CertificateReport:
 # -- elementary counts -------------------------------------------------------
 
 
-def gap_pair_count(r: int, m: int) -> int:
-    """Number of pairs in {1..r}^2 whose coordinates differ by less than ``m``.
-
-    Closed form ``2mr - m^2 + m - r``: the complement, pairs at distance at
-    least ``m``, numbers ``(r-m)(r-m+1)``.  Only defined for ``1 <= m <= r``.
-    """
-    if not 1 <= m <= r:
-        raise ValueError(f"need 1 <= m <= r, got m={m}, r={r}")
-    return r * r - (r - m) * (r - m + 1)
-
-
 def _gap_tuple_count(r: int, g: int, k: int) -> int:
     """Number of tuples in {0..r-1}^k with max - min <= g (g >= 0)."""
     if g >= r - 1:
         return r**k
     return (r - g) * ((g + 1) ** k - g**k) + g**k
+
+
+def gap_pair_count(r: int, m: int) -> int:
+    """Number of pairs in {1..r}^2 whose coordinates differ by less than ``m``.
+
+    The ``k = 2`` gap-tuple count, ``r^2 - (r-m)(r-m+1)``.  Only defined
+    for ``1 <= m <= r``.
+    """
+    if not 1 <= m <= r:
+        raise ValueError(f"need 1 <= m <= r, got m={m}, r={r}")
+    return _gap_tuple_count(r, m - 1, 2)
 
 
 def triangular_gap(a: int, b: int, c: int) -> int:
@@ -158,9 +158,10 @@ def conservativity_sufficient(
     """Certify conservativity of the k-fold power by driving the bound down.
 
     The fraction of k-tuples with no shared subcolumn index through stage
-    ``m`` is at most the running product of ``1 - 1/r^{k-1}``; once that
-    product drops below ``threshold``, all but a vanishing fraction of
-    orbits return and the power is conservative.
+    ``m`` is at most the running product of the per-stage factors
+    ``1 - 1/r^{k-1}`` of :func:`rho_bound`; once that product drops below
+    ``threshold``, all but a vanishing fraction of orbits return and the
+    power is conservative.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
@@ -172,7 +173,7 @@ def conservativity_sufficient(
     crossed_at: int | None = None
     for m in range(horizon):
         r = spec.stage(m).r
-        factor = 1 - Fraction(1, r ** (k - 1))
+        factor = rho_bound(spec, m, m + 1, k)
         partial *= factor
         rows.append(
             {"stage": m, "r": r, "factor": factor, "partial_product": partial}
@@ -318,10 +319,11 @@ def nonergodicity_certificate(
     positive-measure set of pairs never realigns to displacement ``b`` and
     ergodicity of the Cartesian square fails.  A stage over budget is
     skipped, with the refusal as its note, and leaves the verdict
-    inconclusive.
+    inconclusive; a horizon past ``max_stage`` is refused outright.
     """
     if horizon < 1:
         raise ValueError(f"need horizon >= 1, got {horizon}")
+    spec.budget.check("max_stage", horizon, "stage {}")
     rows: list[dict] = []
     notes: list[str] = []
     computed = 0
@@ -401,13 +403,16 @@ def alpha_type_profile(
     can wrap, so all ratios are plain difference counts of one descendant
     set.  Shifts whose ratio exceeds ``threshold`` are the exceptional
     returns; the supremum over the rest estimates the set's intrinsic
-    overlap constant.
+    overlap constant.  Below a negative threshold every shift is an
+    exception, so ``k_max`` is then bounded by ``max_descendants``, as it
+    is when ``store_ratios`` lists every ratio.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
-    if store_ratios:
-        spec.budget.check("max_descendants", k_max, "{} listed ratios")
     threshold = Fraction(threshold)
+    every_shift = store_ratios or threshold < 0
+    if every_shift:
+        spec.budget.check("max_descendants", k_max, "{} listed ratios")
     s = least_valid_stage(spec, B, k_max)
     size = descendant_count(spec, B.stage, s, len(B.heights))
     spec.budget.check("max_pairs", size**2, "{} pairs")
@@ -416,7 +421,7 @@ def alpha_type_profile(
     # an exception only below a negative threshold and never raises the
     # supremum, so otherwise the support of N is all there is to visit.
     p, q = threshold.numerator, threshold.denominator
-    ks = range(1, k_max + 1) if store_ratios or p < 0 else sorted(N)
+    ks = range(1, k_max + 1) if every_shift else sorted(N)
     exceptions: list[tuple[int, Fraction]] = []
     ratios: list[tuple[int, Fraction]] = []
     best, sup_at = 0, None

@@ -335,6 +335,7 @@ def _h_koopman(args, spec):
         span = args.kmax - args.kmin
         if span <= 0:
             raise ValueError("need kmin < kmax")
+        spec.budget.check("max_iterate", args.samples, "{} samples")
         ks = [args.kmin + rng.next_below(span) for _ in range(args.samples)]
     B = tower.level_set(spec, args.stage, args.levels)
     rep = analysis.koopman_decay_check(spec, B, ks)

@@ -8,8 +8,9 @@ a :class:`Caps` value bounds those counts so the specs stay computable on
 a desk.  Capping changes the construction: the capped spec is still a
 valid rank-one transformation, but conclusions tied to the uncapped
 growth no longer follow, so the cap is recorded on the spec and a
-:class:`CapsMakeConstructionUnfaithful` warning is emitted at the stage
-where it first bites.
+:class:`CapsMakeConstructionUnfaithful` warning is emitted once for each
+capped stage, not only the first: :func:`main_wde` built up to ``h_9``
+warns at stages 3, 5 and 7.
 """
 
 from __future__ import annotations
@@ -352,9 +353,10 @@ def koopman(
 
     Stage ``n`` cuts into ``n + 2`` subcolumns with copy heights
     ``0, 2h, 4h, 8h, ..., 2^{n+1} h``, then pads the top so the next
-    height is ``(2^{n+2} + 2) h``, keeping every height even.  Heights
-    grow doubly exponentially; expect the bit budget to bite near stage
-    twelve.
+    height is ``(2^{n+2} + 2) h``, keeping every height even.  ``h_n`` has
+    about ``n^2/2`` bits (``h_64`` has 2,145), so ``max_stage`` refuses long
+    before the bit budget does, and the default cap first bites at stage
+    63, where the recipe calls for 65 cuts.
     """
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:

@@ -74,15 +74,16 @@ def brute_descendants(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
 
 
 def brute_tuple_fraction(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
-    """Fraction of k-tuples of descendants admitting a shifted companion tuple.
+    """Twin of :func:`rankone.analysis.cons_fraction_exact` by shift search.
 
     A tuple ``(a_0, ..., a_{k-1})`` counts when some nonzero shift ``t``
     keeps every ``a_l - t`` inside the descendant set.  Enumerates every
     tuple and every candidate shift directly.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k}")
     D = descendant_set(spec, i, j)
+    total = spec.budget.check("max_pairs", len(D) ** k, "{} tuples")
     if len(D) ** (k + 1) > _DEFAULT_OP_LIMIT:
         raise BudgetExceeded(
             f"brute tuple scan needs ~{len(D) ** (k + 1)} operations, "
@@ -96,7 +97,7 @@ def brute_tuple_fraction(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
             if t != 0 and all(a - t in Dset for a in tup):
                 good += 1
                 break
-    return Fraction(good, len(D) ** k)
+    return Fraction(good, total)
 
 
 def brute_shared_coordinate_fraction(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
@@ -121,26 +122,6 @@ def brute_shared_coordinate_fraction(spec: RankOneSpec, i: int, j: int, k: int) 
         if any(all(v[m] == tup[0][m] for v in tup) for m in range(slots)):
             good += 1
     return Fraction(good, total_vectors**k)
-
-
-def brute_cons_fraction(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
-    """Twin of :func:`rankone.analysis.cons_fraction_exact` over every k-tuple."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    D = descendant_set(spec, i, j)
-    total = spec.budget.check("max_pairs", len(D) ** k, "{} tuples")
-    Dset = set(D)
-    witness_count: dict[tuple[int, ...], int] = {}
-    good = 0
-    for tup in product(D, repeat=k):
-        delta = tuple(a - tup[0] for a in tup[1:])
-        cnt = witness_count.get(delta)
-        if cnt is None:
-            cnt = sum(1 for x in D if all(x + d in Dset for d in delta))
-            witness_count[delta] = cnt
-        if cnt >= 2:
-            good += 1
-    return Fraction(good, total)
 
 
 def brute_nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
@@ -204,9 +185,9 @@ def brute_alpha_type_profile(
     """Twin of :func:`rankone.analysis.alpha_type_profile` over the refined set's pairs."""
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
-    if store_ratios:
-        spec.budget.check("max_descendants", k_max, "{} listed ratios")
     threshold = Fraction(threshold)
+    if store_ratios or threshold < 0:
+        spec.budget.check("max_descendants", k_max, "{} listed ratios")
     s = least_valid_stage(spec, B, k_max)
     D = refine(spec, B, s).heights
     spec.budget.check("max_pairs", len(D) ** 2, "{} pairs")

@@ -127,12 +127,8 @@ def _moved(spec: RankOneSpec, p: Point, k: int, stage: int) -> Point:
     return Point(n, h, Fraction(num, u.denominator * spec.width_denominator(n)))
 
 
-def lift(spec: RankOneSpec, p: Point) -> Point:
-    """The same point addressed one stage deeper."""
-    return lift_to(spec, p, p.stage + 1)
-
-
 def lift_to(spec: RankOneSpec, p: Point, n: int) -> Point:
+    """The same point addressed at stage ``n``, at or after ``p.stage``."""
     if n < p.stage:
         raise ValueError(f"cannot lower a stage-{p.stage} address to stage {n}")
     return _moved(spec, p, 0, n)

@@ -29,6 +29,7 @@ from rankone.analysis import (
 )
 from rankone.core import (
     Budget,
+    BudgetExceeded,
     NotStronglyArithmetic,
     PreconditionError,
     explicit_spec,
@@ -243,6 +244,15 @@ def test_nonergodicity_skips_over_budget_stages():
     )
 
 
+def test_nonergodicity_horizon_is_bounded_by_max_stage():
+    sp = gallery.staircase(budget=Budget(max_stage=4))
+    rep = nonergodicity_certificate(sp, 1, 4)
+    assert [row["stage"] for row in rep.rows] == [1, 2, 3, 4]
+    assert not any(row["skipped"] for row in rep.rows)
+    with pytest.raises(BudgetExceeded, match="^stage 5 exceeds max_stage=4$"):
+        nonergodicity_certificate(sp, 1, 5)
+
+
 # -- rigidity and alpha ------------------------------------------------------
 
 
@@ -283,6 +293,18 @@ def test_alpha_profile_stores_ratios_on_request():
     assert prof.ratios is not None and len(prof.ratios) == 10
     assert [k for k, _ in prof.ratios] == list(range(1, 11))
     assert all(0 <= x <= 1 for _, x in prof.ratios)
+
+
+def test_alpha_profile_below_a_negative_threshold_lists_at_most_max_descendants():
+    # every shift is an exception, so k_max counts the listed rows
+    sp = explicit_spec([(2, (0, 1000))], cycle=True, budget=Budget(max_descendants=50))
+    B = level_set(sp, 0, (0,))
+    prof = alpha_type_profile(sp, B, 50, Fraction(-1, 2))
+    assert [k for k, _ in prof.exceptions] == list(range(1, 51))
+    with pytest.raises(BudgetExceeded, match="^51 listed ratios exceeds max_descendants=50$"):
+        alpha_type_profile(sp, B, 51, Fraction(-1, 2))
+    # at threshold 0 only the returning shift is listed
+    assert alpha_type_profile(sp, B, 51, 0).exceptions == ((1, Fraction(1, 2)),)
 
 
 # -- staircase detection -----------------------------------------------------

@@ -915,6 +915,35 @@ def test_oracle_loops_refuse_past_max_iterate_before_any_work(argv, refusal, spe
     assert refusal in err
 
 
+# A spec whose one level returns at shift 1 only: below a negative threshold
+# every other shift up to --kmax is an exception too.
+WIDE_GAP = {"builder": {"kind": "explicit", "stages": [[2, [0, 10**15]]], "cycle": True}}
+
+
+@pytest.mark.parametrize(
+    "data, argv, refusal",
+    [
+        pytest.param(
+            STAIR, ["check-nonerg", "--b", "1", "--horizon", "65"],
+            "stage 65 exceeds max_stage=64", id="check-nonerg-past-max-stage",
+        ),
+        pytest.param(
+            WIDE_GAP, ["alpha", "--stage", "0", "--threshold=-1/2", "--kmax", "200001"],
+            "200001 listed ratios exceeds max_descendants=200000", id="alpha-negative-threshold",
+        ),
+        pytest.param(
+            KOOP, ["koopman", "--stage", "1", "--samples", "1000001", "--kmin", "60", "--kmax", "61"],
+            "1000001 samples exceeds max_iterate=1000000", id="koopman-samples",
+        ),
+    ],
+)
+def test_loops_sized_by_a_flag_refuse_before_any_work(data, argv, refusal, specfile, capsys):
+    code, out, err = run_cli(capsys, *argv, "--spec", specfile(data))
+    assert code == 3
+    assert out == ""
+    assert err == f"budget exceeded: {refusal}\n"
+
+
 def test_shape_precondition_exits_4(specfile, capsys):
     path = specfile(KOOP)
     code, _, err = run_cli(

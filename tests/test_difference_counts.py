@@ -174,7 +174,7 @@ def test_cons_fraction_matches_twin(spec, k, data):
     i = data.draw(st.integers(0, 2))
     j = data.draw(st.integers(i, i + 2))
     assert _outcome(analysis.cons_fraction_exact, spec, i, j, k) == _outcome(
-        oracle.brute_cons_fraction, spec, i, j, k
+        oracle.brute_tuple_fraction, spec, i, j, k
     )
 
 

@@ -15,7 +15,6 @@ from rankone.tower import (
     intersection_measure,
     least_valid_stage,
     level_set,
-    lift,
     lift_to,
     measure,
     point,
@@ -84,7 +83,7 @@ def test_refine_multilevel_no_late_binding(sp):
 def test_lift_walks_cuts(sp):
     # offset in the middle third of the base goes to the second cut copy
     p = point(sp, 0, 0, Fraction(1, 2))
-    q = lift(sp, p)
+    q = lift_to(sp, p, p.stage + 1)
     assert q.stage == 1
     assert q.height == sp.height_set(0)[1]
     assert q.offset == Fraction(1, 2) - Fraction(1, 3)
