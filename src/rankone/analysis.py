@@ -21,18 +21,19 @@ Structural preconditions (staircase-shaped stages, and the doubling-spacer
 family for the decay check) raise :class:`rankone.core.PreconditionError`
 subclasses instead of returning a verdict.
 
-Pair and tuple counts over descendant sets come from
-:func:`rankone.core.difference_counts`, a per-stage convolution, so no pair
-is listed.
+Pair and tuple counts over descendant sets are products of per-stage
+generating polynomials (:func:`rankone.core.difference_counts`), taken as
+one big-integer multiply where dense and read in place, so no pair is
+listed.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress
+from operator import countOf
 from typing import Sequence
 
 from rankone.core import (
@@ -42,9 +43,9 @@ from rankone.core import (
     PreconditionError,
     RankOneSpec,
     StageSpec,
-    _convolve,
+    _difference_product,
+    _full_product,
     descendant_count,
-    difference_counts,
 )
 from rankone.tower import (
     LevelSet,
@@ -127,26 +128,34 @@ def cons_fraction_exact(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
 
     A tuple ``(a_0, ..., a_{k-1})`` counts when some nonzero ``t`` keeps
     every ``a_l - t`` in the descendant set; equivalently, when the set
-    ``D `` meets all its translates by the tuple's internal differences in
-    at least two points.
+    ``D`` meets all its translates by the tuple's internal differences in
+    at least two points, that is, when its difference vector
+    ``(a_l - a_0)_{l >= 1}`` has two or more realizations.
+
+    The vector is encoded as ``sum_l (a_l - a_0) W^(l-1)`` in balanced base
+    ``W = 2M + 1``, for ``M = max H_i + ... + max H_{j-1}``: every entry lies
+    in ``[-M, M]``, where the encoding is injective.  It is linear, so the
+    encoded vectors of the tuples of ``D`` have the generating polynomial
+    ``prod_m prod_l sum_{a in H_m} x^(c_l a)``, with
+    ``c = (-(1 + W + ... + W^(k-2)), 1, W, ..., W^(k-2))``: ``k`` polynomials
+    of ``|H_m|`` terms per stage, multiplied as one packed integer where
+    dense, once ``|D|^k`` is within ``max_pairs``.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     total = spec.budget.check("max_pairs", descendant_count(spec, i, j) ** k, "{} tuples")
-    # A tuple counts when its difference vector (a_l - a_0) has two or more
-    # realizations.  The sum is direct, so vector counts convolve per stage.
-    # A vector is encoded in balanced base W = 2M + 1: every partial sum has
-    # entries within [-M, M], where the encoding is additive and injective.
-    W = 2 * (spec.max_descendant(j) - spec.max_descendant(i)) + 1
-    powers = [W**l for l in range(k - 1)]
-    counts = {0: 1}
+    M = spec.max_descendant(j) - spec.max_descendant(i)
+    powers = [(2 * M + 1) ** l for l in range(k - 1)]
+    C = sum(powers)  # the encoded vectors lie in [-C * M, C * M]
+    stages = []
     for m in range(i, j):
-        step = Counter(
-            sum((a - t[0]) * w for a, w in zip(t[1:], powers))
-            for t in product(spec.height_set(m), repeat=k)
-        )
-        counts = _convolve(counts, step.keys(), step.values())
-    return Fraction(sum(c for c in counts.values() if c >= 2), total)
+        H = spec.height_set(m)
+        ones = [1] * len(H)
+        stages.append([([c * a for a in H], ones) for c in (-C, *powers)])
+    N = _full_product(stages, total, -C * M, C * M)
+    if isinstance(N, dict):
+        return Fraction(sum(c for c in N.values() if c >= 2), total)
+    return Fraction(total - countOf(N, 1), total)  # the counts sum to total
 
 
 def conservativity_sufficient(
@@ -301,13 +310,19 @@ def nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
     """Fraction of descendant pairs whose difference shifted by ``b`` reappears.
 
     A pair ``(a, a')`` counts when ``(a - a') + b`` is again a difference
-    of two descendants.
+    of two descendants, so the count is ``sum_v N(v) [N(v + b) > 0]`` over
+    the difference counts ``N`` of :func:`rankone.core.difference_counts`,
+    whose generating polynomial is ``prod_m sum_{a, a' in H_m} x^(a - a')``.
+    Where that product is packed, ``N`` is read in place from its digits;
+    it is symmetric, so the sum for ``b`` is the sum for ``|b|``.
     """
-    size = descendant_count(spec, 0, n)
-    spec.budget.check("max_pairs", size**2, "{} pairs")
-    N = difference_counts(spec, 0, n)
-    good = sum(c for v, c in N.items() if v + b in N)
-    return Fraction(good, size**2)
+    N, total = _difference_product(spec, 0, n)
+    if isinstance(N, dict):
+        good = sum(c for v, c in N.items() if v + b in N)
+    else:
+        b = abs(b)
+        good = sum(compress(N[: len(N) - b], N[b:]))
+    return Fraction(good, total)
 
 
 def nonergodicity_certificate(

@@ -221,6 +221,8 @@ def _subcommand(sub, name: str, handler, help_: str) -> argparse.ArgumentParser:
 
 
 def _h_describe(args, spec):
+    if args.stages < 0:
+        raise ValueError(f"stage count must be nonnegative, got {args.stages}")
     rows = []
     for n in range(args.stages):
         st = spec.stage(n)

@@ -397,29 +397,72 @@ def difference_counts(
     """Difference counts ``N(t) = #{(x, y) in D x D : y - x = t}`` of ``D = H_i + ... + H_{n-1}``.
 
     ``D`` is the descendant set in ``C_n`` of the base of ``C_i``.  The sum is
-    direct, so a pair ``(x, y)`` is one choice of pair per summand and ``N``
-    is the convolution of the per-stage difference multisets of ``H_m``: the
+    direct, so a pair ``(x, y)`` is one choice of pair per summand, and ``N``
+    has the generating polynomial ``prod_m sum_{a, a' in H_m} x^(a - a')``: the
     combinatorial side of the Riesz product formula for rank-one spectral
     measures.  No set is enumerated.
 
-    With ``lo`` and ``hi`` only ``lo <= t <= hi`` is counted.  Stages are then
-    taken top-down, and a partial sum is dropped as soon as the stages below
-    it, whose differences stay within ``max H_i + ... + max H_{m-1}``, can no
+    In full, that product is taken by :func:`_packed_product` where it is
+    dense and by the dict loop of :func:`_convolve` otherwise, once
+    ``|D|^2`` is within ``max_pairs``.  With ``lo`` and ``hi`` only
+    ``lo <= t <= hi`` is counted, with no pair budget.  Stages are then taken
+    top-down, and a partial sum is dropped as soon as the stages below it,
+    whose differences stay within ``max H_i + ... + max H_{m-1}``, can no
     longer bring it into the window.
     """
     if n < i:
         raise ValueError(f"need i <= n, got i={i}, n={n}")
-    windowed = lo is not None or hi is not None
-    if windowed and (lo is None or hi is None):
+    if lo is None and hi is None:
+        N, _ = _difference_product(spec, i, n)
+        if isinstance(N, dict):
+            return Counter(N)
+        spread = len(N) // 2
+        return Counter(dict(zip(compress(range(-spread, spread + 1), N), filter(None, N))))
+    if lo is None or hi is None:
         raise ValueError("a window needs both lo and hi")
     if n == i:
-        return Counter({0: 1} if not windowed or lo <= 0 <= hi else {})
+        return Counter({0: 1} if lo <= 0 <= hi else {})
     acc = {0: 1}
     for m in reversed(range(i, n)):
         spread = spec.max_descendant(m) - spec.max_descendant(i)  # max H_i + ... + max H_{m-1}
-        bounds = (lo - spread, hi + spread) if windowed else (None, None)
-        acc = _convolve(acc, *spec.height_differences(m), *bounds)
+        acc = _convolve(acc, *spec.height_differences(m), lo - spread, hi + spread)
     return Counter(acc)
+
+
+def _difference_product(spec: RankOneSpec, i: int, n: int) -> tuple[memoryview | dict, int]:
+    """The full product of :func:`difference_counts` and its total ``|D|^2``.
+
+    ``|D|^2`` passes ``max_pairs`` first, so the product's operands are
+    bounded by the budget.  The product is :func:`_full_product`'s: digits
+    over ``[-spread, spread]`` for ``spread = max H_i + ... + max H_{n-1}``,
+    or a dict.
+    """
+    size = descendant_count(spec, i, n)
+    total = spec.budget.check("max_pairs", size**2, "{} pairs")
+    spread = spec.max_descendant(n) - spec.max_descendant(i)
+    stages = [[spec.height_differences(m)] for m in range(i, n)]
+    return _full_product(stages, total, -spread, spread), total
+
+
+def _full_product(stages: Sequence, total: int, lo: int, hi: int) -> memoryview | dict:
+    """The product of the multisets of ``stages``: :func:`_packed_product`'s digits, or a dict.
+
+    Each stage is a list of factors whose product is its multiset, and the
+    kernel takes every factor at once.  Where it declines, the dict loop of
+    :func:`_convolve` multiplies out each stage on its own, then convolves
+    the running product with it, so that a large running product meets each
+    stage once.
+    """
+    digits = _packed_product([f for factors in stages for f in factors], total, lo, hi)
+    if digits is not None:
+        return digits
+    acc = {0: 1}
+    for factors in stages:
+        step = {0: 1}
+        for keys, counts in factors:
+            step = _convolve(step, keys, counts)
+        acc = _convolve(acc, step.keys(), step.values())
+    return acc
 
 
 def _convolve(
@@ -427,15 +470,11 @@ def _convolve(
 ) -> dict[int, int]:
     """``acc`` convolved with each of ``keys`` taken ``counts`` times, in ``[lo, hi]`` if given.
 
-    The one convolution kernel.  In a window the ``keys`` increase, and each ``p``
-    of ``acc`` pairs only those in ``[lo - p, hi - p]``, cut by bisection, with
-    their counts; without one, the whole multiset is paired once for every ``p``,
-    unless :func:`_convolve_packed` takes the product.
+    The dict loop, for windows and sparse products.  In a window the ``keys``
+    increase, and each ``p`` of ``acc`` pairs only those in ``[lo - p, hi - p]``,
+    cut by bisection, with their counts; without one, the whole multiset is
+    paired once for every ``p``.
     """
-    if lo is None and acc and keys:
-        packed = _convolve_packed(acc, keys, counts)
-        if packed is not None:
-            return packed
     items = list(zip(keys, counts)) if lo is None else ()
     out: dict[int, int] = {}
     for p, c in acc.items():
@@ -453,42 +492,36 @@ def _convolve(
 _DIGIT_CODES = {array(c).itemsize: c for c in "BHILQ"}  # digit bytes -> array code, increasing
 
 
-def _convolve_packed(acc: dict, keys: Sequence, counts: Sequence) -> dict[int, int] | None:
-    """The full product of :func:`_convolve` as one big-integer multiply, or ``None``.
+def _packed_product(steps: Sequence, total: int, lo: int, hi: int) -> memoryview | None:
+    """The product of the multisets ``steps`` as the digits of one integer, or ``None``.
 
-    Kronecker substitution: ``acc`` and the multiset become the digits of two
-    integers, laid out over their key ranges (taken by ``min`` and ``max``, as
-    the keys need not be sorted), and the digits of the product are the output
-    counts.  A digit has ``B`` bytes, the least of 1, 2, 4 and 8 with
-    ``sum(acc) * sum(counts) < 2^(8B)``, so no digit carries into the next; the
-    product is unpacked by one C-level cast.  It is taken only when dense, with
-    ``|acc| * |keys| >= 4 * span`` for ``span`` the output key range, so the
-    packed operands, at most ``span * B`` bytes, never outgrow the pairs the
-    dict loop would touch.  ``None`` (sparser, or wider than 8 bytes) leaves
-    the product to that loop.
+    A step is a pair ``(keys, counts)``, the polynomial ``sum_t counts_t x^t``;
+    its keys may be negative and in any order.  Kronecker substitution: each
+    step becomes the integer whose digits, from its least key up, are its
+    counts, and the digits of the product of those integers are the counts
+    of the product.  ``total``, the sum of those counts (the product of the
+    steps' sums), bounds every digit of every partial product, so a digit of
+    ``B`` bytes, the least of 1, 2, 4 and 8 with ``total < 2^(8B)``, never
+    carries into the next.  ``lo`` and ``hi`` bound the product's keys; the
+    digits come back as a memoryview ``d`` with ``d[t - lo]`` the count of
+    ``t``.  The product is taken only when dense, ``total >= 4 * span`` for
+    ``span = hi - lo + 1``, so no operand has more than ``total / 4`` digits.
+    ``None`` (sparser, or wider than 8 bytes) leaves it to the dict loop.
     """
-    k0 = min(keys)
-    klen = max(keys) - k0 + 1
-    pairs = len(acc) * len(keys)
-    if pairs < 4 * (len(acc) + klen - 1):  # the keys of acc span at least |acc|
+    span = hi - lo + 1
+    if total < 4 * span:
         return None
-    a0 = min(acc)
-    alen = max(acc) - a0 + 1
-    span = alen + klen - 1
-    if pairs < 4 * span:
-        return None
-    bound = sum(acc.values()) * sum(counts)
-    width = next((b for b in _DIGIT_CODES if bound < 1 << 8 * b), None)
+    width = next((b for b in _DIGIT_CODES if total < 1 << 8 * b), None)
     if width is None:
         return None
     code = _DIGIT_CODES[width]
-    x = [0] * alen
-    for p, c in acc.items():
-        x[p - a0] = c
-    y = [0] * klen
-    for t, e in zip(keys, counts):
-        y[t - k0] += e
-    prod = int.from_bytes(array(code, x), byteorder) * int.from_bytes(array(code, y), byteorder)
-    digits = memoryview(prod.to_bytes(span * width, byteorder)).cast(code).tolist()
-    base = a0 + k0
-    return dict(zip(compress(range(base, base + span), digits), filter(None, digits)))
+    prod, base = 1, 0  # the product's digits start at key base
+    for keys, counts in steps:
+        k0 = min(keys)
+        digits = array(code, bytes(width * (max(keys) - k0 + 1)))
+        for t, e in zip(keys, counts):
+            digits[t - k0] += e
+        prod *= int.from_bytes(digits, byteorder)
+        base += k0
+    prod <<= 8 * width * (base - lo)
+    return memoryview(prod.to_bytes(span * width, byteorder)).cast(code)

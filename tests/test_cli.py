@@ -964,8 +964,8 @@ def test_bad_level_exits_4(specfile, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("rigidity", "--stage", "-1"), ("heights", "--stage", "-2")],
-    ids=["rigidity", "heights"],
+    [("rigidity", "--stage", "-1"), ("heights", "--stage", "-2"), ("describe", "-n", "-3")],
+    ids=["rigidity", "heights", "describe"],
 )
 def test_negative_stage_exits_4(argv, specfile, capsys):
     path = specfile(STAIR)

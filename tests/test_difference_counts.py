@@ -1,26 +1,33 @@
 """Difference counts of descendant sets against explicit pair enumeration.
 
-``core.difference_counts`` convolves per-stage difference multisets instead
-of listing pairs.  It is checked here against a plain ``Counter`` of pair
-differences over sets unfolded by ``oracle.brute_descendants``, and every
-certificate routine built on it is checked against its ``oracle.brute_*``
-twin, both for the value and for raising :class:`BudgetExceeded` on the
-same inputs under small random budgets.
+``core.difference_counts`` multiplies per-stage difference multisets instead
+of listing pairs: as one packed big integer where the product is dense, by
+the dict convolution loop otherwise.  It is checked here against a plain
+``Counter`` of pair differences over sets unfolded by
+``oracle.brute_descendants``, the packed kernel against the dict loop and
+pairs listed one by one, and every certificate routine built on them against
+its ``oracle.brute_*`` twin, on both paths, both for the value and for
+raising :class:`BudgetExceeded` on the same inputs under small random
+budgets.
 """
 
+import math
+import re
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rankone import analysis, gallery, oracle, tower
+from rankone import analysis, core, gallery, oracle, tower
 from rankone.core import (
     Budget,
     BudgetExceeded,
     _convolve,
-    _convolve_packed,
+    _packed_product,
     descendant_count,
     difference_counts,
     explicit_spec,
@@ -125,17 +132,67 @@ def test_convolve_matches_pairwise(inputs):
     assert _convolve(*inputs) == _pairwise(*inputs)
 
 
+def _digits(view, lo):
+    """The nonzero digits of a packed product, keyed from ``lo``."""
+    return {lo + j: c for j, c in enumerate(view) if c}
+
+
 @pytest.mark.parametrize("e", [1, *NEAR_WIDTH_LIMITS])
 def test_convolve_switch_and_digit_widths(e):
-    # 6 sums by 10 keys fill an output range of 15: 60 pairs, exactly 4 * span
-    acc = {p: 1 for p in range(-3, 3)}
-    keys, counts = range(-5, 5), [e] * 10
-    packed = _convolve_packed(acc, keys, counts)
-    assert (packed is None) == (sum(acc.values()) * sum(counts) >= 2**64)
-    assert _convolve(acc, keys, counts) == _pairwise(acc, keys, counts)
-    del acc[0]  # 50 pairs over the same range: the pair loop
-    assert _convolve_packed(acc, keys, counts) is None
-    assert _convolve(acc, keys, counts) == _pairwise(acc, keys, counts)
+    """Digits are the fewest of 1, 2, 4 and 8 bytes that hold the total, the
+    kernel declines past 8 bytes, and it packs at exactly ``total = 4 * span``."""
+    # one key 7, then keys -3..0 in no order: total e over the keys 4..7
+    steps = [((7,), (1,)), ((0, -3, -1, -2), (e - 3, 1, 1, 1) if e > 3 else (e, 0, 0, 0))]
+    ref = reduce(lambda acc, step: _pairwise(acc, *step), steps, {0: 1})
+    digits = _packed_product(steps, e, 4, 7)
+    width = next((b for b in (1, 2, 4, 8) if e < 2 ** (8 * b)), None)
+    if e < 16 or width is None:  # 16 is 4 * span
+        assert digits is None
+    else:
+        assert digits.itemsize == width
+        assert _digits(digits, 4) == {t: c for t, c in ref.items() if c}
+    # 15 keys of count 4 and one key of count e: at e = 1 the totals are
+    # exactly 4 * span, which packs, and one below, which does not
+    for counts in ([4] * 15, [4] * 14 + [3]):
+        total = e * sum(counts)
+        digits = _packed_product([((0,), (e,)), (range(-7, 8), counts)], total, -7, 7)
+        assert (digits is None) == (total < 60 or total >= 2**64)
+        if digits is not None:
+            assert _digits(digits, -7) == _pairwise({0: e}, range(-7, 8), counts)
+
+
+@st.composite
+def step_lists(draw):
+    """Up to four multisets, keys negative or not and in any order, with the
+    product's sum and a key range that bounds it, sometimes loosely."""
+    steps = []
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(-30, 30))
+        keys = draw(st.permutations(range(start, start + draw(st.integers(1, 12)))))
+        keys = keys[: draw(st.integers(1, len(keys)))]  # a key range with holes
+        count = st.integers(1, draw(st.sampled_from([3, 300, 2**40])))
+        steps.append((keys, [draw(count) for _ in keys]))
+    total = math.prod(sum(counts) for _, counts in steps)
+    lo = sum(min(keys) for keys, _ in steps) - draw(st.integers(0, 3))
+    hi = sum(max(keys) for keys, _ in steps) + draw(st.integers(0, 3))
+    return steps, total, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=step_lists())
+def test_packed_product_matches_convolve_chain(inputs):
+    """The kernel, the dict loop of ``_convolve`` step by step, and pairs
+    listed one by one give one product."""
+    steps, total, lo, hi = inputs
+    ref = reduce(lambda acc, step: _pairwise(acc, *step), steps, {0: 1})
+    chain = reduce(lambda acc, step: _convolve(acc, *step), steps, {0: 1})
+    assert chain == ref
+    digits = _packed_product(steps, total, lo, hi)
+    if digits is None:
+        assert total < 4 * (hi - lo + 1) or total >= 2**64
+    else:
+        assert len(digits) == hi - lo + 1
+        assert _digits(digits, lo) == ref
 
 
 def test_difference_counts_needs_both_window_ends():
@@ -169,13 +226,130 @@ def test_nonerg_pair_fraction_matches_twin(spec, n, b):
 
 
 @settings(max_examples=100, deadline=None)
-@given(spec=budgeted_specs(), k=st.integers(2, 3), data=st.data())
+@given(spec=budgeted_specs(), k=st.integers(2, 4), data=st.data())
 def test_cons_fraction_matches_twin(spec, k, data):
     i = data.draw(st.integers(0, 2))
     j = data.draw(st.integers(i, i + 2))
     assert _outcome(analysis.cons_fraction_exact, spec, i, j, k) == _outcome(
         oracle.brute_tuple_fraction, spec, i, j, k
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cuts=st.lists(st.integers(3, 4), min_size=2, max_size=3),
+    k=st.integers(2, 3),
+    slack=st.sampled_from([-1, 0]),
+    b=st.integers(-70, 70),
+)
+def test_dense_products_match_twins_at_the_pair_budget(cuts, k, slack, b):
+    """Towers with no spacers, whose descendant sets are intervals of at
+    least 9 points, so that their pair products are dense, under
+    ``max_pairs`` one below or at ``|D|^k``: exactly the first refuses, and
+    otherwise the routines match their twins."""
+    cuts = cuts[:2] if k == 3 else cuts  # the tuple twin lists |D|^k tuples
+    n, size = len(cuts), math.prod(cuts)
+    spec = explicit_spec([(r, (0,) * r) for r in cuts], budget=Budget(max_pairs=size**k + slack))
+    calls = []
+
+    def spy(*args):
+        digits = _packed_product(*args)
+        calls.append(digits is not None)
+        return digits
+
+    with mock.patch.object(core, "_packed_product", spy):
+        got = [_outcome(analysis.cons_fraction_exact, spec, 0, n, k)]
+        if k == 2:
+            got.append(_outcome(analysis.nonerg_pair_fraction, spec, n, b))
+    assert got[0] == _outcome(oracle.brute_tuple_fraction, spec, 0, n, k)
+    if k == 2:
+        assert got[1] == _outcome(oracle.brute_nonerg_pair_fraction, spec, n, b)
+        assert calls == [True] * (2 * (slack == 0))
+    assert all((x is BudgetExceeded) == (slack < 0) for x in got)
+
+
+@pytest.fixture
+def packed_calls(monkeypatch):
+    """Whether each call of the packed kernel took the product (``True``) or declined."""
+    calls = []
+
+    def spy(*args):
+        digits = _packed_product(*args)
+        calls.append(digits is not None)
+        return digits
+
+    monkeypatch.setattr(core, "_packed_product", spy)
+    return calls
+
+
+ZEROS = explicit_spec([(4, (0, 0, 0, 0)), (4, (0, 0, 0, 0))])  # D = 0..15
+SPARSE = explicit_spec([(3, (0, 1, 40)), (2, (0, 5)), (2, (1, 900))])  # large last spacers
+
+
+@pytest.mark.parametrize(
+    "spec, n, packed",
+    [
+        (gallery.staircase(), 1, False),
+        (gallery.staircase(), 2, False),
+        (gallery.staircase(), 3, True),
+        (gallery.staircase(), 4, True),
+        (ZEROS, 2, True),
+        (SPARSE, 2, False),
+        (SPARSE, 3, False),
+    ],
+    ids=["stair1", "stair2", "stair3", "stair4", "zeros2", "sparse2", "sparse3"],
+)
+def test_nonerg_pair_fraction_matches_twin_on_both_paths(spec, n, packed, packed_calls):
+    """Shifts at the ends of the difference range and past it, on products
+    the kernel packs and on products left to the dict loop."""
+    s = spec.max_descendant(n)  # the largest difference; 2s + 1 digits
+    for b in {0, 1, s - 1, s, s + 1, 2 * s, 2 * s + 1, 2 * s + 2, 3 * s}:
+        for shift in (b, -b):
+            got = analysis.nonerg_pair_fraction(spec, n, shift)
+            assert got == oracle.brute_nonerg_pair_fraction(spec, n, shift)
+    assert set(packed_calls) == {packed}
+
+
+@pytest.mark.parametrize(
+    "spec, i, j, k, packed",
+    [
+        (gallery.staircase(), 0, 3, 2, True),
+        (gallery.staircase(), 0, 3, 3, False),
+        (gallery.staircase(), 1, 3, 4, False),
+        (ZEROS, 0, 2, 2, True),
+        (ZEROS, 0, 2, 3, True),
+        (ZEROS, 0, 2, 4, False),
+        (SPARSE, 0, 3, 2, False),
+        (SPARSE, 0, 3, 3, False),
+    ],
+    ids=[
+        "stair3k2", "stair3k3", "stair1-3k4", "zeros2k2", "zeros2k3", "zeros2k4",
+        "sparse3k2", "sparse3k3",
+    ],
+)
+def test_cons_fraction_matches_twin_on_both_paths(spec, i, j, k, packed, packed_calls):
+    assert analysis.cons_fraction_exact(spec, i, j, k) == oracle.brute_tuple_fraction(
+        spec, i, j, k
+    )
+    assert packed_calls == [packed]
+
+
+def test_full_difference_counts_pass_one_pair_gate():
+    """Full mode checks the descendants, then ``|D|^2`` pairs, with the refusal
+    text that ``check-nonerg`` prints; a window is not gated."""
+    at = Budget(max_pairs=24**2)
+    assert sum(difference_counts(gallery.staircase(budget=at), 0, 3).values()) == 24**2
+    for budget, message in (
+        (Budget(max_pairs=24**2 - 1), "576 pairs exceeds max_pairs=575"),
+        (Budget(max_descendants=23, max_pairs=1), "24+ descendants exceeds max_descendants=23"),
+    ):
+        spec = gallery.staircase(budget=budget)
+        with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
+            difference_counts(spec, 0, 3)
+        with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
+            analysis.nonerg_pair_fraction(spec, 3, 1)
+    spec = gallery.staircase(budget=Budget(max_pairs=1))
+    assert difference_counts(spec, 0, 3, 0, 0) == Counter({0: 24})
 
 
 @settings(max_examples=60, deadline=None)
