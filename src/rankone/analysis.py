@@ -44,8 +44,11 @@ from rankone.core import (
     RankOneSpec,
     StageSpec,
     _difference_product,
+    _gap_tuple_count,
+    _separation_bound,
     _full_product,
     descendant_count,
+    gap_pair_count,
 )
 from rankone.tower import (
     LevelSet,
@@ -71,24 +74,6 @@ class CertificateReport:
 
 
 # -- elementary counts -------------------------------------------------------
-
-
-def _gap_tuple_count(r: int, g: int, k: int) -> int:
-    """Number of tuples in {0..r-1}^k with max - min <= g (g >= 0)."""
-    if g >= r - 1:
-        return r**k
-    return (r - g) * ((g + 1) ** k - g**k) + g**k
-
-
-def gap_pair_count(r: int, m: int) -> int:
-    """Number of pairs in {1..r}^2 whose coordinates differ by less than ``m``.
-
-    The ``k = 2`` gap-tuple count, ``r^2 - (r-m)(r-m+1)``.  Only defined
-    for ``1 <= m <= r``.
-    """
-    if not 1 <= m <= r:
-        raise ValueError(f"need 1 <= m <= r, got m={m}, r={r}")
-    return _gap_tuple_count(r, m - 1, 2)
 
 
 def triangular_gap(a: int, b: int, c: int) -> int:
@@ -216,13 +201,6 @@ def _staircase_first_spacer(stage: StageSpec) -> int | None:
         if stage.spacers[m] != s0 + m:
             return None
     return s0
-
-
-def _separation_bound(r: int, maxd: int) -> int:
-    """What a gap of a staircase stage of ``r`` cuts must exceed: the triangular
-    spread plus twice the accumulated descendant spread ``maxd``, so that wide
-    index tuples stay misaligned."""
-    return r * (r - 1) + 2 * maxd + 1
 
 
 def nonconservativity_check(

@@ -8,21 +8,27 @@ table and ``--format text`` a human summary.
 Exit codes: 0 when a result or verdict was computed (including refuting
 verdicts), 2 for spec-file or schema problems, 3 when a resource budget
 was exceeded, 4 when a certificate's precondition failed, 1 for anything
-unexpected.
+unexpected.  A reader that closes stdout early, as ``| head`` does, ends
+the run with exit code 1 and nothing on stderr.
+
+Each handler imports the modules it runs, so ``describe``, ``heights`` and
+``descendants`` never load :mod:`rankone.analysis`, :mod:`rankone.tower` or
+:mod:`rankone.oracle`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
-import traceback
 import warnings
 from fractions import Fraction
-from itertools import islice
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import eq, itemgetter
 
-from rankone import analysis, gallery, oracle, tower
+from rankone import gallery
 from rankone.core import (
     Budget,
     BudgetExceeded,
@@ -31,8 +37,6 @@ from rankone.core import (
     RankOneSpec,
     descendant_set,
 )
-
-_JSON_INT_LIMIT = 1 << 53
 
 
 class SpecFileError(RankOneError):
@@ -113,26 +117,158 @@ def load_spec(path: str, args: argparse.Namespace) -> RankOneSpec:
 # -- serialization ---------------------------------------------------------------
 
 
-def _jsonable(v):
-    """Exact, deterministic JSON image: rationals as 'p/q' strings, integers
-    beyond the 53-bit float-safe range as decimal strings."""
-    if isinstance(v, bool) or v is None:
+_JSON_INT_LIMIT = 1 << 53
+_BRANCH = object()  # what _leaf returns for a dict, list, tuple or dataclass
+_BATCH = 4096  # list items per batch, and text pieces gathered per write
+_INF = float("inf")
+
+
+def _leaf(v):
+    """The exact JSON image of a scalar: a rational as a 'p/q' string, an
+    integer beyond the 53-bit float-safe range as a decimal string, any other
+    scalar as it is; ``_BRANCH`` for a container."""
+    if isinstance(v, (str, float, bool)) or v is None:
         return v
+    if isinstance(v, int):
+        return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, int):
-        return v if abs(v) < _JSON_INT_LIMIT else str(v)
-    if isinstance(v, float):
-        return v
-    if isinstance(v, str):
-        return v
+    if isinstance(v, (dict, list, tuple)) or hasattr(v, "__dataclass_fields__"):
+        return _BRANCH
+    raise TypeError(f"cannot serialize {type(v).__name__}")
+
+
+def _jsonable(v):
+    """Deterministic JSON image of a payload, every scalar by :func:`_leaf`."""
+    x = _leaf(v)
+    if x is not _BRANCH:
+        return x
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if hasattr(v, "__dataclass_fields__"):
-        return {f: _jsonable(getattr(v, f)) for f in v.__dataclass_fields__}
-    raise TypeError(f"cannot serialize {type(v).__name__}")
+    return {f: _jsonable(getattr(v, f)) for f in v.__dataclass_fields__}
+
+
+def _leaf_text(x) -> str:
+    """JSON text of a scalar image, as ``json.dumps`` writes it."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _sorted_items(v) -> list:
+    """The (key, value) pairs of a dict or dataclass as the JSON image orders them."""
+    if not isinstance(v, dict):
+        return sorted((f, getattr(v, f)) for f in v.__dataclass_fields__)
+    if not all(type(k) is str for k in v):
+        v = {str(k): x for k, x in v.items()}  # keys equal after str() keep the last value
+    return sorted(v.items())
+
+
+def _batch_text(batch, nl: str) -> str | None:
+    """The texts of a batch of list items at indent ``nl``, joined; ``None``
+    unless every item is a scalar, or every item a dict with the first item's
+    str keys and scalar values, filled into one ``%`` template."""
+    sep = "," + nl
+    first = batch[0]
+    if not isinstance(first, dict):
+        images = list(map(_leaf, batch))
+        if _BRANCH in images:
+            return None
+        return sep.join(map(_leaf_text, images))
+    if (
+        not first
+        or any(type(k) is not str for k in first)
+        or not all(map(isinstance, batch, repeat(dict)))
+        or not all(map(eq, map(dict.keys, batch), repeat(first.keys())))
+    ):
+        return None
+    keys = sorted(first)
+    inner = nl + "  "
+    slots = (inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "{" + ",".join(slots) + nl + "}"
+    columns = []
+    for k in keys:
+        images = list(map(_leaf, map(itemgetter(k), batch)))
+        if _BRANCH in images:
+            return None
+        columns.append(map(_leaf_text, images))
+    return sep.join(map(template.__mod__, zip(*columns)))
+
+
+def _write_json(v, out) -> None:
+    """Write ``json.dumps(_jsonable(v), indent=2, sort_keys=True)`` and a newline
+    to ``out`` in one pass over the raw values.
+
+    A list goes out in batches of ``_BATCH`` items, each one join where
+    :func:`_batch_text` can and piece by piece where not.  Pieces are written
+    whenever ``_BATCH`` of them gather and after each batch of a longer list,
+    so the document is never held whole.
+    """
+    parts: list[str] = []
+    put = parts.append
+
+    def flush() -> None:
+        out.write("".join(parts))
+        parts.clear()
+
+    def node(v, nl: str) -> None:
+        x = _leaf(v)
+        if x is not _BRANCH:
+            put(_leaf_text(x))
+            return
+        inner = nl + "  "
+        if not isinstance(v, (list, tuple)):
+            items = _sorted_items(v)
+            if not items:
+                put("{}")
+                return
+            sep = "{" + inner
+            for k, x in items:
+                put(sep + encode_basestring_ascii(k) + ": ")
+                node(x, inner)
+                sep = "," + inner
+            put(nl + "}")
+            return
+        if not v:
+            put("[]")
+            return
+        sep = "," + inner
+        put("[" + inner)
+        for start in range(0, len(v), _BATCH):
+            batch = v[start : start + _BATCH]
+            if start:
+                put(sep)
+            text = _batch_text(batch, inner)
+            if text is not None:
+                put(text)
+            else:
+                for i, x in enumerate(batch):
+                    if i:
+                        put(sep)
+                    node(x, inner)
+                    if len(parts) >= _BATCH:
+                        flush()
+            if len(v) > _BATCH:
+                flush()
+        put(nl + "]")
+
+    node(v, "\n")
+    put("\n")
+    flush()
 
 
 def _spec_block(spec: RankOneSpec) -> dict:
@@ -147,20 +283,27 @@ def _spec_block(spec: RankOneSpec) -> dict:
 
 
 def _emit(payload: dict, fmt: str, out) -> None:
-    """Write a payload already passed through :func:`_jsonable`."""
-    if fmt == "json":
-        # Joined in batches: a write per chunk is slow, and one string of the
-        # whole payload holds every chunk at once.
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-        while batch := "".join(islice(chunks, 4096)):
-            out.write(batch)
-        out.write("\n")
-        return
+    """Write a payload of raw values in ``fmt``, every integer in full."""
+    int_digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            _write_json(payload, out)
+        else:
+            _write_table(_jsonable(payload), fmt, out)
+    finally:
+        sys.set_int_max_str_digits(int_digits)
+
+
+def _write_table(payload: dict, fmt: str, out) -> None:
+    """Write the csv row table or the text summary of a payload's JSON image."""
     rep = payload.get("report", {})
     rows = rep.get("rows") or payload.get("rows") or []
     if fmt == "csv":
         if not rows:
             return
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         header = list(rows[0].keys())
         writer.writerow(header)
@@ -255,6 +398,8 @@ def _h_descendants(args, spec):
 
 
 def _h_measure(args, spec):
+    from rankone import tower
+
     B = tower.level_set(spec, args.stage, args.levels)
     other = B
     if args.other_levels is not None:
@@ -270,21 +415,29 @@ def _h_measure(args, spec):
 
 
 def _h_check_cons(args, spec):
+    from rankone import analysis
+
     rep = analysis.conservativity_sufficient(spec, args.k, args.horizon, args.threshold)
     return {"report": rep}
 
 
 def _h_check_noncons(args, spec):
+    from rankone import analysis
+
     rep = analysis.nonconservativity_check(spec, args.k, args.horizon, args.floor)
     return {"report": rep}
 
 
 def _h_check_nonerg(args, spec):
+    from rankone import analysis
+
     rep = analysis.nonergodicity_certificate(spec, args.b, args.horizon)
     return {"report": rep}
 
 
 def _h_rigidity(args, spec):
+    from rankone import analysis
+
     a, ratio = analysis.rigidity_scan(spec, args.stage)
     return {
         "result": {"best_shift": a, "ratio": ratio, "height_set_size": len(spec.height_set(args.stage))},
@@ -292,6 +445,8 @@ def _h_rigidity(args, spec):
 
 
 def _h_alpha(args, spec):
+    from rankone import analysis, tower
+
     B = tower.level_set(spec, args.stage, args.levels)
     prof = analysis.alpha_type_profile(
         spec, B, args.kmax, args.threshold, store_ratios=args.dump
@@ -311,16 +466,22 @@ def _h_alpha(args, spec):
 
 
 def _h_arithmetic(args, spec):
+    from rankone import analysis
+
     rep = analysis.arithmetic_report(spec, args.horizon, args.tau, args.min_k)
     return {"report": rep}
 
 
 def _h_divisibility(args, spec):
+    from rankone import analysis
+
     g, verdict = analysis.divisibility_gcd(spec, args.horizon)
     return {"result": {"gcd": g, "verdict": verdict}}
 
 
 def _h_wde(args, spec):
+    from rankone import analysis, tower
+
     A = tower.level_set(spec, args.a_stage, args.a_levels)
     B = tower.level_set(spec, args.b_stage, args.b_levels)
     n = analysis.wde_probe(spec, A, B, args.nmax)
@@ -328,12 +489,16 @@ def _h_wde(args, spec):
 
 
 def _h_koopman(args, spec):
+    from rankone import analysis, tower
+
     if args.k:
         ks = args.k
     else:
         if args.kmin is None or args.kmax is None:
             raise ValueError("need either --k or --samples with --kmin/--kmax")
-        rng = oracle.SplitMix64(args.seed)
+        from rankone.oracle import SplitMix64
+
+        rng = SplitMix64(args.seed)
         span = args.kmax - args.kmin
         if span <= 0:
             raise ValueError("need kmin < kmax")
@@ -347,18 +512,24 @@ def _h_koopman(args, spec):
 
 
 def _h_oracle_descendants(args, spec):
+    from rankone import oracle
+
     D = oracle.brute_descendants(spec, args.i, args.j, args.b)
     agrees = D == descendant_set(spec, args.i, args.j, args.b)
     return {"result": {"size": len(D), "descendants": list(D), "agrees_with_exact": agrees}}
 
 
 def _h_oracle_tuples(args, spec):
+    from rankone import analysis, oracle
+
     brute = oracle.brute_tuple_fraction(spec, args.i, args.j, args.k)
     exact = analysis.cons_fraction_exact(spec, args.i, args.j, args.k)
     return {"result": {"brute": brute, "exact": exact, "agrees": brute == exact}}
 
 
 def _h_oracle_mc(args, spec):
+    from rankone import oracle, tower
+
     B = tower.level_set(spec, args.stage, args.levels)
     est, err = oracle.monte_carlo_measure(spec, B, args.k, args.samples, args.seed)
     exact = tower.translate_intersection_measure(spec, B, args.k)
@@ -373,6 +544,8 @@ def _h_oracle_mc(args, spec):
 
 
 def _h_oracle_orbit(args, spec):
+    from rankone import oracle, tower
+
     p = tower.point(spec, args.stage, args.height, args.offset)
     agrees = oracle.stepwise_orbit_check(spec, p, args.k)
     q = tower.apply_pointwise(spec, p, args.k)
@@ -516,9 +689,7 @@ def main(argv=None) -> int:
         payload = args.handler(args, spec)
         command = args.command if args.command != "oracle" else f"oracle-{args.oracle_command}"
         inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
-        out = _jsonable(
-            {"command": command, "spec": _spec_block(spec), "inputs": inputs, **payload}
-        )
+        payload = {"command": command, "spec": _spec_block(spec), "inputs": inputs, **payload}
     except SpecFileError as e:
         print(f"spec error: {e}", file=sys.stderr)
         return 2
@@ -529,11 +700,20 @@ def main(argv=None) -> int:
         print(f"precondition failed: {e}", file=sys.stderr)
         return 4
     except Exception:  # pragma: no cover - defensive
+        import traceback
+
         traceback.print_exc()
         return 1
     finally:
         sys.set_int_max_str_digits(int_digits)
-    _emit(out, args.format, sys.stdout)
+    try:
+        _emit(payload, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  What is left to flush at exit goes
+        # to devnull, so Python prints no second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

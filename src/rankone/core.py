@@ -146,6 +146,31 @@ def sum_is_direct(sets: Sequence[Sequence[int]]) -> bool:
     return len(acc) == expected
 
 
+def _gap_tuple_count(r: int, g: int, k: int) -> int:
+    """Number of tuples in {0..r-1}^k with max - min <= g (g >= 0)."""
+    if g >= r - 1:
+        return r**k
+    return (r - g) * ((g + 1) ** k - g**k) + g**k
+
+
+def gap_pair_count(r: int, m: int) -> int:
+    """Number of pairs in {1..r}^2 whose coordinates differ by less than ``m``.
+
+    The ``k = 2`` gap-tuple count, ``r^2 - (r-m)(r-m+1)``.  Only defined
+    for ``1 <= m <= r``.
+    """
+    if not 1 <= m <= r:
+        raise ValueError(f"need 1 <= m <= r, got m={m}, r={r}")
+    return _gap_tuple_count(r, m - 1, 2)
+
+
+def _separation_bound(r: int, maxd: int) -> int:
+    """What a gap of a staircase stage of ``r`` cuts must exceed: the triangular
+    spread plus twice the accumulated descendant spread ``maxd``, so that wide
+    index tuples stay misaligned."""
+    return r * (r - 1) + 2 * maxd + 1
+
+
 class RankOneSpec:
     """A lazily materialized rank-one construction.
 

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from rankone.analysis import _separation_bound, gap_pair_count
 from rankone.core import (
     Budget,
     CapsMakeConstructionUnfaithful,
@@ -28,7 +27,9 @@ from rankone.core import (
     RankOneSpec,
     StageSpec,
     _check_int,
+    _separation_bound,
     explicit_spec,
+    gap_pair_count,
 )
 
 RSeq = int | Sequence[int] | Callable[[int], int]
@@ -230,7 +231,7 @@ def _two_phase(
     subcolumns, capped by ``caps``.  The even stage predicts that count and
     pads its last copy so that ``h_{n+2}``, hence each gap of the odd stage,
     is one past the separation bound
-    :func:`rankone.analysis._separation_bound` or the floor
+    :func:`rankone.core._separation_bound` or the floor
     ``pad(r_{n+1}, h)``, whichever is larger.
     """
 

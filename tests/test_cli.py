@@ -1,14 +1,16 @@
 """End-to-end tests for the command-line front end.
 
 Most tests drive ``cli.main`` in-process and read stdout/stderr through
-capsys; one test round-trips through a real subprocess to confirm the
-output is byte-identical across interpreter runs.
+capsys; a few run real subprocesses, to confirm the output is
+byte-identical across interpreter runs, that small commands load no
+certificate module, and that a closed stdout ends a run quietly.
 """
 
 import argparse
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import inspect
 import json
@@ -20,6 +22,7 @@ import sys
 import tracemalloc
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -740,6 +743,222 @@ def test_golden_cli_digests(specfile, capsys):
             h.update(f"{fmt} {code}\n{out}\0".encode())
         digests[name] = (code, h.hexdigest())
     assert digests == GOLDEN_DIGESTS
+
+
+# -- the JSON writer -----------------------------------------------------------------
+
+# cli._emit writes JSON in one pass over the raw payload; the JSON image built
+# by cli._jsonable and printed by json.dumps is the oracle it must match byte
+# for byte.
+
+
+def _json_oracle(v) -> str:
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(cli._jsonable(v), indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _oracle_writer(v, out) -> None:
+    out.write(_json_oracle(v))
+
+
+def _written(v) -> str:
+    out = io.StringIO()
+    cli._emit(v, "json", out)
+    return out.getvalue()
+
+
+_EDGE_INTS = [2**53 - 1, 2**53, 10**4400 + 7]  # the last past the default digit limit
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.tuples(st.sampled_from([1, -1]), st.integers(0, 2)).map(lambda s: s[0] * _EDGE_INTS[s[1]]),
+    st.fractions(),
+    st.integers(-5, 5).map(Fraction),  # whole: printed "3", not "3/1"
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300]),
+    st.text(),
+    st.sampled_from(["é", "\x00\t\n\x1f\x7f", " ", "😀", "%s", '"\\']),
+)
+_keys = st.one_of(
+    st.text(max_size=3),
+    st.sampled_from(["1", "%", "%s", "a%%b", "é"]),
+    st.integers(-2, 2),  # 1 and "1" collide after str()
+)
+
+
+@st.composite
+def _row_lists(draw, values):
+    """Rows that share one key set, now and then one with other keys."""
+    keys = draw(st.lists(_keys, min_size=1, max_size=4))
+    rows = draw(st.lists(st.fixed_dictionaries({k: values for k in keys}), max_size=6))
+    if rows and draw(st.booleans()):
+        odd = dict(rows[0])
+        odd[draw(_keys)] = draw(values)
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    return rows
+
+
+_payloads = st.recursive(
+    _scalars,
+    lambda values: st.one_of(
+        st.lists(values, max_size=5),
+        st.lists(values, max_size=5).map(tuple),
+        st.dictionaries(_keys, values, max_size=5),
+        _row_lists(values),
+        st.builds(
+            analysis.CertificateReport,
+            kind=st.text(max_size=5),
+            horizon=st.integers(),
+            verdict=st.text(max_size=5),
+            rows=_row_lists(values).map(tuple),
+            summary=st.dictionaries(_keys, values, max_size=3),
+            notes=st.lists(st.text(max_size=5), max_size=2).map(tuple),
+        ),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=_payloads)
+def test_json_writer_matches_the_json_image(v):
+    assert _written(v) == _json_oracle(v)
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 9000])
+@pytest.mark.parametrize(
+    "odd",
+    [None, 0, 4096, -1],
+    ids=["uniform", "odd-first", "odd-at-batch", "odd-last"],
+)
+def test_json_writer_matches_on_long_lists(n, odd):
+    rows = [{"k": i, "ratio": Fraction(i, 7), "big": 2**53 + i} for i in range(n)]
+    scalars = [Fraction(i, 3) for i in range(n)]
+    if odd is not None:
+        odd %= n
+        rows[odd] = {"k": [odd, {"x": None}], "ratio": "%"}
+        scalars[odd] = {"nested": [scalars[odd]]}
+    v = {"rows": rows, "result": {"scalars": scalars, "empty": [], "n": n}}
+    assert _written(v) == _json_oracle(v)
+
+
+def test_integers_are_strings_from_2_to_the_53():
+    for n in (2**53 - 1, -(2**53 - 1)):
+        assert cli._jsonable(n) == n
+        assert _written(n) == f"{n}\n"
+    for n in (2**53, -(2**53)):
+        assert cli._jsonable(n) == str(n)
+        assert _written(n) == f'"{n}"\n'
+
+
+def test_json_writer_matches_a_real_report():
+    rep = analysis.nonergodicity_certificate(gallery.staircase(), 1, 3)
+    assert _written({"report": rep}) == _json_oracle({"report": rep})
+
+
+def _both_paths(monkeypatch, capsys, argv) -> tuple[tuple, tuple]:
+    """(exit code, stdout) of a run, then of a run printing the JSON image."""
+    new = run_cli(capsys, *argv)[:2]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_write_json", _oracle_writer)
+        old = run_cli(capsys, *argv)[:2]
+    return new, old
+
+
+def test_golden_commands_write_what_the_json_image_prints(specfile, monkeypatch, capsys):
+    for _, data, argv in _GOLDEN:
+        new, old = _both_paths(monkeypatch, capsys, [*argv, "--spec", specfile(data)])
+        assert new == old, argv
+
+
+def test_benchmark_large_commands_write_what_the_json_image_prints(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    fresh = [name for name in ("clirun", "common") if name not in sys.modules]
+    try:
+        clirun = importlib.import_module("clirun")
+        paths = clirun.write_spec_files(tmp_path)
+        for cmd in clirun.LARGE:
+            new, old = _both_paths(monkeypatch, capsys, clirun.argv_for(cmd, paths))
+            assert new[0] == 0
+            assert new == old, cmd[0]
+    finally:
+        for name in fresh:
+            sys.modules.pop(name, None)
+
+
+class _ByteCount:
+    def __init__(self) -> None:
+        self.n = 0
+
+    def write(self, text: str) -> None:
+        self.n += len(text)
+
+
+def test_json_writer_streams_long_lists():
+    rows = [{"k": k, "ratio": Fraction(k, 7)} for k in range(100_000)]
+    sink = _ByteCount()
+    tracemalloc.start()
+    try:
+        cli._emit({"rows": rows}, "json", sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one string of the whole document, or a JSON image of the rows, takes
+    # tens of megabytes here
+    assert sink.n > 5_000_000
+    assert peak < 2_000_000
+
+
+# -- process boundaries ----------------------------------------------------------------
+
+_CERTIFICATE_MODULES = ("rankone.analysis", "rankone.tower", "rankone.oracle", "csv", "traceback")
+
+
+def test_small_commands_import_no_certificate_module(specfile):
+    path = specfile(STAIR)
+    code = f"""
+import contextlib, io, sys
+import rankone.gallery
+print(sorted(m for m in {_CERTIFICATE_MODULES!r} if m in sys.modules))
+from rankone import cli
+for argv in (["describe", "-n", "4"], ["heights", "--stage", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--spec", {path!r}]) == 0
+print(sorted(m for m in {_CERTIFICATE_MODULES!r} if m in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "[]\n[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered, read",
+    [
+        # 337 kB of JSON, far more than a pipe holds, cut after 100 bytes
+        (["descendants", "--i", "0", "--j", "6"], "1", 100),
+        (["descendants", "--i", "0", "--j", "6"], "", 100),
+        # a few lines that wait in stdout's buffer until the flush at the end
+        (["describe", "-n", "3"], "", 0),
+    ],
+    ids=["large-unbuffered", "large-buffered", "small-buffered"],
+)
+def test_closed_stdout_ends_quietly(argv, unbuffered, read, specfile):
+    argv = [sys.executable, "-m", "rankone.cli", *argv, "--spec", specfile(STAIR)]
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(read)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert len(head) == read
+    assert err == b""
 
 
 def test_fingerprint_consistent_across_commands(specfile, capsys):
