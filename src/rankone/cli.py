@@ -503,7 +503,7 @@ def _h_koopman(args, spec):
         if span <= 0:
             raise ValueError("need kmin < kmax")
         spec.budget.check("max_iterate", args.samples, "{} samples")
-        ks = [args.kmin + rng.next_below(span) for _ in range(args.samples)]
+        ks = [args.kmin + (u * span >> 64) for u in rng.block(args.samples)]
     B = tower.level_set(spec, args.stage, args.levels)
     rep = analysis.koopman_decay_check(spec, B, ks)
     # the shifts drawn are the input, not the options that drew them

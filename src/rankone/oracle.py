@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from sys import byteorder
 from typing import Sequence
 
 from rankone.analysis import AlphaProfile, rigidity_ratio
@@ -29,9 +32,7 @@ from rankone.core import BudgetExceeded, IntSet, RankOneSpec, descendant_set
 from rankone.tower import (
     LevelSet,
     Point,
-    _height_in,
     _probe_stage,
-    _walk,
     apply_pointwise,
     least_valid_stage,
     measure,
@@ -41,6 +42,7 @@ from rankone.tower import (
 
 _DEFAULT_CELL_LIMIT = 1_000_000
 _DEFAULT_OP_LIMIT = 100_000_000
+_BLOCK = 1024  # Monte Carlo samples drawn and walked together
 
 
 def brute_descendants(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
@@ -274,16 +276,50 @@ def brute_apply_pointwise(spec: RankOneSpec, p: Point, k: int, stage: int = 0) -
     return Point(n, h + k, x)
 
 
+def _native(image: bytes | bytearray) -> memoryview:
+    """The 64-bit words of a native-order integer image, least significant first."""
+    words = memoryview(image).cast("Q")
+    return words if byteorder == "little" else words[::-1]
+
+
+def _lanes(values) -> int:
+    """64-bit words (an ``array("Q")`` or a ``"Q"`` memoryview) packed into
+    128-bit lanes, the first in the lowest."""
+    image = bytearray(16 * len(values))
+    _native(image)[0::2] = values
+    return int.from_bytes(image, byteorder)
+
+
+def _words(x: int, count: int) -> memoryview:
+    """The ``2 * count`` 64-bit words of ``x``, least significant first.
+
+    Word ``2j`` is the low half of lane ``j``, word ``2j + 1`` its high half.
+    """
+    return _native(x.to_bytes(16 * count, byteorder))
+
+
+def _low_halves(count: int) -> int:
+    """The mask of the low 64 bits of each of ``count`` 128-bit lanes."""
+    return int.from_bytes((b"\xff" * 8 + bytes(8)) * count, "little")
+
+
 class SplitMix64:
-    """Tiny deterministic 64-bit generator for reproducible sampling."""
+    """Tiny deterministic 64-bit generator for reproducible sampling.
+
+    The mixing function of Steele, Lea and Flood, "Fast splittable
+    pseudorandom number generators" (OOPSLA 2014), over the states
+    ``seed + j * GAMMA mod 2^64``.
+    """
 
     _MASK = (1 << 64) - 1
+    _GAMMA = 0x9E3779B97F4A7C15
+    _CHUNK = 2 * _BLOCK  # outputs mixed at once: a Monte Carlo block's two draws per sample
 
     def __init__(self, seed: int) -> None:
         self._state = seed & self._MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
+        self._state = (self._state + self._GAMMA) & self._MASK
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
@@ -292,6 +328,87 @@ class SplitMix64:
     def next_below(self, n: int) -> int:
         """Uniform-enough integer in [0, n) via multiply-shift."""
         return (self.next_u64() * n) >> 64
+
+    def block(self, count: int) -> list[int]:
+        """The next ``count`` outputs, with the state left as ``count`` calls of
+        :meth:`next_u64` would leave it; a ``count`` below 1 draws nothing.
+
+        Outputs are mixed in chunks of ``_CHUNK``.  The states of a chunk
+        form an arithmetic progression, so they pack
+        into one integer with 128-bit lanes, lane ``j`` holding
+        ``state + (j + 1) * GAMMA`` (``state * ONES + GAMMA * IDX``, masked to
+        the low 64 bits of each lane).  Each mixing step is then one
+        big-integer operation and a per-lane mask: a right shift pulls the
+        next lane's low bits only into the high half, which the mask clears
+        before the multiply, and a value below 2^64 times a 64-bit constant
+        stays below 2^128, so no lane carries into the next.
+        """
+        out: list[int] = []
+        while count > 0:
+            n = min(count, self._CHUNK)
+            out += self._mix(n)[0::2].tolist()
+            count -= n
+        return out
+
+    def _mix(self, n: int) -> memoryview:
+        """The next ``n`` outputs, ``n <= _CHUNK``, as the low words (even
+        indices) of the :func:`_words` of ``n`` lanes."""
+        ones, steps, low = _generator_lanes()
+        z = (self._state * ones + steps) & low & ((1 << 128 * n) - 1)
+        z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+        self._state = (self._state + n * self._GAMMA) & self._MASK
+        return _words(z ^ (z >> 31), n)
+
+
+@cache
+def _generator_lanes() -> tuple[int, int, int]:
+    """:meth:`SplitMix64._mix`'s constants over a chunk's lanes: ``ONES``,
+    ``GAMMA * IDX`` and the low-half mask."""
+    count = SplitMix64._CHUNK
+    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+    steps = SplitMix64._GAMMA * _lanes(array("Q", range(1, count + 1)))
+    return ones, steps, _low_halves(count)
+
+
+def _cut_lanes(offsets: int, r: int, low: int, count: int) -> tuple[list[int], int]:
+    """One stage of the walk for ``count`` offsets ``u``, packed in 128-bit lanes.
+
+    Returns the cuts ``u * r >> 64`` and the offsets ``u * r mod 2^64``,
+    packed.  A lane holds ``u * r`` only while ``r < 2^64``; a larger ``r``
+    is multiplied in by its low 64 bits, and ``u * (r >> 64)`` joins each cut
+    one sample at a time, so no lane ever carries into the next.
+    """
+    p = offsets * (r & SplitMix64._MASK)
+    cuts = _words(p, count)[1::2].tolist()
+    if r >> 64:
+        high = r >> 64
+        cuts = [c + u * high for c, u in zip(cuts, _words(offsets, count)[0::2])]
+    return cuts, p & low
+
+
+def _block_hits(spec: RankOneSpec, B: LevelSet, k: int, draws: memoryview) -> int:
+    """How many of the samples drawn as ``draws``, the words of
+    :meth:`SplitMix64._mix` (a level pick, then an offset, per sample), land in
+    ``B`` after ``k`` steps."""
+    count, levels = len(draws) // 4, B.heights
+    low = _low_halves(count)
+    # a pick u * |B| >> 64 is the cut of a stage with |B| subcolumns
+    picks, _ = _cut_lanes(_lanes(draws[0::4]), len(levels), low, count)
+    hs = [levels[i] + k for i in picks]  # the shifted levels h + k
+    offsets = _lanes(draws[2::4])
+    n = B.stage
+    while not (max(hs) < spec.height(n) and min(hs) >= 0):
+        r = spec.stage(n).r
+        H = spec.height_set(n)
+        cuts, offsets = _cut_lanes(offsets, r, low, count)
+        hs = [h + H[c] for h, c in zip(hs, cuts)]
+        n += 1
+    right = bisect.bisect_right
+    for m in reversed(range(B.stage, n)):
+        H = spec.height_set(m)
+        hs = [h - H[right(H, h) - 1] for h in hs]
+    return sum(map(set(levels).__contains__, hs))
 
 
 def monte_carlo_measure(
@@ -303,17 +420,36 @@ def monte_carlo_measure(
     pointwise, and counts returns to ``B``.  Returns the exact-rational
     estimate ``mu(B) * hits / samples`` plus a float standard error; the
     estimate is a diagnostic, never a certificate value.
+
+    Each sample takes two draws of :class:`SplitMix64`: a level of ``B``
+    (``u * |B| >> 64``) and its offset, ``u / 2^64`` of the column width.
+    Samples go in blocks of 1024, so memory does not grow with ``samples``,
+    and the code shares nothing with :mod:`rankone.tower`'s walk.
+    A block walks one stage at a time: its offsets sit in 128-bit lanes of
+    one integer, and one multiply by ``r_n`` gives every sample's cut (the
+    high 64 bits of its lane) and new offset (the low 64 bits); a lane holds
+    ``u * r_n < 2^128`` while ``r_n < 2^64``, and a larger cut count is
+    split so that no lane carries.  The block walks until every sample
+    satisfies ``0 <= h + k < h_n``, then projects every ``h + k`` down to
+    ``B.stage`` by bisection.
+
+    Lemma: once ``0 <= h + k < h_n`` holds at stage ``n``, it holds at every
+    later stage, and projecting down returns the same level.  Copy ``c`` of
+    ``C_n`` sits at ``[H_n[c], H_n[c] + h_n)`` inside ``C_{n+1}``, and the
+    gaps of ``H_n`` are at least ``h_n``, so the walk adds ``H_n[c]`` to
+    ``h + k`` and the bisection takes it off again.  Walking a sample past
+    its own stopping stage therefore changes no hit, and the estimate is the
+    one the point-by-point walk gives.  A level that projects into spacers
+    stays at or above the column top all the way down (``h_{m+1}`` is at
+    least ``max H_m + h_m``), so it is never counted.
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples for a usable estimate, got {samples}")
     spec.budget.check("max_iterate", samples, "{} samples")
     rng = SplitMix64(seed)
     hits = 0
-    for _ in range(samples):
-        h = B.heights[rng.next_below(len(B.heights))]
-        # the offset, in units of the column width, is the next draw over 2^64
-        n, h, _ = _walk(spec, B.stage, h, rng.next_u64(), 1 << 64, k, B.stage)
-        hits += _height_in(spec, n, h, B)
+    for start in range(0, samples, _BLOCK):
+        hits += _block_hits(spec, B, k, rng._mix(2 * min(_BLOCK, samples - start)))
     p_hat = hits / samples
     stderr = float(measure(spec, B)) * math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return measure(spec, B) * Fraction(hits, samples), stderr

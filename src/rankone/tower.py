@@ -159,17 +159,12 @@ def project_height(spec: RankOneSpec, stage: int, height: int, n: int) -> int | 
     return h
 
 
-def _height_in(spec: RankOneSpec, n: int, h: int, B: LevelSet) -> bool:
-    """Whether level ``h`` of ``C_n``, ``n >= B.stage``, lies in ``B``."""
-    h = project_height(spec, n, h, B.stage)
-    return h is not None and bisect_left(B.heights, h) < bisect_right(B.heights, h)
-
-
 def point_in(spec: RankOneSpec, p: Point, B: LevelSet) -> bool:
     """Membership of a point in a level set, regardless of address stages."""
     if p.stage < B.stage:
         p = lift_to(spec, p, B.stage)
-    return _height_in(spec, p.stage, p.height, B)
+    h = project_height(spec, p.stage, p.height, B.stage)
+    return h is not None and bisect_left(B.heights, h) < bisect_right(B.heights, h)
 
 
 def apply_pointwise(spec: RankOneSpec, p: Point, k: int) -> Point:

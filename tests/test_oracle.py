@@ -1,6 +1,8 @@
 """Independent cross-checks: brute-force unfolding, sampling, orbit stepping."""
 
 import math
+import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,11 @@ from hypothesis import strategies as st
 from rankone import gallery
 from rankone.core import Budget, BudgetExceeded, descendant_set, explicit_spec, sum_set
 from rankone.oracle import (
+    _BLOCK,
     SplitMix64,
+    _cut_lanes,
+    _lanes,
+    _low_halves,
     brute_apply_pointwise,
     brute_descendants,
     brute_shared_coordinate_fraction,
@@ -25,6 +31,7 @@ from rankone.tower import (
     measure,
     point,
     point_eq,
+    point_in,
     translate_intersection_measure,
 )
 from rankone import analysis
@@ -100,6 +107,39 @@ def test_splitmix_below_and_unit():
     vals = [rng.next_below(10) for _ in range(200)]
     assert all(0 <= v < 10 for v in vals)
     assert len(set(vals)) == 10
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 4097])
+def test_splitmix_block_is_single_draws(seed, n):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    assert rng.block(n) == [ref.next_u64() for _ in range(n)]
+    assert rng.next_u64() == ref.next_u64()
+
+
+def test_splitmix_block_and_single_draws_interleave():
+    rng, ref = SplitMix64(2**64 - 1), SplitMix64(2**64 - 1)
+    got = []
+    for n in (3, 0, 1, 2048, 5, 2049, -4):
+        got += rng.block(n)
+        got.append(rng.next_u64())
+        got.append(rng.next_below(7))
+    want = []
+    for n in (3, 0, 1, 2048, 5, 2049, -4):
+        want += [ref.next_u64() for _ in range(n)]
+        want.append(ref.next_u64())
+        want.append(ref.next_below(7))
+    assert got == want
+
+
+def test_cut_lanes_never_carry_across_lanes():
+    # a cut count of 2^64 or more cannot be materialized (a stage lists one
+    # spacer count per cut), so the split of a wide r is checked directly
+    us = array("Q", [0, 1, 2**63, 2**64 - 1, *SplitMix64(3).block(7)])
+    for r in (2, 3, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 5, 3**50):
+        cuts, packed = _cut_lanes(_lanes(us), r, _low_halves(len(us)), len(us))
+        assert cuts == [u * r >> 64 for u in us]
+        assert packed == _lanes(array("Q", [u * r % (1 << 64) for u in us]))
 
 
 def test_monte_carlo_exact_zero():
@@ -186,6 +226,76 @@ def test_monte_carlo_estimates_are_pinned():
         (Fraction(67, 800), 0.00186336668872948),
         (Fraction(179, 750), 0.007146654228844898),
     ]
+
+
+def test_monte_carlo_memory_does_not_grow_with_samples():
+    sp = gallery.staircase()
+    B = level_set(sp, 2, (0, 5))
+    monte_carlo_measure(sp, B, 7, 1000, seed=1)  # stages and generator constants built
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            monte_carlo_measure(sp, B, 7, samples, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(50_000) <= 2 * peak(1000)
+
+
+def _twin_estimate(spec, B, k, samples, seed):
+    """``monte_carlo_measure``'s estimate one sample at a time, through the public API."""
+    rng = SplitMix64(seed)
+    hits = 0
+    for _ in range(samples):
+        h = B.heights[rng.next_below(len(B.heights))]
+        x = Fraction(rng.next_u64(), 1 << 64) * spec.width(B.stage)
+        hits += point_in(spec, apply_pointwise(spec, point(spec, B.stage, h, x), k), B)
+    return measure(spec, B) * Fraction(hits, samples)
+
+
+def _criterion_9_sets(budget):
+    """The spec and level set of each row of acceptance criterion 9, under ``budget``."""
+    stair, koop = gallery.staircase(budget=budget), gallery.koopman(budget=budget)
+    tq = gallery.t_q(2, gallery.Caps(max_r=6), budget=budget)
+    triple = explicit_spec(TRIPLE, cycle=True, budget=budget)
+    return [
+        (stair, (1, (0,))),
+        (stair, (2, (0, 5))),
+        (koop, (1, (0,))),
+        (tq, (2, (0, 3))),
+        (triple, (1, (0, 3))),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::rankone.core.CapsMakeConstructionUnfaithful")
+@settings(max_examples=40, deadline=None)
+@given(
+    row=st.integers(0, 4),
+    max_stage=st.none() | st.integers(2, 5),
+    samples=st.sampled_from([1000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7]),
+    seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_monte_carlo_matches_pointwise_twin(row, max_stage, samples, seed, data):
+    # blocks walk every sample to the deepest stopping stage of the block;
+    # the hits, so the estimates, must be those of the walk one point at a time
+    budget = Budget() if max_stage is None else Budget(max_stage=max_stage)
+    spec, (stage, levels) = _criterion_9_sets(budget)[row]
+    B = level_set(spec, stage, levels)
+    h = spec.height(stage + 1) if max_stage is None or stage < max_stage else spec.height(stage)
+    k = data.draw(st.just(0) | st.integers(-h, h))
+    got = _outcome(lambda: monte_carlo_measure(spec, B, k, samples, seed)[0])
+    assert got == _outcome(_twin_estimate, spec, B, k, samples, seed)
+
+
+def test_monte_carlo_refuses_as_its_twin():
+    sp = gallery.staircase(budget=Budget(max_stage=2))
+    B = level_set(sp, 1, (0,))
+    want = ("refused", "stage 3 exceeds max_stage=2")
+    assert _outcome(monte_carlo_measure, sp, B, sp.height(2), 1000, 0) == want
+    assert _outcome(_twin_estimate, sp, B, sp.height(2), 1000, 0) == want
 
 
 def _outcome(fn, *args):
