@@ -8,9 +8,9 @@ rewrites an address stage by stage, the offset is an integer numerator
 ``num`` over a fixed denominator ``den``, relative to the column width:
 ``x = (num / den) w_n``.  One stage up, ``num * r_n = c * den + num'`` picks
 the cut ``c`` and the new numerator, so ``den`` never changes and no gcd
-runs; this is the mixed-radix (odometer) address of the point.
-:class:`fractions.Fraction` appears only where a :class:`Point` enters or
-leaves the walk.
+runs; this is the mixed-radix (odometer) address of the point.  A
+:class:`Point` enters the walk with no :class:`fractions.Fraction` built, and
+one is built at exit only for a point that was lifted.
 
 Measurable sets are finite unions of levels, :class:`LevelSet`.  All
 measures are exact :class:`fractions.Fraction` values: a level of ``C_n``
@@ -105,26 +105,29 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
     return B if n == B.stage else LevelSet(n, _refined(spec, B.heights, B.stage, n))
 
 
-def _walk(spec: RankOneSpec, n: int, h: int, num: int, den: int, k: int, stage: int):
-    """Lift the point at height ``h`` of ``C_n``, offset ``num / den`` of the width,
-    until it is addressed at ``stage`` or later and a shift by ``k`` stays in the column.
+def _walk(spec: RankOneSpec, p: Point, k: int, stage: int):
+    """Lift ``p`` until it is addressed at ``stage`` or later and a shift by
+    ``k`` stays in the column.
 
-    Returns the stage, the shifted height ``h + k`` and the new numerator.  The
-    offset selects the subcolumn: cut ``c = floor(num * r_n / den)``, after
-    which the height gains the c-th entry of ``H_n``.
+    Returns the stage, the shifted height ``h + k`` and the offset as ``num / den``
+    of that column's width, unreduced.  The offset selects the subcolumn: cut
+    ``c = floor(num * r_n / den)``, after which the height gains the c-th entry of ``H_n``.
     """
+    n, h, x = p.stage, p.height, p.offset
+    num, den = x.numerator * spec.width_denominator(n), x.denominator
     while n < stage or not 0 <= h + k < spec.height(n):
         c, num = divmod(num * spec.stage(n).r, den)
         h += spec.height_set(n)[c]
         n += 1
-    return n, h + k, num
+    return n, h + k, num, den
 
 
 def _moved(spec: RankOneSpec, p: Point, k: int, stage: int) -> Point:
-    """:func:`_walk` from and back to a :class:`Point`, one ``Fraction`` each way."""
-    u = p.offset * spec.width_denominator(p.stage)
-    n, h, num = _walk(spec, p.stage, p.height, u.numerator, u.denominator, k, stage)
-    return Point(n, h, Fraction(num, u.denominator * spec.width_denominator(n)))
+    """:func:`_walk` from and back to a :class:`Point`; a new ``Fraction`` only after a lift."""
+    if p.stage >= stage and 0 <= p.height + k < spec.height(p.stage):
+        return Point(p.stage, p.height + k, p.offset)
+    n, h, num, den = _walk(spec, p, k, stage)
+    return Point(n, h, Fraction(num, den * spec.width_denominator(n)))
 
 
 def lift_to(spec: RankOneSpec, p: Point, n: int) -> Point:
@@ -137,8 +140,8 @@ def lift_to(spec: RankOneSpec, p: Point, n: int) -> Point:
 def point_eq(spec: RankOneSpec, p: Point, q: Point) -> bool:
     """Whether two addresses denote the same point of the space."""
     n = max(p.stage, q.stage)
-    p, q = lift_to(spec, p, n), lift_to(spec, q, n)
-    return p.height == q.height and p.offset == q.offset
+    (_, hp, a, da), (_, hq, b, db) = _walk(spec, p, 0, n), _walk(spec, q, 0, n)
+    return hp == hq and a * db == b * da
 
 
 def project_height(spec: RankOneSpec, stage: int, height: int, n: int) -> int | None:
@@ -161,9 +164,8 @@ def project_height(spec: RankOneSpec, stage: int, height: int, n: int) -> int | 
 
 def point_in(spec: RankOneSpec, p: Point, B: LevelSet) -> bool:
     """Membership of a point in a level set, regardless of address stages."""
-    if p.stage < B.stage:
-        p = lift_to(spec, p, B.stage)
-    h = project_height(spec, p.stage, p.height, B.stage)
+    n, h, _, _ = _walk(spec, p, 0, B.stage)
+    h = project_height(spec, n, h, B.stage)
     return h is not None and bisect_left(B.heights, h) < bisect_right(B.heights, h)
 
 

@@ -273,6 +273,35 @@ def test_declared_properties_hold():
             analysis.nonconservativity_check(sp, 2, horizon)  # raises if a stage is no staircase
 
 
+@pytest.mark.parametrize(
+    "build, arg",
+    [
+        (gallery.koopman, None),
+        (gallery.not_eic, 2),
+        (gallery.not_eic, 3),
+        (gallery.partition_staircase, 2),
+        (gallery.partition_staircase, 3),
+    ],
+)
+def test_declared_divisor_holds_at_the_deepest_horizon(build, arg):
+    # every builder that declares all-heights-divisible-by-d, checked as deep as
+    # the default budget materializes height sets, not at a hand-picked horizon
+    sp = build() if arg is None else build(arg)
+    divisors = analysis._declared_divisors(sp)
+    assert divisors
+    horizon = 1
+    while True:
+        try:
+            analysis.divisibility_gcd(sp, horizon + 1)
+        except BudgetExceeded:
+            break
+        horizon += 1
+    assert horizon >= 8
+    g, verdict = analysis.divisibility_gcd(sp, horizon)
+    assert verdict == "not-weak-mixing"
+    assert all(g % d == 0 for d in divisors.values()), (sp.name, horizon, g)
+
+
 def test_declared_divisor_lie_is_refuted():
     from rankone.core import RankOneSpec
 

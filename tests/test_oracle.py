@@ -25,6 +25,7 @@ from rankone.oracle import (
     stepwise_orbit_check,
 )
 from rankone.tower import (
+    Point,
     apply_pointwise,
     level_set,
     lift_to,
@@ -333,11 +334,23 @@ def test_pointwise_map_matches_fraction_twin(stages, data):
         return point(spec, stage, h, frac * spec.width(stage))
 
     p, q = draw_point(), draw_point()
-    k = data.draw(st.integers(-reach, reach))
-    assert _outcome(apply_pointwise, spec, p, k) == _outcome(brute_apply_pointwise, spec, p, k)
-    n = data.draw(st.integers(p.stage, top + 1))
-    assert _outcome(lift_to, spec, p, n) == _outcome(brute_apply_pointwise, spec, p, 0, n)
+    # a shift that stays in p's column takes the map's no-lift path
+    stay = st.integers(-p.height, spec.height(p.stage) - 1 - p.height)
+    k = data.draw(st.just(0) | stay | st.integers(-reach, reach))
+    assert _image(apply_pointwise, spec, p, k) == _image(brute_apply_pointwise, spec, p, k)
+    n = data.draw(st.just(p.stage) | st.integers(p.stage + 1, top + 1))
+    assert _image(lift_to, spec, p, n) == _image(brute_apply_pointwise, spec, p, 0, n)
     m = max(p.stage, q.stage)
     same = brute_apply_pointwise(spec, p, 0, m) == brute_apply_pointwise(spec, q, 0, m)
     assert point_eq(spec, p, q) == same
+    # the same point under a deeper address, whose offset has another denominator
+    deeper = brute_apply_pointwise(spec, p, 0, min(n, top))
+    assert point_eq(spec, p, deeper) and point_eq(spec, deeper, p)
     assert point_eq(spec, p, brute_apply_pointwise(spec, p, 0, m))
+
+
+def _image(fn, *args):
+    """The repr of a map's image, or its refusal; an image offset is always a ``Fraction``."""
+    out = _outcome(fn, *args)
+    assert not isinstance(out, Point) or type(out.offset) is Fraction
+    return repr(out)

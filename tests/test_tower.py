@@ -11,6 +11,7 @@ from rankone.core import BudgetExceeded, explicit_spec
 from rankone.oracle import brute_descendants
 from rankone.tower import (
     LevelSet,
+    Point,
     apply_pointwise,
     intersection_measure,
     least_valid_stage,
@@ -78,6 +79,12 @@ def test_refine_multilevel_no_late_binding(sp):
     B = level_set(sp, 1, (0, 3))
     R = refine(sp, B, 2)
     assert R.heights == (0, 3, 6, 9, 13, 16)
+
+
+def test_point_constructor_coerces_the_offset():
+    # the map returns an unlifted point's offset as it is, so it must be a Fraction
+    x = Point(0, 0, 0).offset
+    assert x == Fraction(0) and type(x) is Fraction
 
 
 def test_lift_walks_cuts(sp):
