@@ -73,24 +73,6 @@ class CertificateReport:
     notes: tuple[str, ...] = ()
 
 
-# -- elementary counts -------------------------------------------------------
-
-
-def triangular_gap(a: int, b: int, c: int) -> int:
-    """Gap between two equal-length runs of consecutive-integer sums.
-
-    The sum of ``c`` consecutive integers starting above position ``a``
-    minus the same starting above ``b`` is exactly ``c (a - b)``; this
-    returns its absolute value.  Requires ``|c| < min(a, b)`` so both runs
-    have valid positions.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("positions must be nonnegative")
-    if abs(c) >= min(a, b):
-        raise ValueError(f"need |c| < min(a, b), got a={a}, b={b}, c={c}")
-    return abs(c) * abs(a - b)
-
-
 # -- conservativity of Cartesian powers --------------------------------------
 
 
@@ -347,14 +329,6 @@ def nonergodicity_certificate(
 
 
 # -- rigidity and partial rigidity --------------------------------------------
-
-
-def rigidity_ratio(H: Sequence[int], a: int) -> Fraction:
-    """Fraction of a height set carried back into itself by a shift of ``a``."""
-    if not H:
-        raise ValueError("height set must be nonempty")
-    Hset = set(H)
-    return Fraction(sum(1 for x in H if x + a in Hset), len(H))
 
 
 def rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:

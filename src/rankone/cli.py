@@ -138,18 +138,6 @@ def _leaf(v):
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-def _jsonable(v):
-    """Deterministic JSON image of a payload, every scalar by :func:`_leaf`."""
-    x = _leaf(v)
-    if x is not _BRANCH:
-        return x
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return {f: _jsonable(getattr(v, f)) for f in v.__dataclass_fields__}
-
-
 def _leaf_text(x) -> str:
     """JSON text of a scalar image, as ``json.dumps`` writes it."""
     if isinstance(x, str):
@@ -210,8 +198,10 @@ def _batch_text(batch, nl: str) -> str | None:
 
 
 def _write_json(v, out) -> None:
-    """Write ``json.dumps(_jsonable(v), indent=2, sort_keys=True)`` and a newline
-    to ``out`` in one pass over the raw values.
+    """Write ``json.dumps`` of the JSON image of ``v`` (every scalar by
+    :func:`_leaf`, tuples as lists, dataclasses as dicts of their fields),
+    indented by 2 with sorted keys, and a newline to ``out`` in one pass over
+    the raw values.
 
     A list goes out in batches of ``_BATCH`` items, each one join where
     :func:`_batch_text` can and piece by piece where not.  Pieces are written
@@ -290,15 +280,16 @@ def _emit(payload: dict, fmt: str, out) -> None:
         if fmt == "json":
             _write_json(payload, out)
         else:
-            _write_table(_jsonable(payload), fmt, out)
+            _write_table(payload, fmt, out)
     finally:
         sys.set_int_max_str_digits(int_digits)
 
 
 def _write_table(payload: dict, fmt: str, out) -> None:
-    """Write the csv row table or the text summary of a payload's JSON image."""
-    rep = payload.get("report", {})
-    rows = rep.get("rows") or payload.get("rows") or []
+    """Write the csv row table or the text summary of a raw payload, every
+    scalar by :func:`_leaf`."""
+    rep = payload.get("report")
+    rows = (rep.rows if rep else ()) or payload.get("rows") or ()
     if fmt == "csv":
         if not rows:
             return
@@ -308,29 +299,31 @@ def _write_table(payload: dict, fmt: str, out) -> None:
         header = list(rows[0].keys())
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_csv_cell(row.get(k)) for k in header])
+            writer.writerow([_cell(row.get(k)) for k in header])
         return
     # text: a report's kind, verdict and summary, or the result; then the row
     # count of any payload with rows, and the notes
     out.write(f"command: {payload['command']}\n")
     out.write(f"spec: {payload['spec']['name']} ({payload['spec']['fingerprint'][:12]})\n")
     if rep:
-        out.write(f"kind: {rep['kind']}\nverdict: {rep['verdict']}\n")
-    for k, v in rep.get("summary", payload.get("result", {})).items():
-        out.write(f"{k}: {_csv_cell(v)}\n")
+        out.write(f"kind: {rep.kind}\nverdict: {rep.verdict}\n")
+    for k, v in (rep.summary if rep else payload.get("result", {})).items():
+        out.write(f"{k}: {_cell(v)}\n")
     if rows:
         out.write(f"rows: {len(rows)}\n")
-    for note in rep.get("notes", ()):
+    for note in rep.notes if rep else ():
         out.write(f"note: {note}\n")
     for note in payload["spec"]["notes"]:
         out.write(f"spec note: {note}\n")
 
 
-def _csv_cell(v):
-    """A list as its items joined by spaces, a dict item as its values joined by ': '."""
-    if isinstance(v, list):
-        return " ".join(": ".join(map(str, x.values())) if isinstance(x, dict) else str(x) for x in v)
-    return v
+def _cell(v):
+    """A scalar by :func:`_leaf`; a list as its items joined by spaces, a dict
+    item as its values joined by ': '."""
+    if isinstance(v, (list, tuple)):
+        items = (x.values() if isinstance(x, dict) else (x,) for x in v)
+        return " ".join(": ".join(str(_leaf(y)) for y in item) for item in items)
+    return _leaf(v)
 
 
 # -- argument plumbing ------------------------------------------------------------
@@ -400,6 +393,8 @@ def _h_descendants(args, spec):
 def _h_measure(args, spec):
     from rankone import tower
 
+    if args.other_stage is not None and args.other_levels is None:
+        raise ValueError("--other-stage needs --other-levels")
     B = tower.level_set(spec, args.stage, args.levels)
     other = B
     if args.other_levels is not None:

@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import combinations, compress, starmap
+from itertools import combinations, starmap
 from operator import neg, sub
 from sys import byteorder
 from typing import Callable, Iterable, Sequence
@@ -416,35 +416,22 @@ def _refined(spec: RankOneSpec, levels: IntSet, i: int, n: int) -> IntSet:
     return levels
 
 
-def difference_counts(
-    spec: RankOneSpec, i: int, n: int, lo: int | None = None, hi: int | None = None
-) -> Counter:
-    """Difference counts ``N(t) = #{(x, y) in D x D : y - x = t}`` of ``D = H_i + ... + H_{n-1}``.
+def difference_counts(spec: RankOneSpec, i: int, n: int, lo: int, hi: int) -> Counter:
+    """Difference counts ``N(t) = #{(x, y) in D x D : y - x = t}`` of ``D = H_i + ... + H_{n-1}``
+    in the window ``lo <= t <= hi``.
 
     ``D`` is the descendant set in ``C_n`` of the base of ``C_i``.  The sum is
     direct, so a pair ``(x, y)`` is one choice of pair per summand, and ``N``
     has the generating polynomial ``prod_m sum_{a, a' in H_m} x^(a - a')``: the
     combinatorial side of the Riesz product formula for rank-one spectral
-    measures.  No set is enumerated.
-
-    In full, that product is taken by :func:`_packed_product` where it is
-    dense and by the dict loop of :func:`_convolve` otherwise, once
-    ``|D|^2`` is within ``max_pairs``.  With ``lo`` and ``hi`` only
-    ``lo <= t <= hi`` is counted, with no pair budget.  Stages are then taken
-    top-down, and a partial sum is dropped as soon as the stages below it,
-    whose differences stay within ``max H_i + ... + max H_{m-1}``, can no
-    longer bring it into the window.
+    measures.  No set is enumerated, and no pair budget applies.  Stages are
+    taken top-down, and a partial sum is dropped as soon as the stages below
+    it, whose differences stay within ``max H_i + ... + max H_{m-1}``, can no
+    longer bring it into the window.  :func:`_difference_product` is the full
+    product.
     """
     if n < i:
         raise ValueError(f"need i <= n, got i={i}, n={n}")
-    if lo is None and hi is None:
-        N, _ = _difference_product(spec, i, n)
-        if isinstance(N, dict):
-            return Counter(N)
-        spread = len(N) // 2
-        return Counter(dict(zip(compress(range(-spread, spread + 1), N), filter(None, N))))
-    if lo is None or hi is None:
-        raise ValueError("a window needs both lo and hi")
     if n == i:
         return Counter({0: 1} if lo <= 0 <= hi else {})
     acc = {0: 1}
@@ -455,12 +442,12 @@ def difference_counts(
 
 
 def _difference_product(spec: RankOneSpec, i: int, n: int) -> tuple[memoryview | dict, int]:
-    """The full product of :func:`difference_counts` and its total ``|D|^2``.
+    """The counts of :func:`difference_counts` at every ``t``, and their total ``|D|^2``.
 
     ``|D|^2`` passes ``max_pairs`` first, so the product's operands are
-    bounded by the budget.  The product is :func:`_full_product`'s: digits
-    over ``[-spread, spread]`` for ``spread = max H_i + ... + max H_{n-1}``,
-    or a dict.
+    bounded by the budget.  The product is :func:`_full_product`'s, packed
+    where it is dense: digits over ``[-spread, spread]`` for
+    ``spread = max H_i + ... + max H_{n-1}``, or a dict.
     """
     size = descendant_count(spec, i, n)
     total = spec.budget.check("max_pairs", size**2, "{} pairs")

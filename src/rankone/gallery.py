@@ -388,8 +388,9 @@ def partition_staircase(
 
     Spacer counts grow in steps of ``k`` from a per-stage phase correction
     ``(-h_n) mod k``, so every height-set element is a multiple of ``k``
-    while the staircase shape survives.  With ``k = 1`` this is a plain
-    staircase in a shifted convention.
+    while the staircase shape survives.  With ``k = 1`` the correction is 0
+    and the stages are those of :func:`staircase` with the same ``r`` and
+    ``extend``.
     """
     _check_int("k", k, 1)
     r_of = _rule(r, extend, "cut count", floor=2)

@@ -27,7 +27,7 @@ from itertools import product
 from sys import byteorder
 from typing import Sequence
 
-from rankone.analysis import AlphaProfile, rigidity_ratio
+from rankone.analysis import AlphaProfile
 from rankone.core import BudgetExceeded, IntSet, RankOneSpec, descendant_set
 from rankone.tower import (
     LevelSet,
@@ -168,9 +168,10 @@ def brute_rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:
     """Twin of :func:`rankone.analysis.rigidity_scan`: the ratio of every shift."""
     H = spec.height_set(n)
     spec.budget.check("max_pairs", len(H) ** 2, "{} height pairs")
+    Hset = set(H)
     best_a, best_ratio = 0, Fraction(-1)
     for a in sorted({y - x for x in H for y in H if y > x}):
-        ratio = rigidity_ratio(H, a)
+        ratio = Fraction(sum(1 for x in H if x + a in Hset), len(H))
         if ratio > best_ratio:
             best_a, best_ratio = a, ratio
     return best_a, best_ratio

@@ -21,10 +21,8 @@ from rankone.analysis import (
     nonerg_pair_fraction,
     nonergodicity_certificate,
     rho_bound,
-    rigidity_ratio,
     rigidity_scan,
     staircase_subset_detect,
-    triangular_gap,
     wde_probe,
 )
 from rankone.core import (
@@ -71,30 +69,6 @@ def test_gap_pair_count_brute(r, data):
     m = data.draw(st.integers(1, r))
     brute = sum(1 for i in range(r) for j in range(r) if abs(i - j) < m)
     assert gap_pair_count(r, m) == brute
-
-
-def test_triangular_gap_frozen():
-    assert triangular_gap(5, 3, 2) == 4
-    assert triangular_gap(4, 3, 1) == 1
-    assert triangular_gap(4, 4, 3) == 0
-
-
-@given(a=st.integers(0, 50), b=st.integers(0, 50), data=st.data())
-def test_triangular_gap_identity(a, b, data):
-    lim = min(a, b)
-    if lim == 0:
-        c = 0
-        if lim <= 0:
-            return
-    c = data.draw(st.integers(-lim + 1, lim - 1))
-    assert triangular_gap(a, b, c) == abs(c) * abs(a - b)
-
-
-def test_triangular_gap_precondition():
-    with pytest.raises(ValueError):
-        triangular_gap(3, 5, 4)
-    with pytest.raises(ValueError):
-        triangular_gap(-1, 5, 0)
 
 
 # -- conservativity ----------------------------------------------------------
@@ -254,12 +228,6 @@ def test_nonergodicity_horizon_is_bounded_by_max_stage():
 
 
 # -- rigidity and alpha ------------------------------------------------------
-
-
-def test_rigidity_ratio_frozen():
-    assert rigidity_ratio((0, 4, 8, 12), 4) == Fraction(3, 4)
-    assert rigidity_ratio((0, 4, 8, 12), 1) == 0
-    assert rigidity_ratio((0, 4, 8, 12), 0) == 1
 
 
 def test_rigidity_scan_prefers_smallest_shift():

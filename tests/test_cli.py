@@ -170,6 +170,17 @@ def test_measure_self_and_cross(specfile, capsys):
     assert json.loads(out)["result"]["measure"] == "1/9"
 
 
+def test_measure_other_stage_needs_other_levels(specfile, capsys):
+    path = specfile(STAIR)
+    argv = ["measure", "--spec", path, "--stage", "2", "--levels", "0", "--k", "7"]
+    code, out, err = run_cli(capsys, *argv, "--other-stage", "3")
+    assert (code, out) == (4, "")
+    assert err == "precondition failed: --other-stage needs --other-levels\n"
+    code, out, _ = run_cli(capsys, *argv, "--other-stage", "3", "--other-levels", "0")
+    assert code == 0
+    assert json.loads(out)["result"]["quantity"] == "shifted-intersection"
+
+
 def test_check_cons_crossing(specfile, capsys):
     path = specfile(STAIR)
     code, out, _ = run_cli(
@@ -748,15 +759,27 @@ def test_golden_cli_digests(specfile, capsys):
 # -- the JSON writer -----------------------------------------------------------------
 
 # cli._emit writes JSON in one pass over the raw payload; the JSON image built
-# by cli._jsonable and printed by json.dumps is the oracle it must match byte
-# for byte.
+# by _jsonable and printed by json.dumps is the oracle it must match byte for
+# byte.
+
+
+def _jsonable(v):
+    """The JSON image of a payload, every scalar by ``cli._leaf``."""
+    x = cli._leaf(v)
+    if x is not cli._BRANCH:
+        return x
+    if isinstance(v, dict):
+        return {str(k): _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
+    return {f: _jsonable(getattr(v, f)) for f in v.__dataclass_fields__}
 
 
 def _json_oracle(v) -> str:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return json.dumps(cli._jsonable(v), indent=2, sort_keys=True) + "\n"
+        return json.dumps(_jsonable(v), indent=2, sort_keys=True) + "\n"
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -849,10 +872,10 @@ def test_json_writer_matches_on_long_lists(n, odd):
 
 def test_integers_are_strings_from_2_to_the_53():
     for n in (2**53 - 1, -(2**53 - 1)):
-        assert cli._jsonable(n) == n
+        assert _jsonable(n) == n
         assert _written(n) == f"{n}\n"
     for n in (2**53, -(2**53)):
-        assert cli._jsonable(n) == str(n)
+        assert _jsonable(n) == str(n)
         assert _written(n) == f'"{n}"\n'
 
 

@@ -1,8 +1,9 @@
 """Difference counts of descendant sets against explicit pair enumeration.
 
-``core.difference_counts`` multiplies per-stage difference multisets instead
+``core._difference_product`` multiplies per-stage difference multisets instead
 of listing pairs: as one packed big integer where the product is dense, by
-the dict convolution loop otherwise.  It is checked here against a plain
+the dict convolution loop otherwise; ``core.difference_counts`` takes the
+product in a window.  Both are checked here against a plain
 ``Counter`` of pair differences over sets unfolded by
 ``oracle.brute_descendants``, the packed kernel against the dict loop and
 pairs listed one by one, and every certificate routine built on them against
@@ -27,6 +28,7 @@ from rankone.core import (
     Budget,
     BudgetExceeded,
     _convolve,
+    _difference_product,
     _packed_product,
     descendant_count,
     difference_counts,
@@ -82,7 +84,7 @@ def test_difference_counts_match_pair_counts(stages, data):
     n = data.draw(st.integers(i, top))
     D = oracle.brute_descendants(spec, i, n, 0)
     ref = Counter(y - x for x in D for y in D)
-    assert difference_counts(spec, i, n) == ref
+    assert _full_counts(spec, i, n) == ref
     span = spec.height(n)
     lo = data.draw(st.integers(-span - 2, span + 2))
     hi = data.draw(st.integers(-span - 2, span + 2))  # lo > hi is an empty window
@@ -135,6 +137,12 @@ def test_convolve_matches_pairwise(inputs):
 def _digits(view, lo):
     """The nonzero digits of a packed product, keyed from ``lo``."""
     return {lo + j: c for j, c in enumerate(view) if c}
+
+
+def _full_counts(spec, i, n):
+    """The nonzero counts of ``_difference_product``, packed or not."""
+    N, _ = _difference_product(spec, i, n)
+    return N if isinstance(N, dict) else _digits(N, -(len(N) // 2))
 
 
 @pytest.mark.parametrize("e", [1, *NEAR_WIDTH_LIMITS])
@@ -195,10 +203,23 @@ def test_packed_product_matches_convolve_chain(inputs):
         assert _digits(digits, lo) == ref
 
 
-def test_difference_counts_needs_both_window_ends():
-    spec = explicit_spec([(3, (0, 1, 2))])
-    with pytest.raises(ValueError):
-        difference_counts(spec, 0, 1, lo=1)
+@pytest.mark.parametrize(
+    "cuts, size, width",
+    [((255,), 255, 2), ((256,), 256, 4), ((255, 257), 65_535, 4), ((256, 256), 65_536, 8)],
+    ids=["D255", "D256", "D65535", "D65536"],
+)
+def test_full_product_matches_convolve_chain_at_digit_width_edges(cuts, size, width):
+    """Stages of ``r`` cuts and no spacers give ``D = {0, ..., |D| - 1}``; the
+    total ``|D|^2`` sits on either side of the 2- and 4-byte digit limits."""
+    budget = Budget(max_descendants=size, max_pairs=size**2)
+    spec = explicit_spec([(r, (0,) * r) for r in cuts], budget=budget)
+    n = len(cuts)
+    digits, total = _difference_product(spec, 0, n)
+    chain = reduce(lambda acc, m: _convolve(acc, *spec.height_differences(m)), range(n), {0: 1})
+    assert total == size**2
+    assert digits.itemsize == width
+    assert len(digits) == 2 * size - 1
+    assert _digits(digits, 1 - size) == chain
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,17 +356,17 @@ def test_cons_fraction_matches_twin_on_both_paths(spec, i, j, k, packed, packed_
 
 
 def test_full_difference_counts_pass_one_pair_gate():
-    """Full mode checks the descendants, then ``|D|^2`` pairs, with the refusal
-    text that ``check-nonerg`` prints; a window is not gated."""
+    """The full product checks the descendants, then ``|D|^2`` pairs, with the
+    refusal text that ``check-nonerg`` prints; a window is not gated."""
     at = Budget(max_pairs=24**2)
-    assert sum(difference_counts(gallery.staircase(budget=at), 0, 3).values()) == 24**2
+    assert sum(_full_counts(gallery.staircase(budget=at), 0, 3).values()) == 24**2
     for budget, message in (
         (Budget(max_pairs=24**2 - 1), "576 pairs exceeds max_pairs=575"),
         (Budget(max_descendants=23, max_pairs=1), "24+ descendants exceeds max_descendants=23"),
     ):
         spec = gallery.staircase(budget=budget)
         with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
-            difference_counts(spec, 0, 3)
+            _difference_product(spec, 0, 3)
         with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
             analysis.nonerg_pair_fraction(spec, 3, 1)
     spec = gallery.staircase(budget=Budget(max_pairs=1))

@@ -221,6 +221,9 @@ def test_partition_staircase_frozen():
     assert not any(
         t.startswith("all-heights-divisible") for t in plain.declared_properties
     )
+    stair = gallery.staircase()
+    assert [plain.stage(n) for n in range(8)] == [stair.stage(n) for n in range(8)]
+    assert plain.height(8) == stair.height(8)
 
 
 def test_partition_staircase_divisibility_holds():
