@@ -30,7 +30,7 @@ listed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
 from operator import countOf
@@ -61,16 +61,13 @@ from rankone.tower import (
 )
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    """Outcome of one finite-stage certificate computation."""
+class CertificateReport(
+    namedtuple("CertificateReport", "kind horizon verdict rows summary notes", defaults=((),))
+):
+    """Outcome of one finite-stage certificate computation: ``rows`` is a
+    tuple of dicts, ``summary`` a dict and ``notes`` a tuple of strings."""
 
-    kind: str
-    horizon: int
-    verdict: str
-    rows: tuple[dict, ...]
-    summary: dict
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 # -- conservativity of Cartesian powers --------------------------------------
@@ -178,9 +175,10 @@ def _staircase_first_spacer(stage: StageSpec) -> int | None:
     Staircase shaped means consecutive spacer counts grow by exactly one
     on every subcolumn but the last, whose count is unconstrained.
     """
-    s0 = stage.spacers[0]
+    spacers = stage.spacers
+    s0 = spacers[0]
     for m in range(stage.r - 1):
-        if stage.spacers[m] != s0 + m:
+        if spacers[m] != s0 + m:
             return None
     return s0
 
@@ -342,18 +340,20 @@ def rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:
     return shifts[counts.index(best, z + 1)], Fraction(best, len(H))
 
 
-@dataclass(frozen=True)
-class AlphaProfile:
-    """Self-overlap ratios of a refined level set across all small shifts."""
+class AlphaProfile(
+    namedtuple(
+        "AlphaProfile",
+        "stage k_max threshold base_size exceptions sup_outside sup_outside_at ratios",
+        defaults=(None,),
+    )
+):
+    """Self-overlap ratios of a refined level set across all small shifts.
 
-    stage: int
-    k_max: int
-    threshold: Fraction
-    base_size: int
-    exceptions: tuple[tuple[int, Fraction], ...]
-    sup_outside: Fraction
-    sup_outside_at: int | None
-    ratios: tuple[tuple[int, Fraction], ...] | None = None
+    ``exceptions`` holds the ``(k, ratio)`` pairs above the threshold, and
+    ``ratios`` every pair when they were stored, else ``None``.
+    """
+
+    __slots__ = ()
 
 
 def alpha_type_profile(
@@ -577,7 +577,8 @@ def wde_probe(
     """Smallest positive shift moving ``A`` across both itself and ``B``.
 
     Returns the least ``n <= n_max`` found with both overlap measures
-    positive, or None when no shift in range works at the stage probed.
+    positive, or None when no shift in range works at the stage probed;
+    ``n_max`` below 1 is refused with :class:`ValueError`.
 
     A returned shift is always a sound certificate: within one column the
     transformation moves whole levels up rigidly, so matching descendant
@@ -588,7 +589,7 @@ def wde_probe(
     short of that cap is horizon-bounded evidence only.
     """
     if n_max < 1:
-        return None
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     s = _probe_stage(spec, A, B, n_max)
     # The pair budget counts the pairs a walk over the refined sets would
     # touch: first the self pairs, then the cross pairs, within the window.

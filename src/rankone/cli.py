@@ -118,7 +118,7 @@ def load_spec(path: str, args: argparse.Namespace) -> RankOneSpec:
 
 
 _JSON_INT_LIMIT = 1 << 53
-_BRANCH = object()  # what _leaf returns for a dict, list, tuple or dataclass
+_BRANCH = object()  # what _leaf returns for a dict, list or tuple (a record too)
 _BATCH = 4096  # list items per batch, and text pieces gathered per write
 _INF = float("inf")
 
@@ -133,7 +133,7 @@ def _leaf(v):
         return v if -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT else str(v)
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, (dict, list, tuple)) or hasattr(v, "__dataclass_fields__"):
+    if isinstance(v, (dict, list, tuple)):
         return _BRANCH
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
@@ -158,9 +158,9 @@ def _leaf_text(x) -> str:
 
 
 def _sorted_items(v) -> list:
-    """The (key, value) pairs of a dict or dataclass as the JSON image orders them."""
+    """The (key, value) pairs of a dict or record as the JSON image orders them."""
     if not isinstance(v, dict):
-        return sorted((f, getattr(v, f)) for f in v.__dataclass_fields__)
+        return sorted(zip(v._fields, v))
     if not all(type(k) is str for k in v):
         v = {str(k): x for k, x in v.items()}  # keys equal after str() keep the last value
     return sorted(v.items())
@@ -199,7 +199,7 @@ def _batch_text(batch, nl: str) -> str | None:
 
 def _write_json(v, out) -> None:
     """Write ``json.dumps`` of the JSON image of ``v`` (every scalar by
-    :func:`_leaf`, tuples as lists, dataclasses as dicts of their fields),
+    :func:`_leaf`, records as dicts of their fields, other tuples as lists),
     indented by 2 with sorted keys, and a newline to ``out`` in one pass over
     the raw values.
 
@@ -221,7 +221,7 @@ def _write_json(v, out) -> None:
             put(_leaf_text(x))
             return
         inner = nl + "  "
-        if not isinstance(v, (list, tuple)):
+        if isinstance(v, dict) or hasattr(v, "_fields"):  # a record is a tuple too
             items = _sorted_items(v)
             if not items:
                 put("{}")
@@ -266,7 +266,7 @@ def _spec_block(spec: RankOneSpec) -> dict:
         "name": spec.name,
         "fingerprint": spec.fingerprint(),
         "builder": spec.params,
-        "budget": spec.budget.to_dict(),
+        "budget": spec.budget._asdict(),
         "declared_properties": sorted(spec.declared_properties),
         "notes": list(spec.notes),
     }
@@ -343,19 +343,35 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a rational like 1/2: {text!r}") from e
 
 
-def _subcommand(sub, name: str, handler, help_: str) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=help_)
-    p.add_argument("--spec", required=True, help="path to a JSON spec file")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    for field in (_STAGE_FIELD, *_BUDGET_KEYS):
-        p.add_argument("--" + field.replace("_", "-"), type=int, dest=field)
-    p.set_defaults(handler=handler)
-    return p
+# Every subcommand by its words on the command line ("oracle mc" for an oracle
+# one), in the order the help lists them: its handler, its help and the
+# arguments it takes besides --spec, --format and the budget flags.
+_COMMANDS: dict[tuple[str, ...], tuple] = {}
+
+
+def _arg(*flags, **kwargs) -> tuple:
+    """One argument of a subcommand, as ``add_argument`` takes it."""
+    return flags, kwargs
+
+
+def _command(words: str, help_: str, *arguments):
+    """Declare the decorated handler as the subcommand ``words``."""
+
+    def declare(handler):
+        _COMMANDS[tuple(words.split())] = handler, help_, arguments
+        return handler
+
+    return declare
 
 
 # -- handlers ----------------------------------------------------------------------
 
 
+@_command(
+    "describe",
+    "stage table: r, h, height-set size, descendant spread",
+    _arg("-n", "--stages", type=int, default=8),
+)
 def _h_describe(args, spec):
     if args.stages < 0:
         raise ValueError(f"stage count must be nonnegative, got {args.stages}")
@@ -374,6 +390,7 @@ def _h_describe(args, spec):
     return {"rows": rows}
 
 
+@_command("heights", "height set of one stage", _arg("-n", "--stage", type=int, required=True))
 def _h_heights(args, spec):
     H = spec.height_set(args.stage)
     return {
@@ -382,6 +399,13 @@ def _h_heights(args, spec):
     }
 
 
+@_command(
+    "descendants",
+    "descendant heights of a level",
+    _arg("--i", type=int, required=True),
+    _arg("--j", type=int, required=True),
+    _arg("--b", type=int, default=0),
+)
 def _h_descendants(args, spec):
     D = descendant_set(spec, args.i, args.j, args.b)
     return {
@@ -390,6 +414,15 @@ def _h_descendants(args, spec):
     }
 
 
+@_command(
+    "measure",
+    "exact overlap measure under a shift",
+    _arg("--stage", type=int, required=True),
+    _arg("--levels", type=_int_list, required=True),
+    _arg("--k", type=int, required=True),
+    _arg("--other-stage", type=int, dest="other_stage"),
+    _arg("--other-levels", type=_int_list, dest="other_levels"),
+)
 def _h_measure(args, spec):
     from rankone import tower
 
@@ -409,6 +442,13 @@ def _h_measure(args, spec):
     }
 
 
+@_command(
+    "check-cons",
+    "sufficient condition for a conservative power",
+    _arg("--k", type=int, required=True),
+    _arg("--horizon", type=int, required=True),
+    _arg("--threshold", type=_fraction, default=Fraction(1, 1000)),
+)
 def _h_check_cons(args, spec):
     from rankone import analysis
 
@@ -416,6 +456,13 @@ def _h_check_cons(args, spec):
     return {"report": rep}
 
 
+@_command(
+    "check-noncons",
+    "finite-horizon non-conservativity certificate",
+    _arg("--k", type=int, required=True),
+    _arg("--horizon", type=int, required=True),
+    _arg("--floor", type=_fraction, default=Fraction(1, 2)),
+)
 def _h_check_noncons(args, spec):
     from rankone import analysis
 
@@ -423,6 +470,12 @@ def _h_check_noncons(args, spec):
     return {"report": rep}
 
 
+@_command(
+    "check-nonerg",
+    "pair-realignment certificate against ergodicity",
+    _arg("--b", type=int, required=True),
+    _arg("--horizon", type=int, required=True),
+)
 def _h_check_nonerg(args, spec):
     from rankone import analysis
 
@@ -430,6 +483,11 @@ def _h_check_nonerg(args, spec):
     return {"report": rep}
 
 
+@_command(
+    "rigidity",
+    "best rigidity shift of one stage",
+    _arg("-n", "--stage", type=int, required=True),
+)
 def _h_rigidity(args, spec):
     from rankone import analysis
 
@@ -439,6 +497,15 @@ def _h_rigidity(args, spec):
     }
 
 
+@_command(
+    "alpha",
+    "partial-rigidity profile of a level set",
+    _arg("--stage", type=int, required=True),
+    _arg("--levels", type=_int_list, default=(0,)),
+    _arg("--kmax", type=int, required=True),
+    _arg("--threshold", type=_fraction, default=Fraction(1, 2)),
+    _arg("--dump", action="store_true", help="include every (k, ratio) row"),
+)
 def _h_alpha(args, spec):
     from rankone import analysis, tower
 
@@ -460,6 +527,13 @@ def _h_alpha(args, spec):
     return payload
 
 
+@_command(
+    "arithmetic",
+    "recurring staircase-pattern report",
+    _arg("--horizon", type=int, required=True),
+    _arg("--tau", type=_fraction, default=Fraction(1, 2)),
+    _arg("--min-k", type=int, dest="min_k", default=-1),
+)
 def _h_arithmetic(args, spec):
     from rankone import analysis
 
@@ -467,6 +541,7 @@ def _h_arithmetic(args, spec):
     return {"report": rep}
 
 
+@_command("divisibility", "gcd of height-set elements", _arg("--horizon", type=int, required=True))
 def _h_divisibility(args, spec):
     from rankone import analysis
 
@@ -474,6 +549,15 @@ def _h_divisibility(args, spec):
     return {"result": {"gcd": g, "verdict": verdict}}
 
 
+@_command(
+    "wde",
+    "first shift moving one set across itself and another",
+    _arg("--a-stage", type=int, required=True),
+    _arg("--a-levels", type=_int_list, required=True),
+    _arg("--b-stage", type=int, required=True),
+    _arg("--b-levels", type=_int_list, required=True),
+    _arg("--nmax", type=int, required=True),
+)
 def _h_wde(args, spec):
     from rankone import analysis, tower
 
@@ -483,6 +567,17 @@ def _h_wde(args, spec):
     return {"result": {"first_shift": n, "found": n is not None}}
 
 
+@_command(
+    "koopman",
+    "overlap-decay window check for the doubling family",
+    _arg("--stage", type=int, required=True),
+    _arg("--levels", type=_int_list, default=(0,)),
+    _arg("--k", type=_int_list, default=()),
+    _arg("--samples", type=int, default=200),
+    _arg("--kmin", type=int),
+    _arg("--kmax", type=int),
+    _arg("--seed", type=int, default=0),
+)
 def _h_koopman(args, spec):
     from rankone import analysis, tower
 
@@ -506,6 +601,13 @@ def _h_koopman(args, spec):
     return {"inputs": inputs, "report": rep}
 
 
+@_command(
+    "oracle descendants",
+    "descendants by literal unfolding",
+    _arg("--i", type=int, required=True),
+    _arg("--j", type=int, required=True),
+    _arg("--b", type=int, default=0),
+)
 def _h_oracle_descendants(args, spec):
     from rankone import oracle
 
@@ -514,6 +616,13 @@ def _h_oracle_descendants(args, spec):
     return {"result": {"size": len(D), "descendants": list(D), "agrees_with_exact": agrees}}
 
 
+@_command(
+    "oracle tuples",
+    "tuple fraction by exhaustive scan",
+    _arg("--i", type=int, required=True),
+    _arg("--j", type=int, required=True),
+    _arg("--k", type=int, required=True),
+)
 def _h_oracle_tuples(args, spec):
     from rankone import analysis, oracle
 
@@ -522,6 +631,15 @@ def _h_oracle_tuples(args, spec):
     return {"result": {"brute": brute, "exact": exact, "agrees": brute == exact}}
 
 
+@_command(
+    "oracle mc",
+    "overlap measure by seeded sampling",
+    _arg("--stage", type=int, required=True),
+    _arg("--levels", type=_int_list, default=(0,)),
+    _arg("--k", type=int, required=True),
+    _arg("--samples", type=int, default=10_000),
+    _arg("--seed", type=int, default=0),
+)
 def _h_oracle_mc(args, spec):
     from rankone import oracle, tower
 
@@ -538,6 +656,14 @@ def _h_oracle_mc(args, spec):
     }
 
 
+@_command(
+    "oracle orbit",
+    "pointwise map vs single steps",
+    _arg("--stage", type=int, required=True),
+    _arg("--height", type=int, required=True),
+    _arg("--offset", type=_fraction, default=Fraction(0)),
+    _arg("--k", type=int, required=True),
+)
 def _h_oracle_orbit(args, spec):
     from rankone import oracle, tower
 
@@ -557,105 +683,32 @@ def _h_oracle_orbit(args, spec):
 # -- parser -------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``rankone`` argument parser.
+
+    When ``argv`` starts with the words of one subcommand, the parser holds
+    that subcommand alone, which parses ``argv`` as the whole parser does;
+    otherwise it holds them all, as it must to print help, usage and errors.
+    """
     top = argparse.ArgumentParser(
         prog="rankone",
         description="Exact certificates for rank-one constructions of infinite measure.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = _subcommand(sub, "describe", _h_describe, "stage table: r, h, height-set size, descendant spread")
-    p.add_argument("-n", "--stages", type=int, default=8)
-
-    p = _subcommand(sub, "heights", _h_heights, "height set of one stage")
-    p.add_argument("-n", "--stage", type=int, required=True)
-
-    p = _subcommand(sub, "descendants", _h_descendants, "descendant heights of a level")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--b", type=int, default=0)
-
-    p = _subcommand(sub, "measure", _h_measure, "exact overlap measure under a shift")
-    p.add_argument("--stage", type=int, required=True)
-    p.add_argument("--levels", type=_int_list, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--other-stage", type=int, dest="other_stage")
-    p.add_argument("--other-levels", type=_int_list, dest="other_levels")
-
-    p = _subcommand(sub, "check-cons", _h_check_cons, "sufficient condition for a conservative power")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--threshold", type=_fraction, default=Fraction(1, 1000))
-
-    p = _subcommand(sub, "check-noncons", _h_check_noncons, "finite-horizon non-conservativity certificate")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--floor", type=_fraction, default=Fraction(1, 2))
-
-    p = _subcommand(sub, "check-nonerg", _h_check_nonerg, "pair-realignment certificate against ergodicity")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-
-    p = _subcommand(sub, "rigidity", _h_rigidity, "best rigidity shift of one stage")
-    p.add_argument("-n", "--stage", type=int, required=True)
-
-    p = _subcommand(sub, "alpha", _h_alpha, "partial-rigidity profile of a level set")
-    p.add_argument("--stage", type=int, required=True)
-    p.add_argument("--levels", type=_int_list, default=[0])
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--threshold", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--dump", action="store_true", help="include every (k, ratio) row")
-
-    p = _subcommand(sub, "arithmetic", _h_arithmetic, "recurring staircase-pattern report")
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--tau", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--min-k", type=int, dest="min_k", default=-1)
-
-    p = _subcommand(sub, "divisibility", _h_divisibility, "gcd of height-set elements")
-    p.add_argument("--horizon", type=int, required=True)
-
-    p = _subcommand(sub, "wde", _h_wde, "first shift moving one set across itself and another")
-    p.add_argument("--a-stage", type=int, required=True)
-    p.add_argument("--a-levels", type=_int_list, required=True)
-    p.add_argument("--b-stage", type=int, required=True)
-    p.add_argument("--b-levels", type=_int_list, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-
-    p = _subcommand(sub, "koopman", _h_koopman, "overlap-decay window check for the doubling family")
-    p.add_argument("--stage", type=int, required=True)
-    p.add_argument("--levels", type=_int_list, default=[0])
-    p.add_argument("--k", type=_int_list, default=[])
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--kmin", type=int)
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--seed", type=int, default=0)
-
-    po = sub.add_parser("oracle", help="independent brute-force cross-checks")
-    osub = po.add_subparsers(dest="oracle_command", required=True)
-
-    p = _subcommand(osub, "descendants", _h_oracle_descendants, "descendants by literal unfolding")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--b", type=int, default=0)
-
-    p = _subcommand(osub, "tuples", _h_oracle_tuples, "tuple fraction by exhaustive scan")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = _subcommand(osub, "mc", _h_oracle_mc, "overlap measure by seeded sampling")
-    p.add_argument("--stage", type=int, required=True)
-    p.add_argument("--levels", type=_int_list, default=[0])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = _subcommand(osub, "orbit", _h_oracle_orbit, "pointwise map vs single steps")
-    p.add_argument("--stage", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--offset", type=_fraction, default=Fraction(0))
-    p.add_argument("--k", type=int, required=True)
-
+    oracle = None
+    for words in [w for w in _COMMANDS if argv and tuple(argv[: len(w)]) == w] or _COMMANDS:
+        handler, help_, arguments = _COMMANDS[words]
+        if len(words) == 2 and oracle is None:
+            po = sub.add_parser("oracle", help="independent brute-force cross-checks")
+            oracle = po.add_subparsers(dest="oracle_command", required=True)
+        p = (oracle if len(words) == 2 else sub).add_parser(words[-1], help=help_)
+        p.add_argument("--spec", required=True, help="path to a JSON spec file")
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        for field in (_STAGE_FIELD, *_BUDGET_KEYS):
+            p.add_argument("--" + field.replace("_", "-"), type=int, dest=field)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=handler)
     return top
 
 
@@ -671,8 +724,18 @@ _NOT_INPUTS = {"command", "oracle_command", "handler", "spec", "format", "dump",
 
 
 def main(argv=None) -> int:
+    showwarning = warnings.showwarning
     warnings.showwarning = _print_warning
-    args = build_parser().parse_args(argv)
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    finally:
+        warnings.showwarning = showwarning
+
+
+def _run(argv) -> int:
+    args, unknown = build_parser(argv).parse_known_args(argv)
+    if unknown:  # the whole parser refuses them, with its own usage line
+        build_parser().parse_args(argv)
     int_digits = sys.get_int_max_str_digits()
     try:
         spec = load_spec(args.spec, args)

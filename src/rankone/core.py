@@ -23,8 +23,7 @@ import hashlib
 import json
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from dataclasses import dataclass, fields
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations, starmap
 from operator import neg, sub
@@ -68,27 +67,31 @@ def _check_int(what: str, value: int, floor: int) -> None:
         raise ValueError(f"{what} must be at least {floor}, got {value}")
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(
+    namedtuple("Budget", "max_stage max_height_bits max_descendants max_pairs max_iterate")
+):
     """Resource limits for lazy materialization and set enumeration.
 
     What each field bounds is listed in the README; :meth:`check` is where a
     count meets its limit.
     """
 
-    max_stage: int = 64
-    max_height_bits: int = 100_000
-    max_descendants: int = 200_000
-    max_pairs: int = 10_000_000
-    max_iterate: int = 1_000_000
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            floor = 0 if f.name == "max_stage" else 1
-            _check_int(f"budget field {f.name}", getattr(self, f.name), floor)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    def __new__(
+        cls,
+        max_stage: int = 64,
+        max_height_bits: int = 100_000,
+        max_descendants: int = 200_000,
+        max_pairs: int = 10_000_000,
+        max_iterate: int = 1_000_000,
+    ) -> Budget:
+        self = tuple.__new__(
+            cls, (max_stage, max_height_bits, max_descendants, max_pairs, max_iterate)
+        )
+        for name, value in zip(cls._fields, self):
+            _check_int(f"budget field {name}", value, 0 if name == "max_stage" else 1)
+        return self
 
     def check(self, field: str, count: int, what: str) -> int:
         """Return ``count`` if it is at most the limit ``field``, else refuse.
@@ -103,23 +106,22 @@ class Budget:
         return count
 
 
-@dataclass(frozen=True)
-class StageSpec:
+class StageSpec(namedtuple("StageSpec", "r spacers")):
     """One cutting stage: cut count ``r`` and spacer counts per subcolumn."""
 
-    r: int
-    spacers: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_int("cut count", self.r, 2)
-        object.__setattr__(self, "spacers", tuple(self.spacers))
-        if len(self.spacers) != self.r:
+    def __new__(cls, r: int, spacers: Sequence[int]) -> StageSpec:
+        _check_int("cut count", r, 2)
+        spacers = tuple(spacers)
+        if len(spacers) != r:
             raise ValueError(
-                f"need one spacer count per subcolumn: r={self.r}, "
-                f"got {len(self.spacers)} spacer entries"
+                f"need one spacer count per subcolumn: r={r}, "
+                f"got {len(spacers)} spacer entries"
             )
-        for s in self.spacers:
+        for s in spacers:
             _check_int("spacer count", s, 0)
+        return tuple.__new__(cls, (r, spacers))
 
 
 Builder = Callable[[int, "RankOneSpec"], StageSpec]
@@ -223,10 +225,11 @@ class RankOneSpec:
             h = self._heights[m]
             hs = []
             acc = 0
+            spacers = stage.spacers  # read once: each field read is a descriptor call
             for k in range(stage.r - 1):
-                acc += h + stage.spacers[k]
+                acc += h + spacers[k]
                 hs.append(acc)
-            h_next = acc + h + stage.spacers[stage.r - 1]
+            h_next = acc + h + spacers[stage.r - 1]
             self.budget.check("max_height_bits", h_next.bit_length(), f"h_{m + 1} of {{}} bits")
             self._stages.append(stage)
             self._heights.append(h_next)
@@ -319,7 +322,7 @@ class RankOneSpec:
         payload = {
             "name": self.name,
             "params": self.params,
-            "budget": self.budget.to_dict(),
+            "budget": self.budget._asdict(),
         }
         blob = json.dumps(
             payload, sort_keys=True, separators=(",", ":"), default=_unfingerprintable

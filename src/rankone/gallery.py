@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Sequence
 
 from rankone.core import (
@@ -35,22 +35,19 @@ from rankone.core import (
 RSeq = int | Sequence[int] | Callable[[int], int]
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(namedtuple("Caps", "max_r")):
     """Desk-scale limits applied to computed cut counts.
 
     ``max_r=None`` removes the limit; expect astronomically wide stages
     from the adaptive recipes if you do.
     """
 
-    max_r: int | None = 64
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_r is not None:
-            _check_int("max_r", self.max_r, 2)
-
-    def to_dict(self) -> dict:
-        return {"max_r": self.max_r}
+    def __new__(cls, max_r: int | None = 64) -> Caps:
+        if max_r is not None:
+            _check_int("max_r", max_r, 2)
+        return tuple.__new__(cls, (max_r,))
 
 
 def _rule(
@@ -276,7 +273,7 @@ def main_wde(
         lambda r_next, h: 0,
         name=name,
         budget=budget,
-        params={"kind": "main_wde", "caps": caps.to_dict()},
+        params={"kind": "main_wde", "caps": caps._asdict()},
     )
 
 
@@ -300,7 +297,7 @@ def rigid_wde(
         lambda r_next, h: 10 * r_next,
         name=name,
         budget=budget,
-        params={"kind": "rigid_wde", "caps": caps.to_dict()},
+        params={"kind": "rigid_wde", "caps": caps._asdict()},
     )
 
 
@@ -337,7 +334,7 @@ def t_q(
         lambda r_next, h: max(10 * r_next, 10 * q * h),
         name=name if name is not None else f"doubled-gap-q{q}",
         budget=budget,
-        params={"kind": "t_q", "q": q, "caps": caps.to_dict()},
+        params={"kind": "t_q", "q": q, "caps": caps._asdict()},
     )
 
 
@@ -371,7 +368,7 @@ def koopman(
         build,
         name=name,
         budget=budget,
-        params={"kind": "koopman", "caps": caps.to_dict()},
+        params={"kind": "koopman", "caps": caps._asdict()},
         declared_properties=("all-heights-divisible-by-2",),
     )
 

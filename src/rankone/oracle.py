@@ -221,7 +221,7 @@ def brute_alpha_type_profile(
 def brute_wde_probe(spec: RankOneSpec, A: LevelSet, B: LevelSet, n_max: int) -> int | None:
     """Twin of :func:`rankone.analysis.wde_probe`: window walks over the refined sets."""
     if n_max < 1:
-        return None
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     s = _probe_stage(spec, A, B, n_max)
     DA = refine(spec, A, s).heights
     DB = refine(spec, B, s).heights

@@ -22,8 +22,7 @@ computed by refining level sets to a stage deep enough that a shift by
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from rankone.core import (
@@ -36,35 +35,31 @@ from rankone.core import (
 )
 
 
-@dataclass(frozen=True)
-class LevelSet:
+class LevelSet(namedtuple("LevelSet", "stage heights")):
     """A finite union of levels of one column: ``stage`` plus sorted heights."""
 
-    stage: int
-    heights: IntSet
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        hs = tuple(int(h) for h in self.heights)
-        object.__setattr__(self, "heights", hs)
+    def __new__(cls, stage: int, heights: IntSet) -> LevelSet:
+        hs = tuple(int(h) for h in heights)
         if not hs:
             raise ValueError("a level set needs at least one level")
         if any(b <= a for a, b in zip(hs, hs[1:])):
             raise ValueError("heights must be strictly increasing")
         if hs[0] < 0:
             raise ValueError("heights must be nonnegative")
+        return tuple.__new__(cls, (stage, hs))
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(namedtuple("Point", "stage height offset")):
     """One point of the space, addressed in the coordinates of ``stage``."""
 
-    stage: int
-    height: int
-    offset: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.offset, Fraction):
-            object.__setattr__(self, "offset", Fraction(self.offset))
+    def __new__(cls, stage: int, height: int, offset: Fraction) -> Point:
+        if not isinstance(offset, Fraction):
+            offset = Fraction(offset)
+        return tuple.__new__(cls, (stage, height, offset))
 
 
 def level_set(spec: RankOneSpec, stage: int, heights) -> LevelSet:

@@ -380,7 +380,8 @@ def test_wde_probe_finds_and_respects_horizon():
     B = level_set(sp, 1, (1,))
     n = wde_probe(sp, A, B, sp.height(2))
     assert n is not None and 1 <= n <= sp.height(2)
-    assert wde_probe(sp, A, B, 0) is None
+    with pytest.raises(ValueError, match=r"^need n_max >= 1, got 0$"):
+        wde_probe(sp, A, B, 0)
 
 
 def test_wde_probe_certifies_positivity():

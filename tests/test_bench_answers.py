@@ -67,13 +67,9 @@ def test_cli_answers_match_the_references(monkeypatch, tmp_path):
     with _perfbench(monkeypatch, "clirun") as (clirun, common):
         refs = common.load_refs()["cli"]
         paths = clirun.write_spec_files(tmp_path)
-        showwarning = warnings.showwarning  # cli.main replaces it
         got = {}
-        try:
-            for cmd in clirun.SMALL + clirun.LARGE:
-                code, out = clirun.run_in_process(cli.main, clirun.argv_for(cmd, paths))
-                got[cmd[0]] = clirun.fingerprint(code, out)
-        finally:
-            warnings.showwarning = showwarning
+        for cmd in clirun.SMALL + clirun.LARGE:
+            code, out = clirun.run_in_process(cli.main, clirun.argv_for(cmd, paths))
+            got[cmd[0]] = clirun.fingerprint(code, out)
     assert len(got) == len(clirun.SMALL) + len(clirun.LARGE) > 0
     assert {name: fp for name, fp in got.items() if fp != refs[name]} == {}

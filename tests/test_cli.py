@@ -75,8 +75,8 @@ DOUBLING = {
 
 @pytest.fixture(autouse=True)
 def _isolate_warning_hooks():
-    # cli.main installs a custom warnings.showwarning; keep it from
-    # leaking into other test modules.
+    # each test sees the cap warnings afresh: filters and the record of
+    # warnings already shown are reset around it
     with warnings.catch_warnings():
         yield
 
@@ -230,6 +230,7 @@ def test_check_noncons_verdict_depends_on_floor(specfile, capsys):
     assert json.loads(out)["report"]["verdict"] == "inconclusive-at-horizon"
 
 
+@pytest.mark.filterwarnings("ignore::rankone.core.CapsMakeConstructionUnfaithful")
 def test_rigidity_frozen(specfile, capsys):
     path = specfile(TQ2)
     spec = gallery.t_q(2, gallery.Caps(max_r=6))
@@ -770,9 +771,9 @@ def _jsonable(v):
         return x
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return {f: _jsonable(getattr(v, f)) for f in v.__dataclass_fields__}
+    if hasattr(v, "_fields"):  # a record, before the tuples it also is
+        return {f: _jsonable(x) for f, x in zip(v._fields, v)}
+    return [_jsonable(x) for x in v]
 
 
 def _json_oracle(v) -> str:
@@ -943,6 +944,8 @@ _CERTIFICATE_MODULES = ("rankone.analysis", "rankone.tower", "rankone.oracle", "
 
 
 def test_small_commands_import_no_certificate_module(specfile):
+    """Nor does any command import ``dataclasses`` or ``inspect``, whose
+    import alone costs about 10 ms per process."""
     path = specfile(STAIR)
     code = f"""
 import contextlib, io, sys
@@ -953,11 +956,75 @@ for argv in (["describe", "-n", "4"], ["heights", "--stage", "3"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([*argv, "--spec", {path!r}]) == 0
 print(sorted(m for m in {_CERTIFICATE_MODULES!r} if m in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["check-nonerg", "--b", "1", "--horizon", "4", "--spec", {path!r}]) == 0
+print(sorted(m for m in ("dataclasses", "inspect", "rankone.analysis") if m in sys.modules))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
     assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout == "[]\n[]\n"
+    assert run.stdout == "[]\n[]\n['rankone.analysis']\n"
+
+
+def test_main_restores_the_warning_hook(specfile, capsys):
+    hook = warnings.showwarning
+    code, _, err = run_cli(capsys, "describe", "--spec", specfile(MAIN_WDE), "-n", "5")
+    assert code == 0
+    assert warnings.showwarning is hook
+    assert err.startswith("warning: mw: stage 3: cut count capped at 64")
+    with pytest.raises(SystemExit):
+        cli.main(["nosuch"])
+    assert warnings.showwarning is hook
+
+
+# -- the parser of the invoked subcommand ---------------------------------------------
+
+
+@pytest.mark.parametrize("words", list(cli._COMMANDS), ids=" ".join)
+def test_one_subcommand_parser_prints_the_full_parsers_help(words, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    lazy = cli.build_parser(list(words))
+    assert f"{{{words[0]}}}" in lazy.format_usage()  # the only choice
+    outputs = []
+    for parser in (lazy, cli.build_parser()):
+        with pytest.raises(SystemExit) as stop:
+            parser.parse_args([*words, "--help"])
+        outputs.append((stop.value.code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].out.startswith(f"usage: rankone {' '.join(words)} [-h] --spec SPEC")
+
+
+# sha256 of "<exit code>\n<stdout>\0<stderr>" for argv that stop in the
+# parser, printed at 80 columns by the one parser of all subcommands
+_PARSER_STOPS = {
+    (): "16a7e3f6ecf33205",
+    ("--help",): "bb118b5a227f565a",
+    ("nosuch",): "b63a69276b093ddf",
+    ("oracle",): "43317f71add2d8ea",
+    ("oracle", "nosuch"): "0e5eb12c908b3b5d",
+    ("describe",): "41b51ba8140913c8",
+    ("describe", "-h"): "7246c0c741726ba8",
+    ("oracle", "mc", "-h"): "b6da420817133780",
+    ("describe", "--spec", "x", "extra"): "2131dfa0acf27fcc",
+    ("oracle", "mc", "--spec", "x", "--k", "1", "extra"): "352c4e02b1e3f9d6",
+    ("wde", "--spec", "x"): "9aa57c4faf0ca38b",
+}
+
+
+def _parser_stop(capsys, run, argv):
+    with pytest.raises(SystemExit) as stop:
+        run(list(argv))
+    cap = capsys.readouterr()
+    return f"{stop.value.code}\n{cap.out}\0{cap.err}"
+
+
+@pytest.mark.parametrize("argv", list(_PARSER_STOPS), ids=" ".join)
+def test_parser_stops_print_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    text = _parser_stop(capsys, cli.main, argv)
+    assert text == _parser_stop(capsys, cli.build_parser().parse_args, argv)
+    if sys.version_info[:2] == (3, 11):  # argparse's wording and layout vary by version
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == _PARSER_STOPS[argv]
 
 
 @pytest.mark.parametrize(
@@ -1004,6 +1071,14 @@ def test_cap_warnings_print_one_line_to_stderr(specfile, capsys):
 
 
 # -- exit codes --------------------------------------------------------------------
+
+
+def test_wde_below_one_shift_exits_4(specfile, capsys):
+    code, out, err = run_cli(
+        capsys, "wde", "--spec", specfile(STAIR), "--a-stage", "2", "--a-levels", "3",
+        "--b-stage", "2", "--b-levels", "7", "--nmax", "0",
+    )
+    assert (code, out, err) == (4, "", "precondition failed: need n_max >= 1, got 0\n")
 
 
 def test_missing_spec_file_exits_2(capsys):

@@ -43,6 +43,8 @@ def _outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except BudgetExceeded:
         return BudgetExceeded
+    except ValueError:
+        return ValueError
 
 
 @st.composite
@@ -404,9 +406,9 @@ def test_alpha_type_profile_matches_twin(spec, k_max, threshold, store_ratios, d
 @given(spec=budgeted_specs(), n_max=st.integers(-1, 80), data=st.data())
 def test_wde_probe_matches_twin(spec, n_max, data):
     A, B = data.draw(level_sets(spec)), data.draw(level_sets(spec))
-    assert _outcome(analysis.wde_probe, spec, A, B, n_max) == _outcome(
-        oracle.brute_wde_probe, spec, A, B, n_max
-    )
+    got = _outcome(analysis.wde_probe, spec, A, B, n_max)
+    assert got == _outcome(oracle.brute_wde_probe, spec, A, B, n_max)
+    assert (got is ValueError) == (n_max < 1)
 
 
 @settings(max_examples=100, deadline=None)
