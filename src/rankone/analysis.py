@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from operator import countOf
 from typing import Sequence
 
@@ -103,7 +103,9 @@ def cons_fraction_exact(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     ``prod_m prod_l sum_{a in H_m} x^(c_l a)``, with
     ``c = (-(1 + W + ... + W^(k-2)), 1, W, ..., W^(k-2))``: ``k`` polynomials
     of ``|H_m|`` terms per stage, multiplied as one packed integer where
-    dense, once ``|D|^k`` is within ``max_pairs``.
+    dense, once ``|D|^k`` is within ``max_pairs``.  ``|D|^k`` sizes its digits
+    too: a partial product that stops inside a stage counts no difference
+    vector, so no smaller bound is proved for it.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
@@ -116,7 +118,7 @@ def cons_fraction_exact(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
         H = spec.height_set(m)
         ones = [1] * len(H)
         stages.append([([c * a for a in H], ones) for c in (-C, *powers)])
-    N = _full_product(stages, total, -C * M, C * M)
+    N = _full_product(stages, total, -C * M, C * M, total)
     if isinstance(N, dict):
         return Fraction(sum(c for c in N.values() if c >= 2), total)
     return Fraction(total - countOf(N, 1), total)  # the counts sum to total
@@ -349,11 +351,15 @@ class AlphaProfile(
 ):
     """Self-overlap ratios of a refined level set across all small shifts.
 
-    ``exceptions`` holds the ``(k, ratio)`` pairs above the threshold, and
-    ``ratios`` every pair when they were stored, else ``None``.
+    ``exceptions`` holds the ``(k, ratio)`` records above the threshold, and
+    ``ratios`` every one when they were stored, else ``None``; every shift
+    of ratio 0 shares one ``Fraction(0)``.
     """
 
     __slots__ = ()
+
+
+_ShiftRatio = namedtuple("ShiftRatio", "k ratio")
 
 
 def alpha_type_profile(
@@ -377,39 +383,40 @@ def alpha_type_profile(
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
     threshold = Fraction(threshold)
-    every_shift = store_ratios or threshold < 0
-    if every_shift:
+    if store_ratios or threshold < 0:
         spec.budget.check("max_descendants", k_max, "{} listed ratios")
     s = least_valid_stage(spec, B, k_max)
     size = descendant_count(spec, B.stage, s, len(B.heights))
     spec.budget.check("max_pairs", size**2, "{} pairs")
     N = overlap_counts(spec, B, B, s, 1, k_max)
+    zero = Fraction(0)  # the ratio of every shift outside the support of N
+    ratio = {k: Fraction(c, size) for k, c in N.items()}
     # Ratios N(k) / size are compared as integers.  A shift with N(k) = 0 is
     # an exception only below a negative threshold and never raises the
     # supremum, so otherwise the support of N is all there is to visit.
     p, q = threshold.numerator, threshold.denominator
-    ks = range(1, k_max + 1) if every_shift else sorted(N)
-    exceptions: list[tuple[int, Fraction]] = []
-    ratios: list[tuple[int, Fraction]] = []
+    exceptions: list[_ShiftRatio] = []
     best, sup_at = 0, None
-    for k in ks:
-        c = N[k]
-        if store_ratios:
-            ratios.append((k, Fraction(c, size)))
+    for k in range(1, k_max + 1) if threshold < 0 else sorted(N):
+        c = N.get(k, 0)
         if c * q > p * size:
-            exceptions.append((k, Fraction(c, size)))
+            exceptions.append(_ShiftRatio(k, ratio.get(k, zero)))
         elif c > best:
             best, sup_at = c, k
-    sup_out = Fraction(best, size)
+    ratios = None
+    if store_ratios:  # tuple.__new__ makes each (k, ratio) pair a record in C
+        ks = range(1, k_max + 1)
+        pairs = zip(ks, map(ratio.get, ks, repeat(zero)))
+        ratios = tuple(map(tuple.__new__, repeat(_ShiftRatio), pairs))
     return AlphaProfile(
         stage=s,
         k_max=k_max,
         threshold=threshold,
         base_size=size,
         exceptions=tuple(exceptions),
-        sup_outside=sup_out,
+        sup_outside=Fraction(best, size),
         sup_outside_at=sup_at,
-        ratios=tuple(ratios) if store_ratios else None,
+        ratios=ratios,
     )
 
 

@@ -24,7 +24,7 @@ import os
 import sys
 import warnings
 from fractions import Fraction
-from itertools import repeat
+from itertools import count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
 
@@ -166,35 +166,57 @@ def _sorted_items(v) -> list:
     return sorted(v.items())
 
 
+def _texts(column) -> list[str] | None:
+    """The JSON texts of a column of scalars, or ``None`` if it holds a
+    container.  Integers inside the 53-bit range take one C-level pass by
+    ``int.__repr__``, and rationals one ``str`` per distinct object."""
+    kinds = set(map(type, column))
+    if kinds == {int} and -_JSON_INT_LIMIT < min(column) and max(column) < _JSON_INT_LIMIT:
+        return list(map(int.__repr__, column))
+    if kinds == {Fraction}:
+        ids = list(map(id, column))
+        text = {i: encode_basestring_ascii(str(x)) for i, x in dict(zip(ids, column)).items()}
+        return list(map(text.__getitem__, ids))
+    images = list(map(_leaf, column))
+    return None if _BRANCH in images else list(map(_leaf_text, images))
+
+
 def _batch_text(batch, nl: str) -> str | None:
     """The texts of a batch of list items at indent ``nl``, joined; ``None``
     unless every item is a scalar, or every item a dict with the first item's
-    str keys and scalar values, filled into one ``%`` template."""
+    str keys, or a record of the first item's type, with scalar values."""
     sep = "," + nl
     first = batch[0]
-    if not isinstance(first, dict):
-        images = list(map(_leaf, batch))
-        if _BRANCH in images:
+    if isinstance(first, dict):
+        if (
+            not first
+            or any(type(k) is not str for k in first)
+            or not all(map(isinstance, batch, repeat(dict)))
+            or not all(map(eq, map(dict.keys, batch), repeat(first.keys())))
+        ):
             return None
-        return sep.join(map(_leaf_text, images))
-    if (
-        not first
-        or any(type(k) is not str for k in first)
-        or not all(map(isinstance, batch, repeat(dict)))
-        or not all(map(eq, map(dict.keys, batch), repeat(first.keys())))
-    ):
+        slots = sorted(zip(first, first))  # (key, what itemgetter reads it by)
+    elif hasattr(first, "_fields"):
+        if not first or set(map(type, batch)) != {type(first)}:
+            return None
+        slots = sorted(zip(first._fields, count()))
+    else:
+        texts = _texts(batch)
+        return None if texts is None else sep.join(texts)
+    texts = [_texts(list(map(itemgetter(at), batch))) for _, at in slots]
+    if None in texts:
         return None
-    keys = sorted(first)
-    inner = nl + "  "
-    slots = (inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
-    template = "{" + ",".join(slots) + nl + "}"
-    columns = []
-    for k in keys:
-        images = list(map(_leaf, map(itemgetter(k), batch)))
-        if _BRANCH in images:
-            return None
-        columns.append(map(_leaf_text, images))
-    return sep.join(map(template.__mod__, zip(*columns)))
+    # one join of labels and values, interleaved row by row
+    n, width = len(batch), 2 * len(slots)
+    labels = ["," + nl + "  " + encode_basestring_ascii(k) + ": " for k, _ in slots]
+    head = "{" + labels[0][1:]
+    labels[0] = nl + "}" + sep + head
+    pieces = [None] * (n * width)
+    for j, (label, column) in enumerate(zip(labels, texts)):
+        pieces[2 * j :: width] = [label] * n
+        pieces[2 * j + 1 :: width] = column
+    pieces[0] = head
+    return "".join(pieces) + nl + "}"
 
 
 def _write_json(v, out) -> None:
@@ -296,10 +318,10 @@ def _write_table(payload: dict, fmt: str, out) -> None:
         import csv
 
         writer = csv.writer(out, lineterminator="\n")
-        header = list(rows[0].keys())
+        header = rows[0]._fields if hasattr(rows[0], "_fields") else list(rows[0])
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_cell(row.get(k)) for k in header])
+            writer.writerow(map(_cell, map(row.get, header) if isinstance(row, dict) else row))
         return
     # text: a report's kind, verdict and summary, or the result; then the row
     # count of any payload with rows, and the notes
@@ -318,10 +340,10 @@ def _write_table(payload: dict, fmt: str, out) -> None:
 
 
 def _cell(v):
-    """A scalar by :func:`_leaf`; a list as its items joined by spaces, a dict
-    item as its values joined by ': '."""
+    """A scalar by :func:`_leaf`; a list as its items joined by spaces, a
+    record item as its values joined by ': '."""
     if isinstance(v, (list, tuple)):
-        items = (x.values() if isinstance(x, dict) else (x,) for x in v)
+        items = (x if isinstance(x, tuple) else (x,) for x in v)
         return " ".join(": ".join(str(_leaf(y)) for y in item) for item in items)
     return _leaf(v)
 
@@ -517,13 +539,13 @@ def _h_alpha(args, spec):
         "result": {
             "refined_stage": prof.stage,
             "base_size": prof.base_size,
-            "exceptions": [{"k": k, "ratio": r} for k, r in prof.exceptions],
+            "exceptions": prof.exceptions,
             "sup_outside": prof.sup_outside,
             "sup_outside_at": prof.sup_outside_at,
         },
     }
     if prof.ratios is not None:
-        payload["rows"] = [{"k": k, "ratio": r} for k, r in prof.ratios]
+        payload["rows"] = prof.ratios  # (k, ratio) records, written as objects
     return payload
 
 

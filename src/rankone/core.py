@@ -25,8 +25,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import combinations, starmap
-from operator import neg, sub
+from itertools import accumulate, combinations, repeat, starmap
+from operator import add, neg, sub
 from sys import byteorder
 from typing import Callable, Iterable, Sequence
 
@@ -119,8 +119,9 @@ class StageSpec(namedtuple("StageSpec", "r spacers")):
                 f"need one spacer count per subcolumn: r={r}, "
                 f"got {len(spacers)} spacer entries"
             )
-        for s in spacers:
-            _check_int("spacer count", s, 0)
+        if set(map(type, spacers)) != {int} or min(spacers) < 0:  # the loop names the bad one
+            for s in spacers:
+                _check_int("spacer count", s, 0)
         return tuple.__new__(cls, (r, spacers))
 
 
@@ -221,22 +222,17 @@ class RankOneSpec:
             stage = self.builder(m, self)
             if not isinstance(stage, StageSpec):
                 raise TypeError("builder must return a StageSpec")
-            self.check_cut_count(m, stage.r)
+            r, spacers = stage  # one unpacking: each field read is a descriptor call
+            self.check_cut_count(m, r)
             h = self._heights[m]
-            hs = []
-            acc = 0
-            spacers = stage.spacers  # read once: each field read is a descriptor call
-            for k in range(stage.r - 1):
-                acc += h + spacers[k]
-                hs.append(acc)
-            h_next = acc + h + spacers[stage.r - 1]
+            if min(spacers[: r - 1], default=0) < 0:  # the gap above copy k is h + s_k
+                raise AssertionError(f"a gap of H_{m} is below h_{m}={h}")
+            hset = tuple(accumulate(map(add, repeat(h, r - 1), spacers), initial=0))
+            h_next = hset[-1] + h + spacers[r - 1]
             self.budget.check("max_height_bits", h_next.bit_length(), f"h_{m + 1} of {{}} bits")
             self._stages.append(stage)
             self._heights.append(h_next)
-            self._wden.append(self._wden[m] * stage.r)
-            hset = (0, *hs)
-            if any(b - a < h for a, b in zip(hset, hset[1:])):
-                raise AssertionError(f"a gap of H_{m} is below h_{m}={h}")
+            self._wden.append(self._wden[m] * r)
             self._hsets.append(hset)
             self._maxdesc.append(self._maxdesc[m] + hset[-1])
         return self
@@ -450,16 +446,18 @@ def _difference_product(spec: RankOneSpec, i: int, n: int) -> tuple[memoryview |
     ``|D|^2`` passes ``max_pairs`` first, so the product's operands are
     bounded by the budget.  The product is :func:`_full_product`'s, packed
     where it is dense: digits over ``[-spread, spread]`` for
-    ``spread = max H_i + ... + max H_{n-1}``, or a dict.
+    ``spread = max H_i + ... + max H_{n-1}``, or a dict.  The partial product
+    through stage ``m`` counts differences of ``H_i + ... + H_m``, so no
+    digit exceeds ``|D|``.
     """
     size = descendant_count(spec, i, n)
     total = spec.budget.check("max_pairs", size**2, "{} pairs")
     spread = spec.max_descendant(n) - spec.max_descendant(i)
     stages = [[spec.height_differences(m)] for m in range(i, n)]
-    return _full_product(stages, total, -spread, spread), total
+    return _full_product(stages, total, -spread, spread, size), total
 
 
-def _full_product(stages: Sequence, total: int, lo: int, hi: int) -> memoryview | dict:
+def _full_product(stages: Sequence, total: int, lo: int, hi: int, peak: int) -> memoryview | dict:
     """The product of the multisets of ``stages``: :func:`_packed_product`'s digits, or a dict.
 
     Each stage is a list of factors whose product is its multiset, and the
@@ -468,7 +466,7 @@ def _full_product(stages: Sequence, total: int, lo: int, hi: int) -> memoryview 
     the running product with it, so that a large running product meets each
     stage once.
     """
-    digits = _packed_product([f for factors in stages for f in factors], total, lo, hi)
+    digits = _packed_product([f for factors in stages for f in factors], total, lo, hi, peak)
     if digits is not None:
         return digits
     acc = {0: 1}
@@ -507,26 +505,27 @@ def _convolve(
 _DIGIT_CODES = {array(c).itemsize: c for c in "BHILQ"}  # digit bytes -> array code, increasing
 
 
-def _packed_product(steps: Sequence, total: int, lo: int, hi: int) -> memoryview | None:
+def _packed_product(steps: Sequence, total: int, lo: int, hi: int, peak: int) -> memoryview | None:
     """The product of the multisets ``steps`` as the digits of one integer, or ``None``.
 
     A step is a pair ``(keys, counts)``, the polynomial ``sum_t counts_t x^t``;
     its keys may be negative and in any order.  Kronecker substitution: each
     step becomes the integer whose digits, from its least key up, are its
     counts, and the digits of the product of those integers are the counts
-    of the product.  ``total``, the sum of those counts (the product of the
-    steps' sums), bounds every digit of every partial product, so a digit of
-    ``B`` bytes, the least of 1, 2, 4 and 8 with ``total < 2^(8B)``, never
-    carries into the next.  ``lo`` and ``hi`` bound the product's keys; the
-    digits come back as a memoryview ``d`` with ``d[t - lo]`` the count of
-    ``t``.  The product is taken only when dense, ``total >= 4 * span`` for
-    ``span = hi - lo + 1``, so no operand has more than ``total / 4`` digits.
-    ``None`` (sparser, or wider than 8 bytes) leaves it to the dict loop.
+    of the product.  ``total`` is the sum of those counts (the product of
+    the steps' sums).  ``peak``, at most ``total``, bounds every digit of
+    every step and of every partial product, so a digit of ``B`` bytes, the
+    least of 1, 2, 4 and 8 with ``peak < 2^(8B)``, never carries into the
+    next.  ``lo`` and ``hi`` bound the product's keys; the digits come back
+    as a memoryview ``d`` with ``d[t - lo]`` the count of ``t``.  The
+    product is taken only when dense, ``total >= 4 * span`` for ``span = hi
+    - lo + 1``, so no operand has more than ``total / 4`` digits.  ``None``
+    (sparser, or wider than 8 bytes) leaves it to the dict loop.
     """
     span = hi - lo + 1
     if total < 4 * span:
         return None
-    width = next((b for b in _DIGIT_CODES if total < 1 << 8 * b), None)
+    width = next((b for b in _DIGIT_CODES if peak < 1 << 8 * b), None)
     if width is None:
         return None
     code = _DIGIT_CODES[width]

@@ -144,7 +144,7 @@ def high_staircase(
             raise PreconditionError(
                 f"cut counts must strictly increase: r_{n}={rn} after r_{n - 1}={spec.stage(n - 1).r}"
             )
-        return StageSpec(rn, tuple(zn + m for m in range(rn)))
+        return StageSpec(rn, tuple(range(zn, zn + rn)))
 
     return RankOneSpec(
         build,
@@ -395,7 +395,7 @@ def partition_staircase(
     def build(n: int, spec: RankOneSpec) -> StageSpec:
         rn = spec.check_cut_count(n, r_of(n))
         d = (-spec.height(n)) % k
-        return StageSpec(rn, tuple(d + k * m for m in range(rn)))
+        return StageSpec(rn, tuple(range(d, d + k * rn, k)))
 
     return RankOneSpec(
         build,

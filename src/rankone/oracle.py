@@ -27,7 +27,6 @@ from itertools import product
 from sys import byteorder
 from typing import Sequence
 
-from rankone.analysis import AlphaProfile
 from rankone.core import BudgetExceeded, IntSet, RankOneSpec, descendant_set
 from rankone.tower import (
     LevelSet,
@@ -186,6 +185,8 @@ def brute_alpha_type_profile(
     store_ratios: bool = False,
 ) -> AlphaProfile:
     """Twin of :func:`rankone.analysis.alpha_type_profile` over the refined set's pairs."""
+    from rankone.analysis import AlphaProfile  # here only: oracle runs need no analysis
+
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
     threshold = Fraction(threshold)

@@ -16,11 +16,13 @@ import inspect
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 
@@ -761,7 +763,8 @@ def test_golden_cli_digests(specfile, capsys):
 
 # cli._emit writes JSON in one pass over the raw payload; the JSON image built
 # by _jsonable and printed by json.dumps is the oracle it must match byte for
-# byte.
+# byte.  Long outputs are compared as lists of lines: pytest explains a
+# mismatch of two long strings by a diff that can take minutes.
 
 
 def _jsonable(v):
@@ -848,10 +851,50 @@ _payloads = st.recursive(
 )
 
 
+_EDGES_53 = [2**53 - 1, 2**53, -(2**53 - 1), -(2**53)]
+_Row = namedtuple("Row", "ratio k")  # fields out of key order
+_OtherRow = namedtuple("OtherRow", "ratio z")
+
+
+@st.composite
+def _typed_lists(draw):
+    """A long list of one scalar type, or of records with such columns: ints
+    at the 53-bit edges, bools among ints, one ``Fraction`` object repeated
+    among distinct ones equal to it or not, strings."""
+    n = draw(st.sampled_from([4095, 4096, 4097, 9000]) | st.integers(1, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def column():
+        kind = draw(st.sampled_from(["int", "int-edge", "bool", "fraction", "str"]))
+        small = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3))
+        if kind == "int":
+            pool = draw(st.lists(st.integers(-(2**53) + 1, 2**53 - 1), min_size=1, max_size=5))
+        elif kind == "int-edge":
+            pool = [*small, draw(st.sampled_from(_EDGES_53))]
+        elif kind == "bool":
+            pool = [*small, draw(st.booleans())]
+        elif kind == "fraction":
+            shared = draw(st.fractions())
+            pool = [shared] * 4 + [Fraction(shared), *draw(st.lists(st.fractions(), max_size=3))]
+        else:
+            pool = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4))
+        values = rng.choices(pool, k=n)
+        values[rng.randrange(n)] = pool[-1]  # the odd one is there at least once
+        return values
+
+    if draw(st.booleans()):
+        return column()
+    rows = list(map(_Row, column(), column()))
+    if draw(st.booleans()):  # one record of another type
+        i = rng.randrange(n)
+        rows[i] = _OtherRow(*rows[i])
+    return tuple(rows) if draw(st.booleans()) else rows
+
+
 @settings(max_examples=200, deadline=None)
-@given(v=_payloads)
+@given(v=_payloads | _typed_lists())
 def test_json_writer_matches_the_json_image(v):
-    assert _written(v) == _json_oracle(v)
+    assert _written(v).split("\n") == _json_oracle(v).split("\n")
 
 
 @pytest.mark.parametrize("n", [4095, 4096, 4097, 9000])
@@ -868,7 +911,7 @@ def test_json_writer_matches_on_long_lists(n, odd):
         rows[odd] = {"k": [odd, {"x": None}], "ratio": "%"}
         scalars[odd] = {"nested": [scalars[odd]]}
     v = {"rows": rows, "result": {"scalars": scalars, "empty": [], "n": n}}
-    assert _written(v) == _json_oracle(v)
+    assert _written(v).split("\n") == _json_oracle(v).split("\n")
 
 
 def test_integers_are_strings_from_2_to_the_53():
@@ -886,12 +929,12 @@ def test_json_writer_matches_a_real_report():
 
 
 def _both_paths(monkeypatch, capsys, argv) -> tuple[tuple, tuple]:
-    """(exit code, stdout) of a run, then of a run printing the JSON image."""
-    new = run_cli(capsys, *argv)[:2]
+    """(exit code, stdout lines) of a run, then of a run printing the JSON image."""
+    code, out, _ = run_cli(capsys, *argv)
     with monkeypatch.context() as m:
         m.setattr(cli, "_write_json", _oracle_writer)
-        old = run_cli(capsys, *argv)[:2]
-    return new, old
+        old_code, old_out, _ = run_cli(capsys, *argv)
+    return (code, out.split("\n")), (old_code, old_out.split("\n"))
 
 
 def test_golden_commands_write_what_the_json_image_prints(specfile, monkeypatch, capsys):
@@ -922,6 +965,9 @@ class _ByteCount:
     def write(self, text: str) -> None:
         self.n += len(text)
 
+    def flush(self) -> None:
+        pass
+
 
 def test_json_writer_streams_long_lists():
     rows = [{"k": k, "ratio": Fraction(k, 7)} for k in range(100_000)]
@@ -938,6 +984,26 @@ def test_json_writer_streams_long_lists():
     assert peak < 2_000_000
 
 
+def test_alpha_dump_holds_few_bytes_per_row(specfile):
+    """The profile shares one zero ratio and the writer builds no object per
+    row: a dict per row and a ``Fraction`` per shift took over 300 bytes a row."""
+    kmax = 40_000
+    argv = ["alpha", "--spec", specfile({"builder": {"kind": "koopman"}}),
+            "--stage", "1", "--kmax", str(kmax), "--dump"]
+    sink = _ByteCount()
+    with contextlib.redirect_stdout(_ByteCount()):
+        assert cli.main(argv) == 0  # imports and first-call caches out of the count
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.n > 40 * kmax
+    assert peak <= 160 * kmax
+
+
 # -- process boundaries ----------------------------------------------------------------
 
 _CERTIFICATE_MODULES = ("rankone.analysis", "rankone.tower", "rankone.oracle", "csv", "traceback")
@@ -945,7 +1011,8 @@ _CERTIFICATE_MODULES = ("rankone.analysis", "rankone.tower", "rankone.oracle", "
 
 def test_small_commands_import_no_certificate_module(specfile):
     """Nor does any command import ``dataclasses`` or ``inspect``, whose
-    import alone costs about 10 ms per process."""
+    import alone costs about 10 ms per process, and ``oracle orbit`` loads
+    ``oracle`` and ``tower`` but not ``analysis``."""
     path = specfile(STAIR)
     code = f"""
 import contextlib, io, sys
@@ -957,13 +1024,19 @@ for argv in (["describe", "-n", "4"], ["heights", "--stage", "3"]):
         assert cli.main([*argv, "--spec", {path!r}]) == 0
 print(sorted(m for m in {_CERTIFICATE_MODULES!r} if m in sys.modules))
 with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["oracle", "orbit", "--stage", "2", "--height", "5", "--k", "3",
+                     "--spec", {path!r}]) == 0
+print(sorted(m for m in {_CERTIFICATE_MODULES!r} if m in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["check-nonerg", "--b", "1", "--horizon", "4", "--spec", {path!r}]) == 0
 print(sorted(m for m in ("dataclasses", "inspect", "rankone.analysis") if m in sys.modules))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True)
     assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout == "[]\n[]\n['rankone.analysis']\n"
+    assert run.stdout == (
+        "[]\n[]\n['rankone.oracle', 'rankone.tower']\n['rankone.analysis']\n"
+    )
 
 
 def test_main_restores_the_warning_hook(specfile, capsys):

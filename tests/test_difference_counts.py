@@ -17,6 +17,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -149,12 +150,13 @@ def _full_counts(spec, i, n):
 
 @pytest.mark.parametrize("e", [1, *NEAR_WIDTH_LIMITS])
 def test_convolve_switch_and_digit_widths(e):
-    """Digits are the fewest of 1, 2, 4 and 8 bytes that hold the total, the
-    kernel declines past 8 bytes, and it packs at exactly ``total = 4 * span``."""
+    """Digits are the fewest of 1, 2, 4 and 8 bytes that hold the peak, here
+    the total, the kernel declines past 8 bytes, and it packs at exactly
+    ``total = 4 * span``."""
     # one key 7, then keys -3..0 in no order: total e over the keys 4..7
     steps = [((7,), (1,)), ((0, -3, -1, -2), (e - 3, 1, 1, 1) if e > 3 else (e, 0, 0, 0))]
     ref = reduce(lambda acc, step: _pairwise(acc, *step), steps, {0: 1})
-    digits = _packed_product(steps, e, 4, 7)
+    digits = _packed_product(steps, e, 4, 7, e)
     width = next((b for b in (1, 2, 4, 8) if e < 2 ** (8 * b)), None)
     if e < 16 or width is None:  # 16 is 4 * span
         assert digits is None
@@ -165,7 +167,7 @@ def test_convolve_switch_and_digit_widths(e):
     # exactly 4 * span, which packs, and one below, which does not
     for counts in ([4] * 15, [4] * 14 + [3]):
         total = e * sum(counts)
-        digits = _packed_product([((0,), (e,)), (range(-7, 8), counts)], total, -7, 7)
+        digits = _packed_product([((0,), (e,)), (range(-7, 8), counts)], total, -7, 7, total)
         assert (digits is None) == (total < 60 or total >= 2**64)
         if digits is not None:
             assert _digits(digits, -7) == _pairwise({0: e}, range(-7, 8), counts)
@@ -194,12 +196,14 @@ def test_packed_product_matches_convolve_chain(inputs):
     """The kernel, the dict loop of ``_convolve`` step by step, and pairs
     listed one by one give one product."""
     steps, total, lo, hi = inputs
-    ref = reduce(lambda acc, step: _pairwise(acc, *step), steps, {0: 1})
+    partial = list(accumulate(steps, lambda acc, step: _pairwise(acc, *step), initial={0: 1}))
+    ref = partial[-1]
     chain = reduce(lambda acc, step: _convolve(acc, *step), steps, {0: 1})
     assert chain == ref
-    digits = _packed_product(steps, total, lo, hi)
+    peak = max(max(p.values()) for p in partial)  # every step's counts are in some partial
+    digits = _packed_product(steps, total, lo, hi, peak)
     if digits is None:
-        assert total < 4 * (hi - lo + 1) or total >= 2**64
+        assert total < 4 * (hi - lo + 1) or peak >= 2**64
     else:
         assert len(digits) == hi - lo + 1
         assert _digits(digits, lo) == ref
@@ -207,12 +211,13 @@ def test_packed_product_matches_convolve_chain(inputs):
 
 @pytest.mark.parametrize(
     "cuts, size, width",
-    [((255,), 255, 2), ((256,), 256, 4), ((255, 257), 65_535, 4), ((256, 256), 65_536, 8)],
+    [((255,), 255, 1), ((256,), 256, 2), ((255, 257), 65_535, 2), ((256, 256), 65_536, 4)],
     ids=["D255", "D256", "D65535", "D65536"],
 )
 def test_full_product_matches_convolve_chain_at_digit_width_edges(cuts, size, width):
     """Stages of ``r`` cuts and no spacers give ``D = {0, ..., |D| - 1}``; the
-    total ``|D|^2`` sits on either side of the 2- and 4-byte digit limits."""
+    largest digit ``N(0) = |D|`` sits on either side of the 1- and 2-byte
+    digit limits."""
     budget = Budget(max_descendants=size, max_pairs=size**2)
     spec = explicit_spec([(r, (0,) * r) for r in cuts], budget=budget)
     n = len(cuts)
@@ -222,6 +227,42 @@ def test_full_product_matches_convolve_chain_at_digit_width_edges(cuts, size, wi
     assert digits.itemsize == width
     assert len(digits) == 2 * size - 1
     assert _digits(digits, 1 - size) == chain
+
+
+# Cut counts whose product |D| is one side or the other of a digit limit.
+_CUTS_AT_DIGIT_EDGES = {
+    255: [(255,), (15, 17), (3, 5, 17)],
+    256: [(256,), (16, 16), (2, 4, 2, 4, 4)],
+    65_535: [(255, 257), (15, 17, 257), (3, 5, 17, 257)],
+    65_536: [(256, 256), (16,) * 4, (4,) * 8],
+}
+
+
+@settings(max_examples=24, deadline=None)
+@given(size=st.sampled_from(sorted(_CUTS_AT_DIGIT_EDGES)), data=st.data())
+def test_packed_digits_match_the_dict_loop_at_digit_width_edges(size, data):
+    """Random small spacers on towers whose ``|D|`` is on either side of the
+    1- and 2-byte digit limits.  ``N(0) = |D|`` is the largest count, and a
+    digit one byte narrower would carry it into ``N(1)``.  The small sets are
+    checked against the whole dict loop; the large ones, whose full dict
+    product lists millions of terms, in a window about 0."""
+    cuts = data.draw(st.sampled_from(_CUTS_AT_DIGIT_EDGES[size]))
+    spacers = st.integers(0, 2)
+    stages = [(r, tuple(data.draw(st.lists(spacers, min_size=r, max_size=r)))) for r in cuts]
+    spec = explicit_spec(stages, budget=Budget(max_descendants=size, max_pairs=size**2))
+    n = len(cuts)
+    digits, total = _difference_product(spec, 0, n)
+    assert total == size**2
+    assert digits.itemsize == (1 if size < 256 else 2 if size < 65_536 else 4)
+    s = len(digits) // 2  # the spread: digits[s] is N(0)
+    assert digits[s] == size
+    if size < 65_535:
+        w = s
+        loop = reduce(lambda acc, m: _convolve(acc, *spec.height_differences(m)), range(n), {0: 1})
+    else:
+        w = data.draw(st.integers(0, 40))
+        loop = difference_counts(spec, 0, n, -w, w)
+    assert {t: digits[s + t] for t in range(-w, w + 1) if digits[s + t]} == loop
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ Each case builds a record by keyword, with the fields it leaves out at their
 defaults, and pins its repr.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,29 @@ def test_defaults():
     assert report.notes == ()
     profile = AlphaProfile(0, 1, Fraction(1, 2), 1, (), Fraction(0), None)
     assert profile.ratios is None
+
+
+@pytest.mark.parametrize(
+    "spacers, error, text",
+    [
+        ((0, True, 2), TypeError, "spacer count must be an int, got True"),
+        ((0, 1, -1), ValueError, "spacer count must be at least 0, got -1"),
+        ((0, 1.0, 2), TypeError, "spacer count must be an int, got 1.0"),
+        ((0, "1", -1), TypeError, "spacer count must be an int, got '1'"),  # the first bad one
+        ((0, -2, None), ValueError, "spacer count must be at least 0, got -2"),
+    ],
+    ids=["bool", "negative", "float", "str-before-negative", "negative-before-none"],
+)
+def test_spacer_validation_names_the_first_bad_spacer(spacers, error, text):
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        StageSpec(3, spacers)
+
+
+def test_spacers_of_int_subclasses_pass_as_before():
+    class Level(int):
+        pass
+
+    assert StageSpec(2, (Level(0), Level(3))).spacers == (0, 3)
 
 
 def test_validation_keeps_its_messages():
