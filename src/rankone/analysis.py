@@ -22,7 +22,7 @@ family for the decay check) raise :class:`rankone.core.PreconditionError`
 subclasses instead of returning a verdict.
 
 Pair and tuple counts over descendant sets are products of per-stage
-generating polynomials (:func:`rankone.core.difference_counts`), taken as
+generating polynomials (:func:`rankone.tower.overlap_counts`), taken as
 one big-integer multiply where dense and read in place, so no pair is
 listed.
 """
@@ -119,9 +119,8 @@ def cons_fraction_exact(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
         ones = [1] * len(H)
         stages.append([([c * a for a in H], ones) for c in (-C, *powers)])
     N = _full_product(stages, total, -C * M, C * M, total)
-    if isinstance(N, dict):
-        return Fraction(sum(c for c in N.values() if c >= 2), total)
-    return Fraction(total - countOf(N, 1), total)  # the counts sum to total
+    counts = N.values() if isinstance(N, dict) else N
+    return Fraction(total - countOf(counts, 1), total)  # the counts sum to total
 
 
 def conservativity_sufficient(
@@ -177,12 +176,8 @@ def _staircase_first_spacer(stage: StageSpec) -> int | None:
     Staircase shaped means consecutive spacer counts grow by exactly one
     on every subcolumn but the last, whose count is unconstrained.
     """
-    spacers = stage.spacers
-    s0 = spacers[0]
-    for m in range(stage.r - 1):
-        if spacers[m] != s0 + m:
-            return None
-    return s0
+    s0 = stage.spacers[0]
+    return s0 if stage.spacers[: stage.r - 1] == tuple(range(s0, s0 + stage.r - 1)) else None
 
 
 def nonconservativity_check(
@@ -271,7 +266,7 @@ def nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
 
     A pair ``(a, a')`` counts when ``(a - a') + b`` is again a difference
     of two descendants, so the count is ``sum_v N(v) [N(v + b) > 0]`` over
-    the difference counts ``N`` of :func:`rankone.core.difference_counts`,
+    the difference counts ``N`` of :func:`rankone.core._difference_product`,
     whose generating polynomial is ``prod_m sum_{a, a' in H_m} x^(a - a')``.
     Where that product is packed, ``N`` is read in place from its digits;
     it is symmetric, so the sum for ``b`` is the sum for ``|b|``.

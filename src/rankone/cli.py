@@ -318,7 +318,8 @@ def _write_table(payload: dict, fmt: str, out) -> None:
         import csv
 
         writer = csv.writer(out, lineterminator="\n")
-        header = rows[0]._fields if hasattr(rows[0], "_fields") else list(rows[0])
+        # a record's fields, or every key of the dict rows in first-seen order
+        header = getattr(rows[0], "_fields", None) or [*dict.fromkeys(k for r in rows for k in r)]
         writer.writerow(header)
         for row in rows:
             writer.writerow(map(_cell, map(row.get, header) if isinstance(row, dict) else row))

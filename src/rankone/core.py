@@ -415,40 +415,17 @@ def _refined(spec: RankOneSpec, levels: IntSet, i: int, n: int) -> IntSet:
     return levels
 
 
-def difference_counts(spec: RankOneSpec, i: int, n: int, lo: int, hi: int) -> Counter:
-    """Difference counts ``N(t) = #{(x, y) in D x D : y - x = t}`` of ``D = H_i + ... + H_{n-1}``
-    in the window ``lo <= t <= hi``.
-
-    ``D`` is the descendant set in ``C_n`` of the base of ``C_i``.  The sum is
-    direct, so a pair ``(x, y)`` is one choice of pair per summand, and ``N``
-    has the generating polynomial ``prod_m sum_{a, a' in H_m} x^(a - a')``: the
-    combinatorial side of the Riesz product formula for rank-one spectral
-    measures.  No set is enumerated, and no pair budget applies.  Stages are
-    taken top-down, and a partial sum is dropped as soon as the stages below
-    it, whose differences stay within ``max H_i + ... + max H_{m-1}``, can no
-    longer bring it into the window.  :func:`_difference_product` is the full
-    product.
-    """
-    if n < i:
-        raise ValueError(f"need i <= n, got i={i}, n={n}")
-    if n == i:
-        return Counter({0: 1} if lo <= 0 <= hi else {})
-    acc = {0: 1}
-    for m in reversed(range(i, n)):
-        spread = spec.max_descendant(m) - spec.max_descendant(i)  # max H_i + ... + max H_{m-1}
-        acc = _convolve(acc, *spec.height_differences(m), lo - spread, hi + spread)
-    return Counter(acc)
-
-
 def _difference_product(spec: RankOneSpec, i: int, n: int) -> tuple[memoryview | dict, int]:
-    """The counts of :func:`difference_counts` at every ``t``, and their total ``|D|^2``.
+    """The difference counts of ``D = H_i + ... + H_{n-1}`` at every ``t``,
+    and their total ``|D|^2``.
 
-    ``|D|^2`` passes ``max_pairs`` first, so the product's operands are
-    bounded by the budget.  The product is :func:`_full_product`'s, packed
-    where it is dense: digits over ``[-spread, spread]`` for
-    ``spread = max H_i + ... + max H_{n-1}``, or a dict.  The partial product
-    through stage ``m`` counts differences of ``H_i + ... + H_m``, so no
-    digit exceeds ``|D|``.
+    These are :func:`rankone.tower.overlap_counts` of the base of ``C_i`` with
+    itself in ``C_n``, in no window.  ``|D|^2`` passes ``max_pairs`` first,
+    so the product's operands are bounded by the budget.  The product is
+    :func:`_full_product`'s, packed where it is dense: digits over
+    ``[-spread, spread]`` for ``spread = max H_i + ... + max H_{n-1}``, or a
+    dict.  The partial product through stage ``m`` counts differences of
+    ``H_i + ... + H_m``, so no digit exceeds ``|D|``.
     """
     size = descendant_count(spec, i, n)
     total = spec.budget.check("max_pairs", size**2, "{} pairs")

@@ -31,7 +31,6 @@ from rankone.core import (
     _convolve,
     _refined,
     descendant_count,
-    difference_counts,
 )
 
 
@@ -171,7 +170,7 @@ def apply_pointwise(spec: RankOneSpec, p: Point, k: int) -> Point:
     the top or bottom, the address is lifted until the target height falls
     inside the deeper column.  The orbit of a measure-zero set of points
     stays outside every column at every stage, which surfaces as
-    :class:`BudgetExceeded` once ``max_stage`` is hit.
+    :class:`rankone.core.BudgetExceeded` once ``max_stage`` is hit.
     """
     return _moved(spec, p, k, p.stage)
 
@@ -184,7 +183,7 @@ def least_valid_stage(spec: RankOneSpec, B: LevelSet, k: int) -> int:
     descendant of ``B`` in ``C_n``.  The headroom above it grows per stage by
     the last subcolumn's spacer count, so such a stage exists exactly when
     those counts keep accumulating; when the budget's ``max_stage`` arrives
-    first, :class:`BudgetExceeded` is raised.
+    first, :class:`rankone.core.BudgetExceeded` is raised.
     """
     n = B.stage
     reach = B.heights[-1] + abs(k) - spec.max_descendant(n)  # refused past max_stage
@@ -230,17 +229,26 @@ def overlap_counts(
 
     ``A_n`` and ``B_n`` are the refinements of ``A`` and ``B`` to ``C_n``.
     Only their common stage ``i`` is enumerated: ``x = a + u_A``,
-    ``x + t = b + u_B`` with ``u`` in ``H_i + ... + H_{n-1}``, so
-    ``t = (b - a) + u`` with ``u`` a difference of that sum, whose counts in
-    the window widened by the spread of ``b - a`` come from
-    :func:`rankone.core.difference_counts`.  Each ``(u, a)`` then walks the
-    ``b`` in range, so the work beyond those counts is the pairs counted plus
+    ``x + t = b + u_B`` with ``u_A``, ``u_B`` in the direct sum
+    ``D = H_i + ... + H_{n-1}``, so ``t = (b - a) + u`` for ``u = u_B - u_A``.
+    The counts of ``u`` over ``D x D`` have the generating polynomial
+    ``prod_m sum_{h, h' in H_m} x^(h - h')``: the combinatorial side of the
+    Riesz product formula for rank-one spectral measures.  No set is
+    enumerated.  Stages are taken top-down, in the window widened by the
+    spread of ``b - a``, and a partial sum is dropped as soon as the stages
+    below it, whose differences stay within ``max H_i + ... + max H_{m-1}``,
+    can no longer bring it into that window.  Each ``(u, a)`` then walks the
+    ``b`` in range, so the work beyond the product is the pairs counted plus
     one bisection per ``(u, a)``.
     """
     i, DA, DB, _ = _common_stage(spec, A, B, n)
-    stage_diffs = difference_counts(spec, i, n, lo - (DB[-1] - DA[0]), hi - (DB[0] - DA[-1]))
+    wmin, wmax = DB[0] - DA[-1], DB[-1] - DA[0]  # range of b - a
+    acc = {0: 1}
+    for m in reversed(range(i, n)):
+        spread = spec.max_descendant(m) - spec.max_descendant(i)  # max H_i + ... + max H_{m-1}
+        acc = _convolve(acc, *spec.height_differences(m), lo - wmax - spread, hi - wmin + spread)
     counts: Counter = Counter()
-    for u, c in stage_diffs.items():
+    for u, c in acc.items():
         for a in DA:
             for b in DB[bisect_left(DB, a + lo - u) : bisect_right(DB, a + hi - u)]:
                 counts[u + b - a] += c
@@ -251,7 +259,7 @@ def overlap_total(spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int, lo: int, 
     """The number of pairs :func:`overlap_counts` counts, without listing any difference.
 
     The stage differences are convolved top-down as in
-    :func:`rankone.core.difference_counts`, but a partial sum all of whose
+    :func:`overlap_counts`, but a partial sum all of whose
     completions, by the stages below and by ``b - a``, land in the window is
     counted at once and dropped.  What is kept lies within the spread of the
     stages below of an end of the window, and distinct elements of a stage

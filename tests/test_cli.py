@@ -502,6 +502,28 @@ def test_csv_without_rows_is_empty(specfile, capsys):
     assert out == ""
 
 
+def test_csv_header_has_every_key_of_the_rows(specfile, capsys):
+    """A skipped first stage has fewer keys than the stages after it; their
+    columns still reach the header, and the skipped row leaves them empty."""
+    spec = {
+        "builder": {"kind": "explicit", "stages": [[3, [0, 1, 2]], [2, [0, 1]]], "cycle": True},
+        "budget": {"max_pairs": 5},
+    }
+    argv = ["arithmetic", "--spec", specfile(spec), "--horizon", "2"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    json_rows = json.loads(out)["report"]["rows"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows == [
+        ["stage", "r", "skipped", "best_a", "best_k", "best_length", "fraction", "qualifies"],
+        ["0", "3", "True", "", "", "", "", ""],
+        ["1", "2", "False", "0", "-1", "2", "1", "False"],
+    ]
+    assert sorted(rows[0]) == sorted(json_rows[1])
+
+
 def test_text_format(specfile, capsys):
     path = specfile(STAIR)
     code, out, _ = run_cli(capsys, "describe", "--spec", path, "--format", "text")

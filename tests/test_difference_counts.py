@@ -2,9 +2,9 @@
 
 ``core._difference_product`` multiplies per-stage difference multisets instead
 of listing pairs: as one packed big integer where the product is dense, by
-the dict convolution loop otherwise; ``core.difference_counts`` takes the
-product in a window.  Both are checked here against a plain
-``Counter`` of pair differences over sets unfolded by
+the dict convolution loop otherwise; ``tower.overlap_counts`` of the base of
+``C_i`` with itself takes the product in a window.  Both are checked here
+against a plain ``Counter`` of pair differences over sets unfolded by
 ``oracle.brute_descendants``, the packed kernel against the dict loop and
 pairs listed one by one, and every certificate routine built on them against
 its ``oracle.brute_*`` twin, on both paths, both for the value and for
@@ -32,7 +32,6 @@ from rankone.core import (
     _difference_product,
     _packed_product,
     descendant_count,
-    difference_counts,
     explicit_spec,
 )
 
@@ -92,7 +91,7 @@ def test_difference_counts_match_pair_counts(stages, data):
     lo = data.draw(st.integers(-span - 2, span + 2))
     hi = data.draw(st.integers(-span - 2, span + 2))  # lo > hi is an empty window
     window = Counter({t: c for t, c in ref.items() if lo <= t <= hi})
-    assert difference_counts(spec, i, n, lo, hi) == window
+    assert _window_counts(spec, i, n, lo, hi) == window
 
 
 def _pairwise(acc, keys, counts):
@@ -146,6 +145,12 @@ def _full_counts(spec, i, n):
     """The nonzero counts of ``_difference_product``, packed or not."""
     N, _ = _difference_product(spec, i, n)
     return N if isinstance(N, dict) else _digits(N, -(len(N) // 2))
+
+
+def _window_counts(spec, i, n, lo, hi):
+    """The difference counts of ``D x D`` in ``[lo, hi]``: the base of ``C_i`` against itself."""
+    base = tower.LevelSet(i, (0,))
+    return tower.overlap_counts(spec, base, base, n, lo, hi)
 
 
 @pytest.mark.parametrize("e", [1, *NEAR_WIDTH_LIMITS])
@@ -261,7 +266,7 @@ def test_packed_digits_match_the_dict_loop_at_digit_width_edges(size, data):
         loop = reduce(lambda acc, m: _convolve(acc, *spec.height_differences(m)), range(n), {0: 1})
     else:
         w = data.draw(st.integers(0, 40))
-        loop = difference_counts(spec, 0, n, -w, w)
+        loop = _window_counts(spec, 0, n, -w, w)
     assert {t: digits[s + t] for t in range(-w, w + 1) if digits[s + t]} == loop
 
 
@@ -413,7 +418,7 @@ def test_full_difference_counts_pass_one_pair_gate():
         with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
             analysis.nonerg_pair_fraction(spec, 3, 1)
     spec = gallery.staircase(budget=Budget(max_pairs=1))
-    assert difference_counts(spec, 0, 3, 0, 0) == Counter({0: 24})
+    assert _window_counts(spec, 0, 3, 0, 0) == Counter({0: 24})
 
 
 @settings(max_examples=60, deadline=None)
