@@ -328,9 +328,35 @@ def nonergodicity_certificate(
 
 def rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:
     """Best rigidity shift for stage ``n``: the positive difference of the
-    height set maximizing the overlap ratio, smallest shift on ties."""
+    height set maximizing the overlap ratio, smallest shift on ties.
+
+    Two stage shapes are answered from the spacer counts ``s_i`` and the
+    height ``h = h_n``, without the difference multiset ``N`` of
+    :meth:`rankone.core.RankOneSpec.height_differences`; the gaps of ``H_n``
+    are ``h + s_i`` for ``i < r - 1``.
+
+    - Constant gap, ``s_i = s`` for ``i < r - 1``: ``H_n = {0, g, ...,
+      (r-1)g}`` with ``g = h + s`` and ``N(jg) = r - j``, so the answer is
+      ``(g, (r-1)/r)``.
+    - Staircase run (:func:`_staircase_first_spacer`), ``s_i = s_0 + i``,
+      with ``h + s_0 > floor((r-2)^2 / 4)``: the lag-``d`` difference from
+      gap ``i`` is ``d(h+s_0) + d i + d(d-1)/2``, increasing in ``i``, and the
+      largest of lag ``d`` is below the least of lag ``d+1`` exactly when
+      ``d(r-2-d) < h + s_0``.  The bound makes that hold for every ``d``, so
+      each positive difference occurs once and the answer is
+      ``(h + s_0, 1/r)``.
+
+    Any other stage reads ``N``.  The ``max_pairs`` check on ``|H_n|^2``
+    runs first, whatever the shape.
+    """
     H = spec.height_set(n)
     spec.budget.check("max_pairs", len(H) ** 2, "{} height pairs")
+    st, h = spec.stage(n), spec.height(n)
+    r, s0 = st.r, st.spacers[0]
+    if st.spacers[: r - 1].count(s0) == r - 1:
+        return h + s0, Fraction(r - 1, r)
+    if _staircase_first_spacer(st) is not None and h + s0 > (r - 2) ** 2 // 4:
+        return h + s0, Fraction(1, r)
     shifts, counts = spec.height_differences(n)
     z = len(shifts) // 2  # the centre, t = 0
     best = max(counts[z + 1 :])

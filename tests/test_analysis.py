@@ -33,6 +33,7 @@ from rankone.core import (
     explicit_spec,
 )
 from rankone.oracle import (
+    brute_rigidity_scan,
     brute_shared_coordinate_fraction,
     brute_staircase_subset_detect,
     brute_tuple_fraction,
@@ -241,6 +242,33 @@ def test_rigidity_scan_rigid_wde_increases():
     ratios = [rigidity_scan(sp, n)[1] for n in (2, 4, 6)]
     assert ratios == [Fraction(1, 2), Fraction(3, 4), Fraction(5, 6)]
     assert ratios == sorted(ratios)
+
+
+@pytest.mark.parametrize(
+    "sp",
+    [gallery.t_q(q, gallery.Caps(max_r=64)) for q in (2, 3, 4)]
+    + [gallery.rigid_wde(gallery.Caps(max_r=64))],
+    ids=["t_q2", "t_q3", "t_q4", "rigid_wde"],
+)
+def test_rigidity_scan_answers_gallery_stages_in_closed_form(sp):
+    for n in range(30):
+        got = rigidity_scan(sp, n)
+        if n < 7:
+            assert got == brute_rigidity_scan(sp, n)
+    assert sp._hdiffs == {}
+
+
+def test_rigidity_scan_falls_back_on_other_stage_shapes():
+    sp = gallery.koopman()
+    rigidity_scan(sp, 2)
+    assert list(sp._hdiffs) == [2]
+
+
+def test_rigidity_scan_refuses_a_closed_form_stage_over_max_pairs():
+    sp = gallery.t_q(3, gallery.Caps(max_r=64), budget=Budget(max_pairs=4095))
+    assert sp.stage(1).r == 64
+    with pytest.raises(BudgetExceeded, match="^4096 height pairs exceeds max_pairs=4095$"):
+        rigidity_scan(sp, 1)
 
 
 def test_alpha_profile_frozen():

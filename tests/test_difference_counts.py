@@ -48,17 +48,21 @@ def _outcome(fn, *args, **kwargs):
 
 
 @st.composite
-def budgeted_specs(draw):
+def budgeted_specs(draw, stages=None):
     """A cycled explicit tower under a small random budget.
 
     Limits are often tiny, so that a count landing just over or under a
-    limit is common.  The last subcolumn of a stage usually gets spacers,
+    limit is common.  The stages are drawn from ``stages`` if given, else
+    at random, where the last subcolumn of a stage usually gets spacers,
     so that the least stage clearing a shift exists.
     """
-    stages = [
-        (r, spacers[:-1] + (spacers[-1] + draw(st.integers(0, 3)),))
-        for r, spacers in draw(stage_lists(max_stages=3, max_r=4))
-    ]
+    if stages is not None:
+        stages = draw(stages)
+    else:
+        stages = [
+            (r, spacers[:-1] + (spacers[-1] + draw(st.integers(0, 3)),))
+            for r, spacers in draw(stage_lists(max_stages=3, max_r=4))
+        ]
     budget = Budget(
         max_stage=draw(st.integers(1, 16)),
         max_descendants=draw(st.one_of(st.integers(4, 40), st.integers(4, 1000))),
@@ -421,12 +425,34 @@ def test_full_difference_counts_pass_one_pair_gate():
     assert _window_counts(spec, 0, 3, 0, 0) == Counter({0: 24})
 
 
-@settings(max_examples=60, deadline=None)
-@given(spec=budgeted_specs(), n=st.integers(0, 5))
-def test_rigidity_scan_matches_twin(spec, n):
-    assert _outcome(analysis.rigidity_scan, spec, n) == _outcome(
-        oracle.brute_rigidity_scan, spec, n
-    )
+@st.composite
+def planted_stages(draw):
+    """At most one random stage, then a constant-gap or staircase-run stage.
+
+    The planted stage has up to 16 cuts and a free last spacer.  A run's
+    first spacer puts ``h + s_0`` within two of ``floor((r-2)^2 / 4)`` on
+    either side, so that both the closed form of ``analysis.rigidity_scan``
+    and its fall-back are reached.
+    """
+    prefix = draw(st.one_of(st.just([]), stage_lists(max_stages=1, max_r=3, max_spacer=2)))
+    h = reduce(lambda h, stage: stage[0] * h + sum(stage[1]), prefix, 1)
+    r = draw(st.integers(2, 16))
+    if draw(st.booleans()):
+        run = (draw(st.integers(0, 6)),) * (r - 1)
+    else:
+        s0 = max(0, (r - 2) ** 2 // 4 - h + draw(st.integers(-2, 2)))
+        run = tuple(range(s0, s0 + r - 1))
+    return prefix + [(r, run + (draw(st.integers(0, 40)),))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=budgeted_specs(), n=st.integers(0, 5), planted=budgeted_specs(planted_stages()))
+def test_rigidity_scan_matches_twin(spec, n, planted):
+    last = len(planted.params["stages"]) - 1
+    for sp, m in ((spec, n), (planted, last)):
+        assert _outcome(analysis.rigidity_scan, sp, m) == _outcome(
+            oracle.brute_rigidity_scan, sp, m
+        )
 
 
 @settings(max_examples=120, deadline=None)
