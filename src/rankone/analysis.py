@@ -30,6 +30,7 @@ listed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import compress, repeat
@@ -52,12 +53,11 @@ from rankone.core import (
 )
 from rankone.tower import (
     LevelSet,
+    _headroom,
     _probe_stage,
     least_valid_stage,
-    measure,
     overlap_counts,
     overlap_total,
-    translate_intersection_measure,
 )
 
 
@@ -409,7 +409,7 @@ def alpha_type_profile(
     s = least_valid_stage(spec, B, k_max)
     size = descendant_count(spec, B.stage, s, len(B.heights))
     spec.budget.check("max_pairs", size**2, "{} pairs")
-    N = overlap_counts(spec, B, B, s, 1, k_max)
+    N = overlap_counts(spec, B, B, s, range(1, k_max + 1))
     zero = Fraction(0)  # the ratio of every shift outside the support of N
     ratio = {k: Fraction(c, size) for k, c in N.items()}
     # Ratios N(k) / size are compared as integers.  A shift with N(k) = 0 is
@@ -628,9 +628,10 @@ def wde_probe(
         return None
     pairs += overlap_total(spec, A, B, s, 1, n_max)
     spec.budget.check("max_pairs", pairs, "{} window pairs")
+    shifts = range(1, n_max + 1)
     both = (
-        overlap_counts(spec, A, A, s, 1, n_max).keys()
-        & overlap_counts(spec, A, B, s, 1, n_max).keys()
+        overlap_counts(spec, A, A, s, shifts).keys()
+        & overlap_counts(spec, A, B, s, shifts).keys()
     )
     return min(both) if both else None
 
@@ -644,6 +645,15 @@ def koopman_decay_check(
     a shift ``k`` falling in the window ``h_n <= k < h_{n+1}`` is below
     ``2/n`` of the set's measure.  Only meaningful for specs built by that
     recipe, hence the precondition on the builder kind.
+
+    The distinct shifts are taken in increasing order, and their least
+    valid stages (:func:`rankone.tower.least_valid_stage`) do not decrease,
+    so the shifts fall into runs that share a stage ``s``: a run ends at the
+    first shift not below the stage's headroom.  Each run is counted by one
+    :func:`rankone.tower.overlap_counts` walk at ``s``.  There
+    ``mu(T^k B meets B) / mu(B) = N(k) / |B_s|`` with ``|B_s|`` the levels of
+    ``B`` refined to ``C_s``, so the bound is checked in integers, as
+    ``N(k) * n < 2 * |B_s|``.
     """
     if spec.params.get("kind") != "koopman":
         raise PreconditionError(
@@ -655,18 +665,24 @@ def koopman_decay_check(
         raise ValueError("need at least one shift to check")
     if ks[0] < spec.height(1):
         raise ValueError(f"shifts must be at least h_1={spec.height(1)}, got {ks[0]}")
-    mu = measure(spec, B)
     rows: list[dict] = []
     ok = True
     n = 1
-    for k in ks:
+    end = 0  # the index of the first shift of the next run
+    for j, k in enumerate(ks):
         while spec.height(n + 1) <= k:
             n += 1
-        ratio = translate_intersection_measure(spec, B, k) / mu
-        bound = Fraction(2, n)
-        holds = ratio < bound
+        if j == end:
+            s = least_valid_stage(spec, B, k)
+            end = bisect_left(ks, _headroom(spec, B, s), j)
+            size = descendant_count(spec, B.stage, s, len(B.heights))
+            N = overlap_counts(spec, B, B, s, ks[j:end])
+        c = N.get(k, 0)
+        holds = c * n < 2 * size
         ok = ok and holds
-        rows.append({"k": k, "window": n, "ratio": ratio, "bound": bound, "ok": holds})
+        rows.append(
+            {"k": k, "window": n, "ratio": Fraction(c, size), "bound": Fraction(2, n), "ok": holds}
+        )
     return CertificateReport(
         kind="koopman-decay",
         horizon=len(ks),

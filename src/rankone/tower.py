@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
+from typing import Sequence
 
 from rankone.core import (
     IntSet,
@@ -186,10 +187,16 @@ def least_valid_stage(spec: RankOneSpec, B: LevelSet, k: int) -> int:
     first, :class:`rankone.core.BudgetExceeded` is raised.
     """
     n = B.stage
-    reach = B.heights[-1] + abs(k) - spec.max_descendant(n)  # refused past max_stage
-    while spec.height(n) <= reach + spec.max_descendant(n):
+    while _headroom(spec, B, n) <= abs(k):  # refused past max_stage
         n += 1
     return n
+
+
+def _headroom(spec: RankOneSpec, B: LevelSet, n: int) -> int:
+    """``h_n - max B - max D``: the shifts that wrap no descendant of ``B``
+    in ``C_n`` are those below it in absolute value.  It does not decrease
+    with ``n``, so :func:`least_valid_stage` does not decrease with ``|k|``."""
+    return spec.height(n) - spec.max_descendant(n) + spec.max_descendant(B.stage) - B.heights[-1]
 
 
 def _probe_stage(spec: RankOneSpec, A: LevelSet, B: LevelSet, n_max: int) -> int:
@@ -223,9 +230,9 @@ def _common_stage(spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int):
 
 
 def overlap_counts(
-    spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int, lo: int, hi: int
+    spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int, ks: Sequence[int]
 ) -> Counter:
-    """``N(t) = #{x in A_n : x + t in B_n}`` for ``lo <= t <= hi``.
+    """``N(t) = #{x in A_n : x + t in B_n}`` for the shifts ``t`` of ``ks``, increasing.
 
     ``A_n`` and ``B_n`` are the refinements of ``A`` and ``B`` to ``C_n``.
     Only their common stage ``i`` is enumerated: ``x = a + u_A``,
@@ -234,25 +241,43 @@ def overlap_counts(
     The counts of ``u`` over ``D x D`` have the generating polynomial
     ``prod_m sum_{h, h' in H_m} x^(h - h')``: the combinatorial side of the
     Riesz product formula for rank-one spectral measures.  No set is
-    enumerated.  Stages are taken top-down, in the window widened by the
-    spread of ``b - a``, and a partial sum is dropped as soon as the stages
-    below it, whose differences stay within ``max H_i + ... + max H_{m-1}``,
-    can no longer bring it into that window.  Each ``(u, a)`` then walks the
-    ``b`` in range, so the work beyond the product is the pairs counted plus
-    one bisection per ``(u, a)``.
+    enumerated.  Stages are taken top-down, in the window ``[ks[0], ks[-1]]``
+    widened by the spread of ``b - a``, and a partial sum is dropped as soon
+    as the stages below it, whose differences stay within
+    ``max H_i + ... + max H_{m-1}``, can no longer bring it into that window.
+    Each ``(u, a)`` then walks the ``b`` in range, so the work beyond the
+    product is the pairs counted plus one bisection per ``(u, a)``.
+
+    When ``ks`` has gaps, fewer shifts than its window, the same bound is
+    applied to each shift: a partial sum ``p`` is kept only while some shift
+    lies in ``[p + min(b - a) - spread, p + max(b - a) + spread]``, found by
+    bisection into ``ks``, and only the shifts of ``ks`` are counted.  A
+    contiguous ``ks`` (a ``range``, or one shift) is its window and skips
+    that step.
     """
     i, DA, DB, _ = _common_stage(spec, A, B, n)
+    lo, hi = (ks[0], ks[-1]) if ks else (1, 0)
+    gapped = len(ks) < hi - lo + 1
     wmin, wmax = DB[0] - DA[-1], DB[-1] - DA[0]  # range of b - a
     acc = {0: 1}
     for m in reversed(range(i, n)):
         spread = spec.max_descendant(m) - spec.max_descendant(i)  # max H_i + ... + max H_{m-1}
         acc = _convolve(acc, *spec.height_differences(m), lo - wmax - spread, hi - wmin + spread)
+        if gapped:
+            near, far = wmin - spread, wmax + spread
+            acc = {p: c for p, c in acc.items() if _any_in(ks, p + near, p + far)}
     counts: Counter = Counter()
     for u, c in acc.items():
         for a in DA:
             for b in DB[bisect_left(DB, a + lo - u) : bisect_right(DB, a + hi - u)]:
                 counts[u + b - a] += c
-    return counts
+    return Counter({k: counts[k] for k in ks if k in counts}) if gapped else counts
+
+
+def _any_in(ks: Sequence[int], lo: int, hi: int) -> bool:
+    """Whether the increasing ``ks`` has an element in ``[lo, hi]``."""
+    j = bisect_left(ks, lo)
+    return j < len(ks) and ks[j] <= hi
 
 
 def overlap_total(spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int, lo: int, hi: int) -> int:
@@ -295,4 +320,4 @@ def translate_intersection_measure(spec: RankOneSpec, B: LevelSet, k: int) -> Fr
 def intersection_measure(spec: RankOneSpec, A: LevelSet, B: LevelSet, k: int) -> Fraction:
     """Exact measure of ``T^k A`` meets ``B`` for level sets ``A``, ``B``."""
     n = max(least_valid_stage(spec, X, k) for X in {A, B})
-    return overlap_counts(spec, A, B, n, k, k)[k] * spec.width(n)
+    return overlap_counts(spec, A, B, n, (k,))[k] * spec.width(n)

@@ -1,5 +1,7 @@
 """Certificate computations: counting formulas, verdicts, profiles."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -33,12 +35,18 @@ from rankone.core import (
     explicit_spec,
 )
 from rankone.oracle import (
+    brute_intersection_measure,
     brute_rigidity_scan,
     brute_shared_coordinate_fraction,
     brute_staircase_subset_detect,
     brute_tuple_fraction,
 )
-from rankone.tower import level_set
+from rankone.tower import (
+    least_valid_stage,
+    level_set,
+    measure,
+    translate_intersection_measure,
+)
 
 from conftest import small_specs
 
@@ -443,3 +451,80 @@ def test_koopman_decay_rejects_small_shifts():
     ko = gallery.koopman()
     with pytest.raises(ValueError):
         koopman_decay_check(ko, level_set(ko, 1, (0,)), [1])
+
+
+
+def test_koopman_decay_check_walks_only_near_its_shifts():
+    """200 shifts over the wide window ``[h_5, h_6)`` share one stage; each
+    partial sum of that walk is kept only near some shift.  Walked as the
+    whole window from the least shift to the greatest, the peak was about
+    40 MB; pruned, about 0.1 MB."""
+    ko = gallery.koopman()
+    B = level_set(ko, 1, (0,))
+    rng = random.Random(5)
+    ks = [rng.randrange(ko.height(5), ko.height(6)) for _ in range(200)]
+    tracemalloc.start()
+    try:
+        rep = koopman_decay_check(ko, B, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "satisfied"
+    assert peak < 1_000_000
+
+
+def test_koopman_decay_check_refuses_a_far_shift():
+    """The stage clearing ``10**22`` holds more descendants than the budget
+    allows, and the check refuses it after the shifts below have been read."""
+    ko = gallery.koopman()
+    B = level_set(ko, 1, (0,))
+    refusal = r"^1814400\+ descendants exceeds max_descendants=200000$"
+    with pytest.raises(BudgetExceeded, match=refusal):
+        koopman_decay_check(ko, B, [ko.height(3), 10**22])
+
+@st.composite
+def decay_inputs(draw):
+    """A koopman spec under a small random cap, 1-4 levels of ``C_1`` or
+    ``C_2``, and 2-30 shifts in ``[h_1, h_5)``, one of them repeated, from
+    windows ``[h_w, h_{w+1})`` drawn so that their least valid stages differ.
+    A shift is often a copy height of ``H_w``, where the overlap peaks: under
+    ``max_r=2``, ``2 h_4`` returns half of a set, which meets the bound
+    ``2/4`` and refutes the check."""
+    spec = gallery.koopman(gallery.Caps(max_r=draw(st.one_of(st.integers(2, 8), st.just(64)))))
+    stage = draw(st.integers(1, 2))
+    levels = draw(st.lists(st.integers(0, spec.height(stage) - 1), min_size=1, max_size=4))
+    B = level_set(spec, stage, levels)
+
+    def shift(w):
+        copy = st.sampled_from(spec.height_set(w)[1:])  # each in [h_w, h_{w+1})
+        return draw(st.one_of(st.integers(spec.height(w), spec.height(w + 1) - 1), copy))
+
+    ks = [shift(1), shift(4)]
+    ks += [shift(draw(st.integers(1, 4))) for _ in range(draw(st.integers(0, 27)))]
+    ks.append(draw(st.sampled_from(ks)))
+    return spec, B, draw(st.permutations(ks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=decay_inputs())
+def test_koopman_decay_check_matches_per_shift_measures(inputs):
+    """Each row against ``mu(T^k B meets B) / mu(B)`` measured shift by shift,
+    and by set lookups where the refined set is small."""
+    spec, B, ks = inputs
+    rep = koopman_decay_check(spec, B, ks)
+    assert [row["k"] for row in rep.rows] == sorted(set(ks))
+    assert len({least_valid_stage(spec, B, k) for k in ks}) >= 2
+    mu = measure(spec, B)
+    for row in rep.rows:
+        k = row["k"]
+        n = max(w for w in range(1, 6) if spec.height(w) <= k)
+        exact = translate_intersection_measure(spec, B, k)
+        assert exact == brute_intersection_measure(spec, B, B, k)
+        assert row["window"] == n
+        assert row["bound"] == Fraction(2, n)
+        assert row["ratio"] == exact / mu
+        assert row["ok"] == (exact / mu < Fraction(2, n))
+    violations = sum(1 for row in rep.rows if not row["ok"])
+    assert rep.summary["violations"] == violations
+    assert rep.verdict == ("refuted" if violations else "satisfied")
+    assert rep.horizon == len(set(ks))

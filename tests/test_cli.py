@@ -1387,6 +1387,17 @@ def test_negative_stage_exits_4(argv, specfile, capsys):
     assert "precondition failed" in err
 
 
+def test_koopman_far_shift_exits_3(specfile, capsys):
+    path = specfile({"builder": {"kind": "koopman"}})
+    h3 = gallery.koopman().height(3)
+    code, out, err = run_cli(
+        capsys, "koopman", "--spec", path, "--stage", "1", "--k", f"{h3},{10**22}"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "budget exceeded: 1814400+ descendants exceeds max_descendants=200000\n"
+
+
 def test_koopman_without_shifts_exits_4(specfile, capsys):
     path = specfile(KOOP)
     code, _, err = run_cli(capsys, "koopman", "--spec", path, "--stage", "1")

@@ -154,7 +154,7 @@ def _full_counts(spec, i, n):
 def _window_counts(spec, i, n, lo, hi):
     """The difference counts of ``D x D`` in ``[lo, hi]``: the base of ``C_i`` against itself."""
     base = tower.LevelSet(i, (0,))
-    return tower.overlap_counts(spec, base, base, n, lo, hi)
+    return tower.overlap_counts(spec, base, base, n, range(lo, hi + 1))
 
 
 @pytest.mark.parametrize("e", [1, *NEAR_WIDTH_LIMITS])
@@ -496,7 +496,7 @@ def test_overlap_counts_and_total_match_pair_counts(spec, data):
     span = free.height(n)
     lo = data.draw(st.integers(-span - 2, span + 2))
     hi = data.draw(st.integers(-span - 2, span + 2))  # lo > hi is an empty window
-    counts = _outcome(tower.overlap_counts, spec, A, B, n, lo, hi)
+    counts = _outcome(tower.overlap_counts, spec, A, B, n, range(lo, hi + 1))
     total = _outcome(tower.overlap_total, spec, A, B, n, lo, hi)
     if counts is BudgetExceeded:
         assert total is BudgetExceeded
@@ -507,12 +507,36 @@ def test_overlap_counts_and_total_match_pair_counts(spec, data):
     assert total == sum(ref.values())
 
 
+@settings(max_examples=100, deadline=None)
+@given(spec=budgeted_specs(), data=st.data())
+def test_gapped_overlap_counts_match_the_window(spec, data):
+    """Shifts with gaps are counted as the window over their span counts them,
+    at those shifts only, and refused under the same budgets; a contiguous
+    list of shifts is that window."""
+    A, B = data.draw(level_sets(spec)), data.draw(level_sets(spec))
+    n = data.draw(st.integers(max(A.stage, B.stage), 5))
+    free = explicit_spec(spec.params["stages"], cycle=True)
+    for X in (A, B):
+        assume(len(X.heights) * product_of_cuts(free, X.stage, n) <= 400)
+    span = free.height(n)
+    shifts = st.sets(st.integers(-span - 2, span + 2), min_size=1, max_size=12)
+    ks = tuple(sorted(data.draw(shifts)))
+    window = range(ks[0], ks[-1] + 1)
+    counts = _outcome(tower.overlap_counts, spec, A, B, n, window)
+    gapped = _outcome(tower.overlap_counts, spec, A, B, n, ks)
+    if counts is BudgetExceeded:
+        assert gapped is BudgetExceeded
+        return
+    assert gapped == Counter({k: counts[k] for k in ks if counts[k]})
+    assert tower.overlap_counts(spec, A, B, n, list(window)) == counts
+
+
 def test_overlap_total_at_the_common_stage_builds_no_stage():
     """With ``n`` the common stage there is nothing to convolve, so a budget
     that cannot build that stage does not refuse the count."""
     spec = explicit_spec([(2, (1, 1))], cycle=True, budget=Budget(max_stage=1))
     A = tower.LevelSet(3, (0,))
-    assert tower.overlap_counts(spec, A, A, 3, 0, 0) == Counter({0: 1})
+    assert tower.overlap_counts(spec, A, A, 3, (0,)) == Counter({0: 1})
     assert tower.overlap_total(spec, A, A, 3, 0, 0) == 1
 
 
