@@ -512,6 +512,19 @@ def arithmetic_report(
     increase in stage order.  A stage whose height pairs exceed
     ``max_pairs`` is skipped, with the refusal as its note, and leaves the
     verdict inconclusive.
+
+    A staircase-shaped stage (:func:`_staircase_first_spacer`), with
+    ``s_i = s_0 + i`` for ``i < r - 1``, is answered from its spacer counts
+    and ``h = h_n``: ``H_n = {0, h + s_0, 2(h + s_0) + 1, ...}`` is itself one
+    run of length ``r`` from ``a = 0`` with offset ``k = s_0 - 1``.  It covers
+    ``H_n``, so no run is longer, and the scan of
+    :func:`staircase_subset_detect` meets it first, at ``(a, e1) = (0, H[1])``,
+    so ``(0, s_0 - 1, r)`` is the scan's answer unless the scan skips that
+    pair.  The scan skips it in two cases, and only those stages fall back to
+    it: ``s_0 - 1 < min_k``, and ``h + s_0 = 1`` with ``s_0 - 2 >= min_k``,
+    where the pair extends backward to ``-h - k = 0``.  Any other stage is
+    scanned.  The ``max_pairs`` check on ``|H_n|^2`` runs first, whatever the
+    shape.
     """
     if horizon < 1:
         raise ValueError(f"need horizon >= 1, got {horizon}")
@@ -527,10 +540,14 @@ def arithmetic_report(
             rows.append({"stage": n, "r": spec.stage(n).r, "skipped": True})
             notes.append(f"stage {n} skipped: {e}")
             continue
-        a, k, length = staircase_subset_detect(H, spec.height(n), min_k) or (None, None, 0)
-        fraction = Fraction(length, len(H))
+        st, h = spec.stage(n), spec.height(n)
+        r, s0 = st.r, _staircase_first_spacer(st)
+        if s0 is not None and min_k <= s0 - 1 and not (h + s0 == 1 and min_k <= s0 - 2):
+            a, k, length = 0, s0 - 1, r
+        else:
+            a, k, length = staircase_subset_detect(H, h, min_k) or (None, None, 0)
+        fraction = Fraction(length, r)
         qualifies = length >= 3 and fraction > tau
-        r = spec.stage(n).r
         rows.append(
             {
                 "stage": n,

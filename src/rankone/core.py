@@ -67,6 +67,11 @@ def _check_int(what: str, value: int, floor: int) -> None:
         raise ValueError(f"{what} must be at least {floor}, got {value}")
 
 
+# The ``_make`` of a named tuple whose ``__new__`` validates: namedtuple's own
+# ``_make``, and so ``_replace``, builds with ``tuple.__new__`` and skips it.
+_validated_make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
 class Budget(
     namedtuple("Budget", "max_stage max_height_bits max_descendants max_pairs max_iterate")
 ):
@@ -77,6 +82,7 @@ class Budget(
     """
 
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(
         cls,
@@ -107,9 +113,14 @@ class Budget(
 
 
 class StageSpec(namedtuple("StageSpec", "r spacers")):
-    """One cutting stage: cut count ``r`` and spacer counts per subcolumn."""
+    """One cutting stage: cut count ``r`` and spacer counts per subcolumn.
+
+    Every spacer count is a nonnegative int, so each gap ``h + s_k`` of the
+    height set, above copy ``k``, is at least the column height ``h``.
+    """
 
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, r: int, spacers: Sequence[int]) -> StageSpec:
         _check_int("cut count", r, 2)
@@ -225,8 +236,6 @@ class RankOneSpec:
             r, spacers = stage  # one unpacking: each field read is a descriptor call
             self.check_cut_count(m, r)
             h = self._heights[m]
-            if min(spacers[: r - 1], default=0) < 0:  # the gap above copy k is h + s_k
-                raise AssertionError(f"a gap of H_{m} is below h_{m}={h}")
             hset = tuple(accumulate(map(add, repeat(h, r - 1), spacers), initial=0))
             h_next = hset[-1] + h + spacers[r - 1]
             self.budget.check("max_height_bits", h_next.bit_length(), f"h_{m + 1} of {{}} bits")

@@ -28,6 +28,7 @@ from rankone.core import (
     StageSpec,
     _check_int,
     _separation_bound,
+    _validated_make,
     explicit_spec,
     gap_pair_count,
 )
@@ -43,6 +44,7 @@ class Caps(namedtuple("Caps", "max_r")):
     """
 
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, max_r: int | None = 64) -> Caps:
         if max_r is not None:

@@ -31,6 +31,7 @@ from rankone.core import (
     RankOneSpec,
     _convolve,
     _refined,
+    _validated_make,
     descendant_count,
 )
 
@@ -39,6 +40,7 @@ class LevelSet(namedtuple("LevelSet", "stage heights")):
     """A finite union of levels of one column: ``stage`` plus sorted heights."""
 
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, stage: int, heights: IntSet) -> LevelSet:
         hs = tuple(int(h) for h in heights)
@@ -55,6 +57,7 @@ class Point(namedtuple("Point", "stage height offset")):
     """One point of the space, addressed in the coordinates of ``stage``."""
 
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, stage: int, height: int, offset: Fraction) -> Point:
         if not isinstance(offset, Fraction):

@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone import gallery
@@ -379,9 +379,60 @@ def test_arithmetic_report_skipped_stage_is_inconclusive():
     assert len(rep.notes) == 11
 
 
+@st.composite
+def mixed_stage_lists(draw):
+    """Stages that are staircase shaped with ``s_0 <= 3``, of two cuts, or neither.
+
+    Stage 0 has ``h = 1``, so a staircase-shaped stage 0 with ``s_0 = 0``
+    meets the backward extension to ``-h - k = 0``.
+    """
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["staircase", "two cuts", "other"]))
+        if shape == "staircase":
+            s0 = draw(st.integers(0, 3))
+            spacers = [*range(s0, s0 + draw(st.integers(2, 6)) - 1), draw(st.integers(0, 3))]
+        elif shape == "two cuts":
+            spacers = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+        else:
+            spacers = draw(st.lists(st.integers(0, 4), min_size=2, max_size=6))
+        stages.append((len(spacers), spacers))
+    return stages
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stages=mixed_stage_lists(),
+    min_k=st.integers(-4, 2),
+    tau=st.sampled_from([Fraction(1, 2), Fraction(1, 5)]),
+    max_pairs=st.one_of(st.just(10**7), st.integers(4, 36)),
+)
+@example(stages=[(3, [0, 1, 0])], min_k=-2, tau=Fraction(1, 2), max_pairs=10**7)
+@example(stages=[(3, [0, 1, 0]), (3, [2, 0, 0])], min_k=-1, tau=Fraction(1, 2), max_pairs=8)
+def test_arithmetic_report_matches_twin_stage_by_stage(stages, min_k, tau, max_pairs):
+    # staircase-shaped stages are read from their spacers, the rest scanned;
+    # both agree with the full scan, and both are skipped by |H|^2 alike
+    spec = explicit_spec(stages, budget=Budget(max_pairs=max_pairs))
+    rep = arithmetic_report(spec, len(stages), tau, min_k)
+    notes = []
+    for n, row in enumerate(rep.rows):
+        H, h = spec.height_set(n), spec.height(n)
+        pairs = len(H) ** 2
+        if pairs > max_pairs:
+            assert row == {"stage": n, "r": len(H), "skipped": True}
+            notes.append(f"stage {n} skipped: {pairs} height pairs exceeds max_pairs={max_pairs}")
+            continue
+        a, k, length = brute_staircase_subset_detect(H, h, min_k) or (None, None, 0)
+        fraction = Fraction(length, len(H))
+        assert (row["best_a"], row["best_k"], row["best_length"]) == (a, k, length)
+        assert row["fraction"] == fraction
+        assert row["qualifies"] == (length >= 3 and fraction > tau)
+    assert list(rep.notes) == notes
+
+
 def test_arithmetic_report_scale_canary():
-    # 150 staircase stages, each height set one whole run, which the search
-    # finds from its first pair; a scan of every pair costs |H|^2 per stage
+    # 150 staircase stages, each height set one whole run, which is read
+    # from the spacer counts; a scan of every pair costs |H|^2 per stage
     rep = arithmetic_report(gallery.staircase(budget=Budget(max_stage=150)), 150)
     assert rep.verdict == "satisfied-at-horizon"
     assert rep.summary["qualifying_stages"] == list(range(1, 150))

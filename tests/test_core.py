@@ -1,5 +1,7 @@
 """Exact tower arithmetic: stage recurrences, sum sets, descendant sets."""
 
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,8 @@ from rankone.core import (
     sum_is_direct,
     sum_set,
 )
+from rankone.gallery import Caps
+from rankone.tower import LevelSet, Point
 
 from conftest import product_of_cuts, small_specs, stage_lists
 
@@ -180,14 +184,31 @@ def test_is_direct_sum_on_towers():
     assert len(descendant_set(zero, 0, 3)) == product_of_cuts(zero, 0, 3) == 8
 
 
-def test_materialize_rejects_a_gap_below_the_height():
-    # StageSpec validation forbids negative spacers; a forged one must
-    # still be caught where the height set is built
-    bad = tuple.__new__(StageSpec, (2, (-1, 0)))
-    sp = explicit_spec([(2, (0, 0)), bad])
-    sp.height(1)
-    with pytest.raises(AssertionError):
-        sp.height(2)
+@pytest.mark.parametrize(
+    "value, bad, good",
+    [
+        pytest.param(Budget(), {"max_pairs": -1}, {"max_pairs": 5}, id="Budget"),
+        pytest.param(
+            StageSpec(3, (0, 1, 2)), {"spacers": (0, -1, 2)}, {"spacers": [2, 1, 0]}, id="StageSpec"
+        ),
+        pytest.param(Caps(), {"max_r": 1}, {"max_r": None}, id="Caps"),
+        pytest.param(LevelSet(2, (0, 5)), {"heights": (5, 0)}, {"heights": [1, 5]}, id="LevelSet"),
+        pytest.param(Point(0, 0, Fraction(0)), {"offset": "x"}, {"offset": 0.25}, id="Point"),
+    ],
+)
+def test_replace_validates_like_the_constructor(value, bad, good):
+    # namedtuple's _replace builds through _make, which must not skip __new__
+    cls = type(value)
+    with pytest.raises(Exception) as refused:
+        cls(**{**value._asdict(), **bad})
+    with pytest.raises(refused.type, match=f"^{re.escape(str(refused.value))}$"):
+        value._replace(**bad)
+    out = value._replace(**good)
+    expected = cls(**{**value._asdict(), **good})
+    assert type(out) is cls and out == expected
+    assert list(map(type, out)) == list(map(type, expected))  # converted fields too
+    back = pickle.loads(pickle.dumps(out))
+    assert type(back) is cls and back == out
 
 
 @pytest.mark.parametrize(
