@@ -30,7 +30,6 @@ listed.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import compress, repeat
@@ -53,7 +52,6 @@ from rankone.core import (
 )
 from rankone.tower import (
     LevelSet,
-    _headroom,
     _probe_stage,
     least_valid_stage,
     overlap_counts,
@@ -453,7 +451,8 @@ def staircase_subset_detect(
     spacer offset ``k``, visits ``a + m(h + k) + m(m+1)/2``; the m-th
     increment is ``h + k + m``.  Only runs of length at least two count,
     and a run is skipped when it extends backward (the longer run with
-    offset ``k - 1`` subsumes it, provided that offset is allowed).
+    offset ``k - 1`` subsumes it, provided that offset is allowed and its
+    first step ``h + k`` is not zero, that is, ``d > 1`` below).
     ``min_k`` bounds the offsets searched; the plain staircase pattern
     itself has offset -1.  Ties in length go to the smallest ``a``, then
     the smallest ``k``: runs are scanned in that order and only a strictly
@@ -481,7 +480,7 @@ def staircase_subset_detect(
             k = d - h - 1
             if k < min_k:
                 continue
-            if a - h - k in Hset and k - 1 >= min_k:
+            if d > 1 and a - h - k in Hset and k - 1 >= min_k:
                 continue  # extends backward; not maximal
             length = 2
             nxt = e1
@@ -519,12 +518,10 @@ def arithmetic_report(
     run of length ``r`` from ``a = 0`` with offset ``k = s_0 - 1``.  It covers
     ``H_n``, so no run is longer, and the scan of
     :func:`staircase_subset_detect` meets it first, at ``(a, e1) = (0, H[1])``,
-    so ``(0, s_0 - 1, r)`` is the scan's answer unless the scan skips that
-    pair.  The scan skips it in two cases, and only those stages fall back to
-    it: ``s_0 - 1 < min_k``, and ``h + s_0 = 1`` with ``s_0 - 2 >= min_k``,
-    where the pair extends backward to ``-h - k = 0``.  Any other stage is
-    scanned.  The ``max_pairs`` check on ``|H_n|^2`` runs first, whatever the
-    shape.
+    so ``(0, s_0 - 1, r)`` is the scan's answer unless ``s_0 - 1 < min_k``
+    puts that pair out of range; only such a stage falls back to the scan.
+    Any other stage is scanned.  The ``max_pairs`` check on ``|H_n|^2`` runs
+    first, whatever the shape.
     """
     if horizon < 1:
         raise ValueError(f"need horizon >= 1, got {horizon}")
@@ -542,7 +539,7 @@ def arithmetic_report(
             continue
         st, h = spec.stage(n), spec.height(n)
         r, s0 = st.r, _staircase_first_spacer(st)
-        if s0 is not None and min_k <= s0 - 1 and not (h + s0 == 1 and min_k <= s0 - 2):
+        if s0 is not None and min_k <= s0 - 1:
             a, k, length = 0, s0 - 1, r
         else:
             a, k, length = staircase_subset_detect(H, h, min_k) or (None, None, 0)
@@ -663,14 +660,13 @@ def koopman_decay_check(
     ``2/n`` of the set's measure.  Only meaningful for specs built by that
     recipe, hence the precondition on the builder kind.
 
-    The distinct shifts are taken in increasing order, and their least
-    valid stages (:func:`rankone.tower.least_valid_stage`) do not decrease,
-    so the shifts fall into runs that share a stage ``s``: a run ends at the
-    first shift not below the stage's headroom.  Each run is counted by one
-    :func:`rankone.tower.overlap_counts` walk at ``s``.  There
-    ``mu(T^k B meets B) / mu(B) = N(k) / |B_s|`` with ``|B_s|`` the levels of
-    ``B`` refined to ``C_s``, so the bound is checked in integers, as
-    ``N(k) * n < 2 * |B_s|``.
+    Once a stage ``s`` is valid for a shift ``k``
+    (:func:`rankone.tower.least_valid_stage`), ``N_s(k) / |B_s|`` is
+    ``mu(T^k B meets B) / mu(B)`` at ``s`` and every later stage, so the
+    stage valid for the largest shift serves them all, in one
+    :func:`rankone.tower.overlap_counts` walk.  Here ``N_s(k)`` counts the
+    levels of ``B_s``, ``B`` refined to ``C_s``, that return under ``k``, and
+    the bound is checked in integers, as ``N_s(k) * n < 2 * |B_s|``.
     """
     if spec.params.get("kind") != "koopman":
         raise PreconditionError(
@@ -682,18 +678,15 @@ def koopman_decay_check(
         raise ValueError("need at least one shift to check")
     if ks[0] < spec.height(1):
         raise ValueError(f"shifts must be at least h_1={spec.height(1)}, got {ks[0]}")
+    s = least_valid_stage(spec, B, ks[-1])
+    size = descendant_count(spec, B.stage, s, len(B.heights))
+    N = overlap_counts(spec, B, B, s, ks)
     rows: list[dict] = []
     ok = True
     n = 1
-    end = 0  # the index of the first shift of the next run
-    for j, k in enumerate(ks):
+    for k in ks:
         while spec.height(n + 1) <= k:
             n += 1
-        if j == end:
-            s = least_valid_stage(spec, B, k)
-            end = bisect_left(ks, _headroom(spec, B, s), j)
-            size = descendant_count(spec, B.stage, s, len(B.heights))
-            N = overlap_counts(spec, B, B, s, ks[j:end])
         c = N.get(k, 0)
         holds = c * n < 2 * size
         ok = ok and holds

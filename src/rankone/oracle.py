@@ -147,7 +147,7 @@ def brute_staircase_subset_detect(
             k = e1 - a - h - 1
             if e1 <= a or k < min_k:
                 continue
-            if a - h - k in Hset and k - 1 >= min_k:
+            if e1 - a > 1 and a - h - k in Hset and k - 1 >= min_k:
                 continue  # extends backward; not maximal
             length = 2
             nxt = e1
@@ -377,16 +377,12 @@ def _cut_lanes(offsets: int, r: int, low: int, count: int) -> tuple[list[int], i
     """One stage of the walk for ``count`` offsets ``u``, packed in 128-bit lanes.
 
     Returns the cuts ``u * r >> 64`` and the offsets ``u * r mod 2^64``,
-    packed.  A lane holds ``u * r`` only while ``r < 2^64``; a larger ``r``
-    is multiplied in by its low 64 bits, and ``u * (r >> 64)`` joins each cut
-    one sample at a time, so no lane ever carries into the next.
+    packed.  ``r`` is a stage's cut count or ``|B|``, the length of a tuple,
+    so ``r < 2^64``: each lane holds ``u * r < 2^128`` and none carries into
+    the next.
     """
-    p = offsets * (r & SplitMix64._MASK)
-    cuts = _words(p, count)[1::2].tolist()
-    if r >> 64:
-        high = r >> 64
-        cuts = [c + u * high for c, u in zip(cuts, _words(offsets, count)[0::2])]
-    return cuts, p & low
+    p = offsets * r
+    return _words(p, count)[1::2].tolist(), p & low
 
 
 def _block_hits(spec: RankOneSpec, B: LevelSet, k: int, draws: memoryview) -> int:
@@ -429,9 +425,9 @@ def monte_carlo_measure(
     and the code shares nothing with :mod:`rankone.tower`'s walk.
     A block walks one stage at a time: its offsets sit in 128-bit lanes of
     one integer, and one multiply by ``r_n`` gives every sample's cut (the
-    high 64 bits of its lane) and new offset (the low 64 bits); a lane holds
-    ``u * r_n < 2^128`` while ``r_n < 2^64``, and a larger cut count is
-    split so that no lane carries.  The block walks until every sample
+    high 64 bits of its lane) and new offset (the low 64 bits); a cut count
+    is the length of a tuple, so ``r_n < 2^64`` and a lane holds
+    ``u * r_n < 2^128`` with no carry.  The block walks until every sample
     satisfies ``0 <= h + k < h_n``, then projects every ``h + k`` down to
     ``B.stage`` by bisection.
 

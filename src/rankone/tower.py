@@ -184,22 +184,17 @@ def least_valid_stage(spec: RankOneSpec, B: LevelSet, k: int) -> int:
 
     That is the least ``n >= B.stage`` with ``h_n > max B + max D + |k|``,
     ``D = H_{B.stage} + ... + H_{n-1}``, so that ``max B + max D`` is the top
-    descendant of ``B`` in ``C_n``.  The headroom above it grows per stage by
-    the last subcolumn's spacer count, so such a stage exists exactly when
+    descendant of ``B`` in ``C_n``.  The headroom ``h_n - max B - max D``
+    grows per stage by the last subcolumn's spacer count and never falls, so
+    the stage does not decrease with ``|k|``, and it exists exactly when
     those counts keep accumulating; when the budget's ``max_stage`` arrives
     first, :class:`rankone.core.BudgetExceeded` is raised.
     """
+    lift = B.heights[-1] - spec.max_descendant(B.stage)  # max B + max D - max_descendant(n)
     n = B.stage
-    while _headroom(spec, B, n) <= abs(k):  # refused past max_stage
+    while spec.height(n) - spec.max_descendant(n) - lift <= abs(k):  # refused past max_stage
         n += 1
     return n
-
-
-def _headroom(spec: RankOneSpec, B: LevelSet, n: int) -> int:
-    """``h_n - max B - max D``: the shifts that wrap no descendant of ``B``
-    in ``C_n`` are those below it in absolute value.  It does not decrease
-    with ``n``, so :func:`least_valid_stage` does not decrease with ``|k|``."""
-    return spec.height(n) - spec.max_descendant(n) + spec.max_descendant(B.stage) - B.heights[-1]
 
 
 def _probe_stage(spec: RankOneSpec, A: LevelSet, B: LevelSet, n_max: int) -> int:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankone import gallery
+from rankone import analysis, gallery
 from rankone.analysis import (
     AlphaProfile,
     CertificateReport,
@@ -45,6 +45,7 @@ from rankone.tower import (
     least_valid_stage,
     level_set,
     measure,
+    overlap_counts,
     translate_intersection_measure,
 )
 
@@ -329,6 +330,14 @@ def test_staircase_subset_detect_min_k():
     assert staircase_subset_detect(H, 12, min_k=0) == (12, 0, 3)
 
 
+def test_staircase_subset_detect_keeps_a_unit_first_step():
+    # a first step d = 1 means h + k = 0, so the backward extension would
+    # step onto a itself; it subsumes nothing, and a lower floor keeps the run
+    H = (0, 1, 3, 6)
+    assert staircase_subset_detect(H, 1, min_k=-2) == (0, -1, 4)
+    assert brute_staircase_subset_detect(H, 1, min_k=-2) == (0, -1, 4)
+
+
 @st.composite
 def run_sets(draw):
     """An unsorted height set with repeats and ``h >= 0``, often holding planted runs."""
@@ -384,7 +393,8 @@ def mixed_stage_lists(draw):
     """Stages that are staircase shaped with ``s_0 <= 3``, of two cuts, or neither.
 
     Stage 0 has ``h = 1``, so a staircase-shaped stage 0 with ``s_0 = 0``
-    meets the backward extension to ``-h - k = 0``.
+    has the first step ``h + s_0 = 1``, whose backward extension would be a
+    zero step.
     """
     stages = []
     for _ in range(draw(st.integers(1, 4))):
@@ -428,6 +438,28 @@ def test_arithmetic_report_matches_twin_stage_by_stage(stages, min_k, tau, max_p
         assert row["fraction"] == fraction
         assert row["qualifies"] == (length >= 3 and fraction > tau)
     assert list(rep.notes) == notes
+
+
+def _arithmetic_rows(spec, horizon, min_k):
+    rep = arithmetic_report(spec, horizon, min_k=min_k)
+    keys = ("best_a", "best_k", "best_length", "fraction", "qualifies")
+    return [tuple(row[key] for key in keys) for row in rep.rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(stages=mixed_stage_lists(), min_k=st.integers(-4, -1))
+@example(stages=[(4, [0, 1, 2, 0])], min_k=-2)  # H_0 = (0, 1, 3, 6) with h = 1
+def test_arithmetic_rows_do_not_move_below_offset_minus_one(stages, min_k):
+    """Every difference of ``H_n`` is at least ``h_n``, so no pair has an
+    offset below -1, and a lower ``min_k`` reaches no other run."""
+    spec = explicit_spec(stages)
+    assert _arithmetic_rows(spec, len(stages), min_k) == _arithmetic_rows(spec, len(stages), -1)
+
+
+def test_arithmetic_rows_on_the_staircase_do_not_move_below_offset_minus_one():
+    # staircase stage 0 has h + s_0 = 1
+    sp = gallery.staircase()
+    assert _arithmetic_rows(sp, 3, -2) == _arithmetic_rows(sp, 3, -1)
 
 
 def test_arithmetic_report_scale_canary():
@@ -526,7 +558,7 @@ def test_koopman_decay_check_walks_only_near_its_shifts():
 
 def test_koopman_decay_check_refuses_a_far_shift():
     """The stage clearing ``10**22`` holds more descendants than the budget
-    allows, and the check refuses it after the shifts below have been read."""
+    allows, and the check refuses it before any shift is counted."""
     ko = gallery.koopman()
     B = level_set(ko, 1, (0,))
     refusal = r"^1814400\+ descendants exceeds max_descendants=200000$"
@@ -554,6 +586,24 @@ def decay_inputs(draw):
     ks += [shift(draw(st.integers(1, 4))) for _ in range(draw(st.integers(0, 27)))]
     ks.append(draw(st.sampled_from(ks)))
     return spec, B, draw(st.permutations(ks))
+
+
+@settings(max_examples=20, deadline=None)
+@given(inputs=decay_inputs())
+def test_koopman_decay_check_walks_once(inputs):
+    """Shifts spanning two least valid stages are all counted in one walk, at
+    the stage valid for the largest."""
+    spec, B, ks = inputs
+    stages = []
+
+    def counted(spec, A, B, n, ks):
+        stages.append(n)
+        return overlap_counts(spec, A, B, n, ks)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "overlap_counts", counted)
+        koopman_decay_check(spec, B, ks)
+    assert stages == [least_valid_stage(spec, B, max(ks))]
 
 
 @settings(max_examples=40, deadline=None)

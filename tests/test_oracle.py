@@ -135,9 +135,9 @@ def test_splitmix_block_and_single_draws_interleave():
 
 def test_cut_lanes_never_carry_across_lanes():
     # a cut count of 2^64 or more cannot be materialized (a stage lists one
-    # spacer count per cut), so the split of a wide r is checked directly
+    # spacer count per cut), so r stops at the widest a lane holds
     us = array("Q", [0, 1, 2**63, 2**64 - 1, *SplitMix64(3).block(7)])
-    for r in (2, 3, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 5, 3**50):
+    for r in (2, 3, 2**32 + 1, 2**64 - 1):
         cuts, packed = _cut_lanes(_lanes(us), r, _low_halves(len(us)), len(us))
         assert cuts == [u * r >> 64 for u in us]
         assert packed == _lanes(array("Q", [u * r % (1 << 64) for u in us]))
