@@ -43,6 +43,7 @@ from rankone.core import (
     PreconditionError,
     RankOneSpec,
     StageSpec,
+    _check_int,
     _difference_product,
     _gap_tuple_count,
     _separation_bound,
@@ -466,7 +467,9 @@ def staircase_subset_detect(
     ``a + L d + L(L-1)/2``, so the scan of ``e1`` stops once that passes
     ``max H``: ``d`` grows with ``e1``.  The worst case stays ``|H|^2`` pairs.
     """
-    Hs = sorted(set(int(x) for x in H))
+    Hs = sorted(set(H))
+    for x in Hs:
+        _check_int("height", x, None)
     Hset = set(Hs)
     best_a = best_k = None
     best_length = 1
@@ -673,7 +676,9 @@ def koopman_decay_check(
             "decay windows apply only to the doubling-spacer family "
             f"(spec {spec.name!r} was built by {spec.params.get('kind')!r})"
         )
-    ks = sorted(set(int(k) for k in k_samples))
+    ks = sorted(set(k_samples))
+    for k in ks:
+        _check_int("shift", k, None)
     if not ks:
         raise ValueError("need at least one shift to check")
     if ks[0] < spec.height(1):

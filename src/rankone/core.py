@@ -59,11 +59,11 @@ class CapsMakeConstructionUnfaithful(UserWarning):
     """
 
 
-def _check_int(what: str, value: int, floor: int) -> None:
-    """Accept only an int (not a bool) that is at least ``floor``."""
+def _check_int(what: str, value: int, floor: int | None) -> None:
+    """Accept only an int (not a bool) that is at least ``floor``, if one is given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an int, got {value!r}")
-    if value < floor:
+    if floor is not None and value < floor:
         raise ValueError(f"{what} must be at least {floor}, got {value}")
 
 
@@ -320,9 +320,10 @@ class RankOneSpec:
         """Stable hex digest of the construction's identity.
 
         Covers the name, builder parameters, and budget, so identical spec
-        inputs hash identically across runs.  A spec whose parameters include
-        a callable (a gallery rule given as a function) has no stable
-        identity and raises :class:`PreconditionError`.
+        inputs hash identically across runs.  Gallery parameters are plain
+        data; a spec given ``params`` that JSON cannot hold, such as a
+        callable passed to the constructor directly, has no stable identity
+        and raises :class:`PreconditionError`.
         """
         payload = {
             "name": self.name,
@@ -406,6 +407,7 @@ def descendant_set(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
     the translated iterated sum set ``b + H_i + ... + H_{j-1}``."""
     if j < i:
         raise ValueError(f"need i <= j, got i={i}, j={j}")
+    _check_int("level", b, None)
     if not 0 <= b < spec.height(i):
         raise ValueError(f"level {b} is not a level of C_{i} (h_{i}={spec.height(i)})")
     return _refined(spec, (b,), i, j)

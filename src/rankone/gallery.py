@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from typing import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from rankone.core import (
     Budget,
@@ -30,10 +30,9 @@ from rankone.core import (
     _separation_bound,
     _validated_make,
     explicit_spec,
-    gap_pair_count,
 )
 
-RSeq = int | Sequence[int] | Callable[[int], int]
+RSeq = int | Sequence[int]
 
 
 class Caps(namedtuple("Caps", "max_r")):
@@ -53,38 +52,29 @@ class Caps(namedtuple("Caps", "max_r")):
 
 
 def _rule(
-    value: RSeq, extend: str, what: str, floor: int = 0
-) -> Callable[[int], int]:
-    """Normalize an int / sequence / callable stage parameter to a callable.
+    value: RSeq, extend: str, what: str, floor: int
+) -> tuple[Callable[[int], int], int | list[int]]:
+    """A stage parameter as its per-stage function and its ``spec.params`` entry.
 
-    Sequences extend past their end either by repeating the last entry or
-    by incrementing it once per further stage.  Explicitly given values
-    are checked now; callables stay lazy and are checked when the stage
-    materializes.
+    An int is the value of every stage.  A sequence is read once and checked
+    now; past its end it repeats its last entry or increments it once per
+    further stage, so no stage falls below ``floor``.  It is recorded as the
+    list of its entries, so an iterator fingerprints like the tuple it yields.
     """
     if extend not in ("repeat", "increment"):
         raise ValueError(f"unknown extend mode {extend!r}")
-    if callable(value):
-        return value
     if isinstance(value, int):
         _check_int(what, value, floor)
-        return lambda n: value
+        return (lambda n: value), value
+    if not isinstance(value, Iterable):
+        raise TypeError(f"{what} rule must be an int or a sequence of ints, got {value!r}")
     seq = tuple(value)
     if not seq:
         raise ValueError(f"{what} sequence must be nonempty")
     for v in seq:
         _check_int(what, v, floor)
-    if extend == "repeat":
-        return lambda n: seq[n] if n < len(seq) else seq[-1]
-    return lambda n: seq[n] if n < len(seq) else seq[-1] + (n - len(seq) + 1)
-
-
-def _params_value(value: RSeq) -> object:
-    """A rule as recorded in ``spec.params``; a callable stays itself, so the
-    spec cannot be fingerprinted."""
-    if callable(value) or isinstance(value, int):
-        return value
-    return list(value)
+    step = 0 if extend == "repeat" else 1
+    return (lambda n: seq[n] if n < len(seq) else seq[-1] + step * (n - len(seq) + 1)), list(seq)
 
 
 # -- plain and shifted staircases ---------------------------------------------
@@ -102,7 +92,7 @@ def staircase(
     The default cut rule grows by one each stage (2, 3, 4, ...), the
     classical choice.
     """
-    r_of = _rule(r, extend, "cut count", floor=2)
+    r_of, r_seq = _rule(r, extend, "cut count", 2)
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
         rn = spec.check_cut_count(n, r_of(n))
@@ -112,7 +102,7 @@ def staircase(
         build,
         name=name,
         budget=budget,
-        params={"kind": "staircase", "r_seq": _params_value(r), "extend": extend},
+        params={"kind": "staircase", "r_seq": r_seq, "extend": extend},
         declared_properties=("strongly-arithmetic",),
     )
 
@@ -130,18 +120,14 @@ def high_staircase(
     Cut counts must increase strictly from stage to stage; that growth is
     what the recurring-pattern certificate keys on.
     """
-    r_of = _rule(r, extend, "cut count", floor=2)
-    z_of = _rule(z, extend, "offset", floor=0)
-    if not callable(r) and not isinstance(r, int):
-        seq = tuple(r)
-        if any(b <= a for a, b in zip(seq, seq[1:])):
-            raise PreconditionError("cut counts must strictly increase")
-    # a repeated or callable tail that goes flat is caught lazily below
+    r_of, r_seq = _rule(r, extend, "cut count", 2)
+    z_of, z_seq = _rule(z, extend, "offset", 0)
+    if isinstance(r_seq, list) and any(b <= a for a, b in zip(r_seq, r_seq[1:])):
+        raise PreconditionError("cut counts must strictly increase")
+    # a repeated tail goes flat, which is caught when that stage is built
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
         rn, zn = spec.check_cut_count(n, r_of(n)), z_of(n)
-        if zn < 0:
-            raise ValueError(f"offset must be nonnegative, got z_{n}={zn}")
         if n > 0 and rn <= spec.stage(n - 1).r:
             raise PreconditionError(
                 f"cut counts must strictly increase: r_{n}={rn} after r_{n - 1}={spec.stage(n - 1).r}"
@@ -152,12 +138,7 @@ def high_staircase(
         build,
         name=name,
         budget=budget,
-        params={
-            "kind": "high_staircase",
-            "r_seq": _params_value(r),
-            "z_seq": _params_value(z),
-            "extend": extend,
-        },
+        params={"kind": "high_staircase", "r_seq": r_seq, "z_seq": z_seq, "extend": extend},
     )
 
 
@@ -167,29 +148,20 @@ def high_staircase(
 def _min_r_for_pair_bound(n: int, h: int, maxd: int) -> int:
     """Least cut count of stage ``idx = n + 1`` making close index pairs a ``1/(4 idx^2)`` share.
 
-    Close means coordinates within ``m = 2 maxd + 2`` of each other, ``maxd``
-    the descendant spread of stage ``idx``; the count is quadratic in ``r``,
-    so the least admissible ``r`` comes from the upper root of
-    ``r^2 - 4 idx^2 (2m - 1) r + 4 idx^2 (m^2 - m)``.  The height ``h`` of
-    stage ``n`` is not used; the signature is that of an odd-stage rule of
-    :func:`_two_phase`.
+    Close means coordinates within ``m = 2 maxd + 2``, ``maxd`` the descendant
+    spread of stage ``idx``: the least ``r >= m`` with
+    ``4 idx^2 gap_pair_count(r, m) <= r^2`` (:func:`rankone.core.gap_pair_count`),
+    that is ``r^2 - 2ar + 4 idx^2 (m^2 - m) >= 0`` for ``a = 2 idx^2 (2m - 1)``.
+    The smaller root is at most ``4 idx^2 (m^2 - m) / a < m < a``, so this
+    holds exactly when ``r > a`` and ``(r - a)^2 >= 4D``, where
+    ``D = a^2/4 - idx^2 (m^2 - m) >= 7``: from ``r = a + isqrt(4D - 1) + 1``
+    on.  The height ``h`` of stage ``n`` is not used; the signature is that
+    of an odd-stage rule of :func:`_two_phase`.
     """
     m, idx = 2 * maxd + 2, n + 1
-
-    def ok(r: int) -> bool:
-        if m > r:
-            return False
-        return 4 * idx * idx * gap_pair_count(r, m) <= r * r
-
-    guess = 2 * idx * idx * (2 * m - 1) + 2 * math.isqrt(
-        idx**4 * (2 * m - 1) ** 2 - idx * idx * (m * m - m)
-    )
-    r = max(2, m, guess - 2)
-    while not ok(r):
-        r += 1
-    while r - 1 >= max(2, m) and ok(r - 1):
-        r -= 1
-    return r
+    a = 2 * idx * idx * (2 * m - 1)
+    D = idx**4 * (2 * m - 1) ** 2 - idx * idx * (m * m - m)
+    return a + math.isqrt(4 * D - 1) + 1
 
 
 def _capped(r_faithful: int, caps: Caps, spec: RankOneSpec, stage: int) -> int:
@@ -226,7 +198,7 @@ def _two_phase(
 
     Even stage ``n`` (height ``h``, descendant spread ``maxd``) cuts into
     ``r`` copies ``gap`` apart, ``(r, gap) = even(n, h, maxd)``.  Odd stage
-    ``n + 1`` stacks a staircase run of ``odd_r(n, h, maxd_{n+1})``
+    ``n + 1`` stacks a staircase run of ``r = odd_r(n, h, maxd_{n+1})``
     subcolumns, capped by ``caps``.  The even stage predicts that count and
     pads its last copy so that ``h_{n+2}``, hence each gap of the odd stage,
     is one past the separation bound
@@ -270,7 +242,9 @@ def main_wde(
     """
     return _two_phase(
         caps,
-        lambda n, h, maxd: (2, max(2 * maxd + 2, h)),
+        # the gap exceeds h: h_0 = 1, and an odd stage of r >= 2 cuts, height h' and
+        # spread maxd' leaves 2 maxd + 2 - h = 2 maxd' + (r - 2) h' + r(r - 3)/2 + 2 > 0
+        lambda n, h, maxd: (2, 2 * maxd + 2),
         _min_r_for_pair_bound,
         lambda r_next, h: 0,
         name=name,
@@ -325,9 +299,9 @@ def t_q(
     def odd_r(n: int, h: int, maxd: int) -> int:
         # solved distance inequality at spread m = 4qh, index = even stage
         m = 4 * q * h
-        rad = n**2 - 2 * m**2 * n**2 + n**4 - 4 * m * n**4 + 4 * m**2 * n**4
-        r_dist = 2 * ((2 * m - 1) * n * n + math.isqrt(max(rad, 0))) + 1
-        return max(r_dist, _min_r_for_pair_bound(n, h, maxd), 16 * q * h + 1, 2)
+        rad = n**4 * (2 * m - 1) ** 2 - n * n * (2 * m * m - 1)  # >= 2 n^2 (m - 1)^2
+        r_dist = 2 * ((2 * m - 1) * n * n + math.isqrt(rad)) + 1
+        return max(r_dist, _min_r_for_pair_bound(n, h, maxd), 16 * q * h + 1)
 
     return _two_phase(
         caps,
@@ -392,7 +366,7 @@ def partition_staircase(
     ``extend``.
     """
     _check_int("k", k, 1)
-    r_of = _rule(r, extend, "cut count", floor=2)
+    r_of, r_seq = _rule(r, extend, "cut count", 2)
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
         rn = spec.check_cut_count(n, r_of(n))
@@ -403,12 +377,7 @@ def partition_staircase(
         build,
         name=name if name is not None else f"divisible-staircase-{k}",
         budget=budget,
-        params={
-            "kind": "partition_staircase",
-            "k": k,
-            "r_seq": _params_value(r),
-            "extend": extend,
-        },
+        params={"kind": "partition_staircase", "k": k, "r_seq": r_seq, "extend": extend},
         declared_properties=(
             (f"all-heights-divisible-by-{k}",) if k >= 2 else ()
         ),

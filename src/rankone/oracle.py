@@ -27,7 +27,7 @@ from itertools import product
 from sys import byteorder
 from typing import Sequence
 
-from rankone.core import BudgetExceeded, IntSet, RankOneSpec, descendant_set
+from rankone.core import BudgetExceeded, IntSet, RankOneSpec, _check_int, descendant_set
 from rankone.tower import (
     LevelSet,
     Point,
@@ -138,7 +138,9 @@ def brute_staircase_subset_detect(
     H: Sequence[int], h: int, min_k: int = -1
 ) -> tuple[int, int, int] | None:
     """Twin of :func:`rankone.analysis.staircase_subset_detect`: the run from every pair."""
-    Hs = tuple(sorted(set(int(x) for x in H)))
+    Hs = tuple(sorted(set(H)))
+    for x in Hs:
+        _check_int("height", x, None)
     Hset = set(Hs)
     best_a = best_k = None
     best_length = 1

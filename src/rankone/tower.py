@@ -29,6 +29,7 @@ from typing import Sequence
 from rankone.core import (
     IntSet,
     RankOneSpec,
+    _check_int,
     _convolve,
     _refined,
     _validated_make,
@@ -37,58 +38,69 @@ from rankone.core import (
 
 
 class LevelSet(namedtuple("LevelSet", "stage heights")):
-    """A finite union of levels of one column: ``stage`` plus sorted heights."""
+    """A finite union of levels of one column: ``stage`` plus increasing int heights."""
 
     __slots__ = ()
     _make = _validated_make
 
     def __new__(cls, stage: int, heights: IntSet) -> LevelSet:
-        hs = tuple(int(h) for h in heights)
+        _check_int("stage", stage, 0)
+        hs = tuple(heights)
         if not hs:
             raise ValueError("a level set needs at least one level")
+        for h in hs:
+            _check_int("height", h, 0)
         if any(b <= a for a, b in zip(hs, hs[1:])):
             raise ValueError("heights must be strictly increasing")
-        if hs[0] < 0:
-            raise ValueError("heights must be nonnegative")
         return tuple.__new__(cls, (stage, hs))
 
 
 class Point(namedtuple("Point", "stage height offset")):
-    """One point of the space, addressed in the coordinates of ``stage``."""
+    """One point of the space, addressed in the coordinates of ``stage``.
+
+    The offset is exact, never a float.  Build points with :func:`point`,
+    which checks them against the column; :func:`apply_pointwise` does not."""
 
     __slots__ = ()
     _make = _validated_make
 
     def __new__(cls, stage: int, height: int, offset: Fraction) -> Point:
-        if not isinstance(offset, Fraction):
-            offset = Fraction(offset)
-        return tuple.__new__(cls, (stage, height, offset))
+        _check_int("stage", stage, 0)
+        _check_int("height", height, 0)
+        if isinstance(offset, float):
+            raise TypeError(f"offset must be exact, not a float, got {offset!r}")
+        x = Fraction(offset)
+        if x < 0:
+            raise ValueError(f"offset must be nonnegative, got {x}")
+        return tuple.__new__(cls, (stage, height, x))
+
+
+def _in_column(spec: RankOneSpec, B: LevelSet) -> LevelSet:
+    """``B``, once its top height is a level of ``C_{B.stage}``."""
+    n, h_n = B.stage, spec.height(B.stage)
+    if B.heights[-1] >= h_n:
+        raise ValueError(f"height {B.heights[-1]} is not a level of C_{n} (h_{n}={h_n})")
+    return B
 
 
 def level_set(spec: RankOneSpec, stage: int, heights) -> LevelSet:
     """Validated :class:`LevelSet`: every height must be a level of ``C_stage``."""
-    ls = LevelSet(stage, tuple(sorted(set(int(h) for h in heights))))
-    h_n = spec.height(stage)
-    if ls.heights[-1] >= h_n:
-        raise ValueError(
-            f"height {ls.heights[-1]} is not a level of C_{stage} (h_{stage}={h_n})"
-        )
-    return ls
+    return _in_column(spec, LevelSet(stage, sorted(set(heights))))
 
 
 def point(spec: RankOneSpec, stage: int, height: int, offset) -> Point:
     """Validated :class:`Point` with ``0 <= height < h_stage``, ``0 <= offset < w_stage``."""
-    x = Fraction(offset)
     if not 0 <= height < spec.height(stage):
         raise ValueError(f"height {height} out of range for C_{stage}")
-    if not 0 <= x < spec.width(stage):
-        raise ValueError(f"offset {x} out of range for C_{stage} (w={spec.width(stage)})")
-    return Point(stage, height, x)
+    p = Point(stage, height, offset)
+    if p.offset >= spec.width(stage):
+        raise ValueError(f"offset {p.offset} out of range for C_{stage} (w={spec.width(stage)})")
+    return p
 
 
 def measure(spec: RankOneSpec, B: LevelSet) -> Fraction:
     """Exact measure of a level set: level count times column width."""
-    return len(B.heights) * spec.width(B.stage)
+    return len(B.heights) * spec.width(_in_column(spec, B).stage)
 
 
 def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
@@ -96,11 +108,14 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
 
     Each level of ``C_i`` appears in ``C_n`` as its translated descendant
     set, so the refined set is the direct sum ``B + H_i + ... + H_{n-1}``,
-    with exactly ``|B| * r_i * ... * r_{n-1}`` levels and the same measure.
+    with exactly ``|B| * r_i * ... * r_{n-1}`` levels, increasing, and the
+    same measure.
     """
     if n < B.stage:
         raise ValueError(f"cannot refine stage {B.stage} set to earlier stage {n}")
-    return B if n == B.stage else LevelSet(n, _refined(spec, B.heights, B.stage, n))
+    if n == B.stage:
+        return B
+    return tuple.__new__(LevelSet, (n, _refined(spec, _in_column(spec, B).heights, B.stage, n)))
 
 
 def _walk(spec: RankOneSpec, p: Point, k: int, stage: int):
@@ -121,11 +136,12 @@ def _walk(spec: RankOneSpec, p: Point, k: int, stage: int):
 
 
 def _moved(spec: RankOneSpec, p: Point, k: int, stage: int) -> Point:
-    """:func:`_walk` from and back to a :class:`Point`; a new ``Fraction`` only after a lift."""
+    """:func:`_walk` from and back to a :class:`Point`, built unchecked; a new
+    ``Fraction`` only after a lift."""
     if p.stage >= stage and 0 <= p.height + k < spec.height(p.stage):
-        return Point(p.stage, p.height + k, p.offset)
+        return tuple.__new__(Point, (p.stage, p.height + k, p.offset))
     n, h, num, den = _walk(spec, p, k, stage)
-    return Point(n, h, Fraction(num, den * spec.width_denominator(n)))
+    return tuple.__new__(Point, (n, h, Fraction(num, den * spec.width_denominator(n))))
 
 
 def lift_to(spec: RankOneSpec, p: Point, n: int) -> Point:

@@ -536,6 +536,19 @@ def test_koopman_decay_rejects_small_shifts():
         koopman_decay_check(ko, level_set(ko, 1, (0,)), [1])
 
 
+def test_koopman_decay_refuses_a_fractional_shift():
+    ko = gallery.koopman()
+    k = ko.height(2) + 0.9  # was read as h_2
+    with pytest.raises(TypeError, match=f"^shift must be an int, got {k}$"):
+        koopman_decay_check(ko, level_set(ko, 1, (0,)), [ko.height(2), k])
+
+
+@pytest.mark.parametrize("detect", [staircase_subset_detect, brute_staircase_subset_detect])
+def test_staircase_subset_detect_refuses_a_fractional_height(detect):
+    with pytest.raises(TypeError, match="^height must be an int, got 1.5$"):
+        detect((0, 1.5, 3), 1)  # was read as (0, 1, 3), giving (0, -1, 3)
+
+
 
 def test_koopman_decay_check_walks_only_near_its_shifts():
     """200 shifts over the wide window ``[h_5, h_6)`` share one stage; each

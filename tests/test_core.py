@@ -13,6 +13,7 @@ from rankone.core import (
     BudgetExceeded,
     PreconditionError,
     RankOneError,
+    RankOneSpec,
     StageSpec,
     descendant_set,
     explicit_spec,
@@ -68,6 +69,12 @@ def test_descendant_set_frozen_example():
 def test_descendant_set_empty_range_is_base():
     sp = explicit_spec(TRIPLE)
     assert descendant_set(sp, 1, 1, 4) == (4,)
+
+
+def test_descendant_base_must_be_an_int():
+    sp = explicit_spec(TRIPLE)
+    with pytest.raises(TypeError, match="^level must be an int, got 0.5$"):
+        descendant_set(sp, 0, 2, 0.5)  # was (0.5, 1.5, ...)
 
 
 def test_descendant_base_out_of_range():
@@ -193,7 +200,7 @@ def test_is_direct_sum_on_towers():
         ),
         pytest.param(Caps(), {"max_r": 1}, {"max_r": None}, id="Caps"),
         pytest.param(LevelSet(2, (0, 5)), {"heights": (5, 0)}, {"heights": [1, 5]}, id="LevelSet"),
-        pytest.param(Point(0, 0, Fraction(0)), {"offset": "x"}, {"offset": 0.25}, id="Point"),
+        pytest.param(Point(0, 0, Fraction(0)), {"offset": "x"}, {"offset": "1/4"}, id="Point"),
     ],
 )
 def test_replace_validates_like_the_constructor(value, bad, good):
@@ -258,8 +265,10 @@ def test_fingerprint_stability():
 def test_fingerprint_refuses_callable_parameters():
     from rankone import gallery
 
+    # gallery rules are data; only a direct ``params`` can hold a callable
+    direct = RankOneSpec(lambda n, spec: StageSpec(2, (0, 0)), params={"rule": lambda n: 2})
     with pytest.raises(PreconditionError):
-        gallery.staircase(lambda n: 2).fingerprint()
+        direct.fingerprint()
     assert gallery.staircase(2).fingerprint() != gallery.staircase(5).fingerprint()
 
 

@@ -5,6 +5,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankone import analysis, gallery
 from rankone.core import (
@@ -13,6 +15,7 @@ from rankone.core import (
     CapsMakeConstructionUnfaithful,
     PreconditionError,
     StageSpec,
+    gap_pair_count,
 )
 
 pytestmark = pytest.mark.filterwarnings(
@@ -42,8 +45,28 @@ def test_staircase_sequence_rules():
     assert [inc.stage(n).r for n in range(4)] == [2, 4, 5, 6]
     rep = gallery.staircase((2, 4), extend="repeat")
     assert [rep.stage(n).r for n in range(4)] == [2, 4, 4, 4]
-    fn = gallery.staircase(lambda n: n + 5)
-    assert [fn.stage(n).r for n in range(3)] == [5, 6, 7]
+
+
+RULE_BUILDERS = [
+    pytest.param(lambda r: gallery.staircase(r), id="staircase"),
+    pytest.param(lambda r: gallery.high_staircase(r, 1, extend="increment"), id="high_staircase-r"),
+    pytest.param(lambda z: gallery.high_staircase((3, 5), z, extend="increment"), id="high_staircase-z"),
+    pytest.param(lambda r: gallery.partition_staircase(2, r), id="partition_staircase"),
+]
+
+
+@pytest.mark.parametrize("make", RULE_BUILDERS)
+def test_iterator_rule_is_recorded_like_its_tuple(make):
+    it, tup = make(x for x in (3, 5)), make((3, 5))
+    assert [it.stage(n) for n in range(4)] == [tup.stage(n) for n in range(4)]
+    assert it.params == tup.params and [3, 5] in it.params.values()
+    assert it.fingerprint() == tup.fingerprint()
+
+
+@pytest.mark.parametrize("make", RULE_BUILDERS)
+def test_callable_rule_is_refused_at_construction(make):
+    with pytest.raises(TypeError, match="rule must be an int or a sequence of ints, got <function"):
+        make(lambda n: n + 5)
 
 
 def test_staircase_rejects_bad_rule():
@@ -128,6 +151,36 @@ def test_t_q_even_stage_cuts_match_q():
         sp = gallery.t_q(q, gallery.Caps(max_r=6))
         assert sp.stage(0).r == q
         assert sp.stage(2).r == q
+
+
+def _share_holds(n: int, maxd: int, r: int) -> bool:
+    """Whether close pairs, within ``m = 2 maxd + 2``, are at most a ``1/(4 (n+1)^2)`` share."""
+    return 4 * (n + 1) ** 2 * gap_pair_count(r, 2 * maxd + 2) <= r * r
+
+
+def _least_r_by_search(n: int, maxd: int) -> int:
+    """The least ``r >= m`` passing :func:`_share_holds`, by linear search."""
+    r = 2 * maxd + 2
+    while not _share_holds(n, maxd, r):
+        r += 1
+    return r
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 3), maxd=st.integers(0, 12))
+def test_min_r_for_pair_bound_is_the_least_admissible_count(n, maxd):
+    assert gallery._min_r_for_pair_bound(n, 0, maxd) == _least_r_by_search(n, maxd)
+
+
+@pytest.mark.parametrize(
+    "n, maxd", [(0, 0), (2, 10**6), (40, 3**90), (10**9, 2**400), (12345, 2**400 - 1)]
+)
+def test_min_r_for_pair_bound_on_huge_spreads(n, maxd):
+    # too far for a search from m: the count holds, the one below fails, and
+    # so does m, below which the share test's quadratic has its smaller root
+    r = gallery._min_r_for_pair_bound(n, 0, maxd)
+    assert _share_holds(n, maxd, r) and not _share_holds(n, maxd, r - 1)
+    assert not _share_holds(n, maxd, 2 * maxd + 2)
 
 
 def _two_phase_digest() -> str:

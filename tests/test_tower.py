@@ -87,6 +87,55 @@ def test_point_constructor_coerces_the_offset():
     assert x == Fraction(0) and type(x) is Fraction
 
 
+def test_level_sets_are_exact_where_they_enter():
+    sp = gallery.staircase()
+    with pytest.raises(TypeError, match="^height must be an int, got True$"):
+        level_set(sp, 2, (2.7, True))  # was read as heights (1, 2)
+    with pytest.raises(TypeError, match="^height must be an int, got 2.7$"):
+        LevelSet(2, (2.7,))
+    with pytest.raises(TypeError, match="^stage must be an int, got 1.0$"):
+        LevelSet(1.0, (0,))
+    raw = LevelSet(1, (0, 1, 2, 50))  # C_1 has 3 levels
+    with pytest.raises(ValueError, match=r"^height 50 is not a level of C_1 \(h_1=3\)$"):
+        measure(sp, raw)  # was 2
+    with pytest.raises(ValueError, match=r"^height 50 is not a level of C_1 \(h_1=3\)$"):
+        refine(sp, raw, 2)
+    assert refine(sp, raw, 1) is raw  # the identity builds and checks nothing
+
+
+def test_points_are_exact_where_they_enter():
+    sp = gallery.staircase()
+    with pytest.raises(TypeError, match="^height must be an int, got 0.5$"):
+        Point(0, 0.5, 0)
+    with pytest.raises(TypeError, match="^offset must be exact, not a float"):
+        Point(1, 0, 0.25)
+    with pytest.raises(ValueError, match="^offset must be nonnegative, got -1/4$"):
+        Point(1, 0, "-1/4")
+    with pytest.raises(TypeError, match="^offset must be exact, not a float"):
+        point(sp, 1, 0, 0.1)  # was kept as a 55-bit dyadic
+    assert point(sp, 1, 0, "1/10") == point(sp, 1, 0, Fraction(1, 10)) == Point(1, 0, "1/10")
+    assert point(sp, 1, 0, 0).offset == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(stages=stage_lists(), data=st.data())
+def test_unchecked_images_are_valid_points_and_level_sets(stages, data):
+    """:func:`apply_pointwise` and :func:`refine` build their results unchecked;
+    each is what the checked constructor gives."""
+    spec = explicit_spec(stages, cycle=True)
+    stage = data.draw(st.integers(0, 2))
+    h = data.draw(st.integers(0, spec.height(stage) - 1))
+    x = data.draw(st.integers(0, 96)) * spec.width(stage) / 97
+    k = data.draw(st.integers(-2 * spec.height(stage), 2 * spec.height(stage)))
+    try:
+        q = apply_pointwise(spec, point(spec, stage, h, x), k)
+    except BudgetExceeded:
+        assume(False)
+    assert point(spec, *q) == q and type(q.offset) is Fraction
+    R = refine(spec, level_set(spec, stage, (h,)), stage + 2)
+    assert level_set(spec, R.stage, R.heights) == R
+
+
 def test_lift_walks_cuts(sp):
     # offset in the middle third of the base goes to the second cut copy
     p = point(sp, 0, 0, Fraction(1, 2))
