@@ -19,7 +19,8 @@ A report's verdict is always one of a small vocabulary:
 
 Structural preconditions (staircase-shaped stages, and the doubling-spacer
 family for the decay check) raise :class:`rankone.core.PreconditionError`
-subclasses instead of returning a verdict.
+subclasses instead of returning a verdict.  Stage shapes are read once, by
+:attr:`rankone.core.StageSpec.shape`, and ``|H_n| = r_n`` needs no listing.
 
 Pair and tuple counts over descendant sets are products of per-stage
 generating polynomials (:func:`rankone.tower.overlap_counts`), taken as
@@ -42,7 +43,6 @@ from rankone.core import (
     NotStronglyArithmetic,
     PreconditionError,
     RankOneSpec,
-    StageSpec,
     _check_int,
     _difference_product,
     _gap_tuple_count,
@@ -169,16 +169,6 @@ def conservativity_sufficient(
     )
 
 
-def _staircase_first_spacer(stage: StageSpec) -> int | None:
-    """First spacer count if the stage is staircase shaped, else None.
-
-    Staircase shaped means consecutive spacer counts grow by exactly one
-    on every subcolumn but the last, whose count is unconstrained.
-    """
-    s0 = stage.spacers[0]
-    return s0 if stage.spacers[: stage.r - 1] == tuple(range(s0, s0 + stage.r - 1)) else None
-
-
 def nonconservativity_check(
     spec: RankOneSpec,
     k: int,
@@ -187,11 +177,12 @@ def nonconservativity_check(
 ) -> CertificateReport:
     """Certify non-conservativity of the k-fold power at a finite horizon.
 
-    Requires every stage in the horizon to be staircase shaped.  At stage
-    ``j``, tuples of subcolumn indices that spread wider than twice the
-    maximum descendant height can never realign, so the fraction of
-    surviving tuples is at most the running product of
-    ``1 - |K_j| / r_j^k`` with ``|K_j|`` the count of wide tuples.
+    Requires every stage in the horizon to be a staircase run
+    (:attr:`rankone.core.StageSpec.shape`).  At stage ``j``, tuples of
+    subcolumn indices that spread wider than twice the maximum descendant
+    height can never realign, so the fraction of surviving tuples is at
+    most the running product of ``1 - |K_j| / r_j^k`` with ``|K_j|`` the
+    count of wide tuples.
 
     The product argument needs each stage's spacer growth to dominate both
     the accumulated descendant spread and the internal triangular offsets;
@@ -210,7 +201,7 @@ def nonconservativity_check(
     all_separated = True
     for j in range(horizon):
         st = spec.stage(j)
-        s0 = _staircase_first_spacer(st)
+        s0 = st.shape[1]
         if s0 is None:
             raise NotStronglyArithmetic(
                 f"stage {j} of {spec.name} is not staircase shaped"
@@ -329,37 +320,35 @@ def rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:
     """Best rigidity shift for stage ``n``: the positive difference of the
     height set maximizing the overlap ratio, smallest shift on ties.
 
-    Two stage shapes are answered from the spacer counts ``s_i`` and the
-    height ``h = h_n``, without the difference multiset ``N`` of
-    :meth:`rankone.core.RankOneSpec.height_differences`; the gaps of ``H_n``
-    are ``h + s_i`` for ``i < r - 1``.
+    Two stage shapes (:attr:`rankone.core.StageSpec.shape`) are answered
+    from the spacer counts ``s_i`` and the height ``h = h_n``, without the
+    difference multiset ``N`` of :meth:`rankone.core.RankOneSpec.height_differences`;
+    the gaps of ``H_n`` are ``h + s_i`` for ``i < r - 1``.
 
     - Constant gap, ``s_i = s`` for ``i < r - 1``: ``H_n = {0, g, ...,
       (r-1)g}`` with ``g = h + s`` and ``N(jg) = r - j``, so the answer is
       ``(g, (r-1)/r)``.
-    - Staircase run (:func:`_staircase_first_spacer`), ``s_i = s_0 + i``,
-      with ``h + s_0 > floor((r-2)^2 / 4)``: the lag-``d`` difference from
-      gap ``i`` is ``d(h+s_0) + d i + d(d-1)/2``, increasing in ``i``, and the
-      largest of lag ``d`` is below the least of lag ``d+1`` exactly when
-      ``d(r-2-d) < h + s_0``.  The bound makes that hold for every ``d``, so
-      each positive difference occurs once and the answer is
-      ``(h + s_0, 1/r)``.
+    - Staircase run, ``s_i = s_0 + i``, with ``h + s_0 > floor((r-2)^2 / 4)``:
+      the lag-``d`` difference from gap ``i`` is ``d(h+s_0) + d i + d(d-1)/2``,
+      increasing in ``i``, and the largest of lag ``d`` is below the least of
+      lag ``d+1`` exactly when ``d(r-2-d) < h + s_0``.  The bound makes that
+      hold for every ``d``, so each positive difference occurs once and the
+      answer is ``(h + s_0, 1/r)``.
 
-    Any other stage reads ``N``.  The ``max_pairs`` check on ``|H_n|^2``
+    Any other stage reads ``N``.  The ``max_pairs`` check on ``|H_n|^2 = r^2``
     runs first, whatever the shape.
     """
-    H = spec.height_set(n)
-    spec.budget.check("max_pairs", len(H) ** 2, "{} height pairs")
     st, h = spec.stage(n), spec.height(n)
-    r, s0 = st.r, st.spacers[0]
-    if st.spacers[: r - 1].count(s0) == r - 1:
-        return h + s0, Fraction(r - 1, r)
-    if _staircase_first_spacer(st) is not None and h + s0 > (r - 2) ** 2 // 4:
+    spec.budget.check("max_pairs", st.r**2, "{} height pairs")
+    r, (gap, s0) = st.r, st.shape
+    if gap is not None:
+        return h + gap, Fraction(r - 1, r)
+    if s0 is not None and h + s0 > (r - 2) ** 2 // 4:
         return h + s0, Fraction(1, r)
     shifts, counts = spec.height_differences(n)
     z = len(shifts) // 2  # the centre, t = 0
     best = max(counts[z + 1 :])
-    return shifts[counts.index(best, z + 1)], Fraction(best, len(H))
+    return shifts[counts.index(best, z + 1)], Fraction(best, r)
 
 
 class AlphaProfile(
@@ -467,6 +456,8 @@ def staircase_subset_detect(
     ``a + L d + L(L-1)/2``, so the scan of ``e1`` stops once that passes
     ``max H``: ``d`` grows with ``e1``.  The worst case stays ``|H|^2`` pairs.
     """
+    _check_int("h", h, None)
+    _check_int("min_k", min_k, None)
     Hs = sorted(set(H))
     for x in Hs:
         _check_int("height", x, None)
@@ -515,16 +506,15 @@ def arithmetic_report(
     ``max_pairs`` is skipped, with the refusal as its note, and leaves the
     verdict inconclusive.
 
-    A staircase-shaped stage (:func:`_staircase_first_spacer`), with
+    A staircase-run stage (:attr:`rankone.core.StageSpec.shape`), with
     ``s_i = s_0 + i`` for ``i < r - 1``, is answered from its spacer counts
     and ``h = h_n``: ``H_n = {0, h + s_0, 2(h + s_0) + 1, ...}`` is itself one
     run of length ``r`` from ``a = 0`` with offset ``k = s_0 - 1``.  It covers
-    ``H_n``, so no run is longer, and the scan of
-    :func:`staircase_subset_detect` meets it first, at ``(a, e1) = (0, H[1])``,
-    so ``(0, s_0 - 1, r)`` is the scan's answer unless ``s_0 - 1 < min_k``
-    puts that pair out of range; only such a stage falls back to the scan.
-    Any other stage is scanned.  The ``max_pairs`` check on ``|H_n|^2`` runs
-    first, whatever the shape.
+    ``H_n``, so no run is longer, and the scan of :func:`staircase_subset_detect`
+    meets it first, at ``(a, e1) = (0, H[1])``, so ``(0, s_0 - 1, r)`` is the
+    scan's answer unless ``s_0 - 1 < min_k`` puts that pair out of range; only
+    such a stage falls back to the scan.  Any other stage is scanned.  The
+    ``max_pairs`` check on ``|H_n|^2 = r^2`` runs first, whatever the shape.
     """
     if horizon < 1:
         raise ValueError(f"need horizon >= 1, got {horizon}")
@@ -533,19 +523,18 @@ def arithmetic_report(
     notes: list[str] = []
     qualifying: list[tuple[int, int]] = []  # (stage, r)
     for n in range(horizon):
-        H = spec.height_set(n)
+        st, h = spec.stage(n), spec.height(n)
         try:
-            spec.budget.check("max_pairs", len(H) ** 2, "{} height pairs")
+            spec.budget.check("max_pairs", st.r**2, "{} height pairs")
         except BudgetExceeded as e:
-            rows.append({"stage": n, "r": spec.stage(n).r, "skipped": True})
+            rows.append({"stage": n, "r": st.r, "skipped": True})
             notes.append(f"stage {n} skipped: {e}")
             continue
-        st, h = spec.stage(n), spec.height(n)
-        r, s0 = st.r, _staircase_first_spacer(st)
+        r, s0 = st.r, st.shape[1]
         if s0 is not None and min_k <= s0 - 1:
             a, k, length = 0, s0 - 1, r
         else:
-            a, k, length = staircase_subset_detect(H, h, min_k) or (None, None, 0)
+            a, k, length = staircase_subset_detect(spec.height_set(n), h, min_k) or (None, None, 0)
         fraction = Fraction(length, r)
         qualifies = length >= 3 and fraction > tau
         rows.append(

@@ -406,7 +406,7 @@ def _h_describe(args, spec):
                 "stage": n,
                 "r": st.r,
                 "h": spec.height(n),
-                "height_set_size": len(spec.height_set(n)),
+                "height_set_size": st.r,
                 "max_descendant": spec.max_descendant(n),
             }
         )
@@ -516,7 +516,7 @@ def _h_rigidity(args, spec):
 
     a, ratio = analysis.rigidity_scan(spec, args.stage)
     return {
-        "result": {"best_shift": a, "ratio": ratio, "height_set_size": len(spec.height_set(args.stage))},
+        "result": {"best_shift": a, "ratio": ratio, "height_set_size": spec.stage(args.stage).r},
     }
 
 

@@ -135,6 +135,15 @@ class StageSpec(namedtuple("StageSpec", "r spacers")):
                 _check_int("spacer count", s, 0)
         return tuple.__new__(cls, (r, spacers))
 
+    @property
+    def shape(self) -> tuple[int | None, int | None]:
+        """``(s, s_0)``: the constant gap ``s`` when ``s_i = s`` for every ``i < r - 1``, the
+        run start ``s_0`` when ``s_i = s_0 + i`` there, and ``None`` for a shape the stage
+        lacks.  The last spacer is free, so a stage of two cuts has both."""
+        r, spacers = self
+        s0, steps = spacers[0], set(map(sub, spacers[1 : r - 1], spacers))
+        return (s0 if steps <= {0} else None), (s0 if steps <= {1} else None)
+
 
 Builder = Callable[[int, "RankOneSpec"], StageSpec]
 

@@ -138,6 +138,8 @@ def brute_staircase_subset_detect(
     H: Sequence[int], h: int, min_k: int = -1
 ) -> tuple[int, int, int] | None:
     """Twin of :func:`rankone.analysis.staircase_subset_detect`: the run from every pair."""
+    _check_int("h", h, None)
+    _check_int("min_k", min_k, None)
     Hs = tuple(sorted(set(H)))
     for x in Hs:
         _check_int("height", x, None)

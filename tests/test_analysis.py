@@ -390,7 +390,8 @@ def test_arithmetic_report_skipped_stage_is_inconclusive():
 
 @st.composite
 def mixed_stage_lists(draw):
-    """Stages that are staircase shaped with ``s_0 <= 3``, of two cuts, or neither.
+    """Stages that are staircase runs with ``s_0 <= 3``, constant gaps, of two
+    cuts, or none of these; the last spacer of each is free.
 
     Stage 0 has ``h = 1``, so a staircase-shaped stage 0 with ``s_0 = 0``
     has the first step ``h + s_0 = 1``, whose backward extension would be a
@@ -398,10 +399,13 @@ def mixed_stage_lists(draw):
     """
     stages = []
     for _ in range(draw(st.integers(1, 4))):
-        shape = draw(st.sampled_from(["staircase", "two cuts", "other"]))
+        shape = draw(st.sampled_from(["staircase", "constant gap", "two cuts", "other"]))
         if shape == "staircase":
             s0 = draw(st.integers(0, 3))
             spacers = [*range(s0, s0 + draw(st.integers(2, 6)) - 1), draw(st.integers(0, 3))]
+        elif shape == "constant gap":
+            s = draw(st.integers(0, 3))
+            spacers = [s] * (draw(st.integers(2, 6)) - 1) + [draw(st.integers(0, 3))]
         elif shape == "two cuts":
             spacers = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
         else:
@@ -438,6 +442,27 @@ def test_arithmetic_report_matches_twin_stage_by_stage(stages, min_k, tau, max_p
         assert row["fraction"] == fraction
         assert row["qualifies"] == (length >= 3 and fraction > tau)
     assert list(rep.notes) == notes
+
+
+@settings(max_examples=200, deadline=None)
+@given(stages=mixed_stage_lists(), max_pairs=st.one_of(st.just(10**7), st.integers(4, 36)))
+@example(stages=[(4, [0, 1, 2, 0])], max_pairs=10**7)  # h + s_0 = 1 = floor((4-2)^2 / 4)
+def test_rigidity_scan_matches_twin_stage_by_stage(stages, max_pairs):
+    # constant gaps and runs past the bound are read from their spacers, the
+    # rest from the difference multiset; both agree with the twin, and both
+    # are refused by r^2 alike
+    spec = explicit_spec(stages, budget=Budget(max_pairs=max_pairs))
+    for n, (r, spacers) in enumerate(stages):
+        if r * r > max_pairs:
+            message = f"^{r * r} height pairs exceeds max_pairs={max_pairs}$"
+            with pytest.raises(BudgetExceeded, match=message):
+                rigidity_scan(spec, n)
+            continue
+        assert rigidity_scan(spec, n) == brute_rigidity_scan(spec, n)
+        head, s0 = spacers[: r - 1], spacers[0]
+        run = head == [*range(s0, s0 + r - 1)]
+        closed = head == [s0] * (r - 1) or (run and spec.height(n) + s0 > (r - 2) ** 2 // 4)
+        assert (n in spec._hdiffs) != closed
 
 
 def _arithmetic_rows(spec, horizon, min_k):
@@ -543,10 +568,21 @@ def test_koopman_decay_refuses_a_fractional_shift():
         koopman_decay_check(ko, level_set(ko, 1, (0,)), [ko.height(2), k])
 
 
-@pytest.mark.parametrize("detect", [staircase_subset_detect, brute_staircase_subset_detect])
-def test_staircase_subset_detect_refuses_a_fractional_height(detect):
-    with pytest.raises(TypeError, match="^height must be an int, got 1.5$"):
-        detect((0, 1.5, 3), 1)  # was read as (0, 1, 3), giving (0, -1, 3)
+@pytest.mark.parametrize(
+    "detect, args, message",
+    [
+        pytest.param(detect, args, message, id=f"{case}{detect.__name__}")
+        for case, args, message in [
+            ("", ((0, 1.5, 3), 1), "height must be an int, got 1.5"),  # was read as (0, 1, 3)
+            ("h-", ((0, 1, 3, 6), 1.5), "h must be an int, got 1.5"),  # gave (1, -0.5, 3)
+            ("min_k-", ((0, 1, 3, 6), 1, -1.5), "min_k must be an int, got -1.5"),
+        ]
+        for detect in (staircase_subset_detect, brute_staircase_subset_detect)
+    ],
+)
+def test_staircase_subset_detect_refuses_a_fractional_height(detect, args, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        detect(*args)
 
 
 

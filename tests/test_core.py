@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone.core import (
@@ -37,6 +37,31 @@ def test_stage_spec_validation():
         StageSpec(2, (0, -1))
     s = StageSpec(3, (0, 1, 2))
     assert s.r == 3 and s.spacers == (0, 1, 2)
+
+
+@st.composite
+def shaped_spacers(draw):
+    """``(r, spacers)`` with ``r`` in 2..8 whose first ``r - 1`` spacers are a
+    constant gap, a staircase run or anything, and whose last spacer is free."""
+    r, s0 = draw(st.integers(2, 8)), draw(st.integers(0, 5))
+    head = draw(
+        st.sampled_from([[s0] * (r - 1), [*range(s0, s0 + r - 1)]])
+        | st.lists(st.integers(0, 5), min_size=r - 1, max_size=r - 1)
+    )
+    return r, (*head, draw(st.integers(0, 9)))
+
+
+@settings(max_examples=300)
+@given(stage=shaped_spacers())
+@example(stage=(2, (5, 40)))
+def test_stage_shape_matches_a_brute_classification(stage):
+    r, spacers = stage
+    s0 = spacers[0]
+    gap = s0 if all(spacers[i] == s0 for i in range(r - 1)) else None
+    run = s0 if all(spacers[i] == s0 + i for i in range(r - 1)) else None
+    s = StageSpec(r, spacers)
+    assert s.shape == (gap, run)
+    assert s._asdict() == {"r": r, "spacers": spacers}  # a property, not a field
 
 
 def test_height_recurrence_small():

@@ -1,8 +1,8 @@
 """Docstring cross-references name objects that exist.
 
-Every ``:func:``, ``:class:``, ``:meth:``, ``:mod:`` and ``:data:`` target in
-the package's sources must resolve, so that a renamed or deleted function
-leaves no reference behind.
+Every ``:func:``, ``:class:``, ``:meth:``, ``:attr:``, ``:exc:``, ``:mod:`` and
+``:data:`` target in the package's sources must resolve, so that a renamed or
+deleted function leaves no reference behind.
 """
 
 import builtins
@@ -14,7 +14,7 @@ import re
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "rankone"
-ROLE = re.compile(r":(?:func|class|meth|mod|data):`[~!]?([\w.]+)`")
+ROLE = re.compile(r":(?:func|class|meth|attr|exc|mod|data):`[~!]?([\w.]+)`")
 
 
 def _resolves(module, target: str) -> bool:

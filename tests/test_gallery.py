@@ -303,6 +303,34 @@ def test_builders_take_budget():
         sp.height(5)
 
 
+# -- stage shapes --------------------------------------------------------------
+# StageSpec.shape must read back the shape each recipe's docstring promises,
+# stage by stage: R a staircase run, G a constant gap, N neither, and B both,
+# which is what every stage of two cuts reads as, its last spacer being free.
+
+
+@pytest.mark.parametrize(
+    "sp, promised",
+    [
+        (gallery.staircase(), "BRRRRRRR"),
+        (gallery.high_staircase(range(3, 11), (0, 5, 2)), "RRRRRRRR"),
+        (gallery.main_wde(), "BRBRBRBR"),
+        (gallery.rigid_wde(), "BRBRGRGR"),
+        (gallery.t_q(3), "GRGRGRGR"),
+        (gallery.not_eic(3), "GGGGGGGG"),
+        (gallery.koopman(), "BGNNNNNN"),
+        (gallery.partition_staircase(3), "BNNNNNNN"),
+    ],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_stage_shape_reads_the_shape_each_recipe_writes(sp, promised):
+    stages = [sp.stage(n) for n in range(8)]
+    shapes = [s.shape for s in stages]
+    read = "".join("NRGB"[2 * (gap is not None) + (run is not None)] for gap, run in shapes)
+    assert read == promised
+    assert [s.r == 2 for s in stages] == [c == "B" for c in promised]
+
+
 # -- declaration audit -------------------------------------------------------
 # A declaration is a recipe promise; each kind of tag is checked through the
 # horizon by the certificate that relies on it.
