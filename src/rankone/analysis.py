@@ -78,11 +78,10 @@ def rho_bound(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     Equals the exact probability that ``k`` independent uniform descendant
     choices never agree on a subcolumn index at any stage.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    _check_int("k", k, 2)
     out = Fraction(1)
     for m in range(i, j):
-        out *= 1 - Fraction(1, spec.stage(m).r ** (k - 1))
+        out *= 1 - Fraction(1, spec.budget.power(spec.stage(m).r, k - 1, f"r_{m}"))
     return out
 
 
@@ -106,9 +105,9 @@ def cons_fraction_exact(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     too: a partial product that stops inside a stage counts no difference
     vector, so no smaller bound is proved for it.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    total = spec.budget.check("max_pairs", descendant_count(spec, i, j) ** k, "{} tuples")
+    _check_int("k", k, 2)
+    total = spec.budget.power(descendant_count(spec, i, j), k, "|D|")
+    spec.budget.check("max_pairs", total, "{} tuples")
     M = spec.max_descendant(j) - spec.max_descendant(i)
     powers = [(2 * M + 1) ** l for l in range(k - 1)]
     C = sum(powers)  # the encoded vectors lie in [-C * M, C * M]
@@ -136,10 +135,8 @@ def conservativity_sufficient(
     ``threshold``, all but a vanishing fraction of orbits return and the
     power is conservative.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if horizon < 1:
-        raise ValueError(f"need horizon >= 1, got {horizon}")
+    _check_int("k", k, 2)
+    _check_int("horizon", horizon, 1)
     threshold = Fraction(threshold)
     rows: list[dict] = []
     partial = Fraction(1)
@@ -190,10 +187,8 @@ def nonconservativity_check(
     conservativity when every stage passes it and the product stays at or
     above ``floor`` through the horizon.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if horizon < 1:
-        raise ValueError(f"need horizon >= 1, got {horizon}")
+    _check_int("k", k, 2)
+    _check_int("horizon", horizon, 1)
     floor = Fraction(floor)
     rows: list[dict] = []
     notes: list[str] = []
@@ -208,8 +203,8 @@ def nonconservativity_check(
             )
         maxd = spec.max_descendant(j)
         g = 2 * maxd
-        excluded = st.r**k - _gap_tuple_count(st.r, g, k)
-        factor = 1 - Fraction(excluded, st.r**k)
+        total, kept = spec.budget.power(st.r, k, f"r_{j}"), _gap_tuple_count(st.r, g, k)
+        excluded, factor = total - kept, Fraction(kept, total)  # kept's powers are at most r**k
         partial *= factor
         separated = spec.height(j) + s0 > _separation_bound(st.r, maxd)
         if not separated:
@@ -261,6 +256,7 @@ def nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
     Where that product is packed, ``N`` is read in place from its digits;
     it is symmetric, so the sum for ``b`` is the sum for ``|b|``.
     """
+    _check_int("b", b, None)
     N, total = _difference_product(spec, 0, n)
     if isinstance(N, dict):
         good = sum(c for v, c in N.items() if v + b in N)
@@ -281,8 +277,7 @@ def nonergodicity_certificate(
     skipped, with the refusal as its note, and leaves the verdict
     inconclusive; a horizon past ``max_stage`` is refused outright.
     """
-    if horizon < 1:
-        raise ValueError(f"need horizon >= 1, got {horizon}")
+    _check_int("horizon", horizon, 1)
     spec.budget.check("max_stage", horizon, "stage {}")
     rows: list[dict] = []
     notes: list[str] = []
@@ -389,8 +384,7 @@ def alpha_type_profile(
     exception, so ``k_max`` is then bounded by ``max_descendants``, as it
     is when ``store_ratios`` lists every ratio.
     """
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
+    _check_int("k_max", k_max, 1)
     threshold = Fraction(threshold)
     if store_ratios or threshold < 0:
         spec.budget.check("max_descendants", k_max, "{} listed ratios")
@@ -516,8 +510,8 @@ def arithmetic_report(
     such a stage falls back to the scan.  Any other stage is scanned.  The
     ``max_pairs`` check on ``|H_n|^2 = r^2`` runs first, whatever the shape.
     """
-    if horizon < 1:
-        raise ValueError(f"need horizon >= 1, got {horizon}")
+    _check_int("horizon", horizon, 1)
+    _check_int("min_k", min_k, None)
     tau = Fraction(tau)
     rows: list[dict] = []
     notes: list[str] = []
@@ -580,8 +574,7 @@ def divisibility_gcd(spec: RankOneSpec, horizon: int) -> tuple[int, str]:
     the pattern provably persists), ``"at-horizon"`` when ``g >= 2`` holds
     with no such declaration, and ``"refuted"`` when ``g == 1``.
     """
-    if horizon < 1:
-        raise ValueError(f"need horizon >= 1, got {horizon}")
+    _check_int("horizon", horizon, 1)
     g = 0
     for n in range(horizon):
         for e in spec.height_set(n)[1:]:
@@ -611,8 +604,7 @@ def wde_probe(
     """Smallest positive shift moving ``A`` across both itself and ``B``.
 
     Returns the least ``n <= n_max`` found with both overlap measures
-    positive, or None when no shift in range works at the stage probed;
-    ``n_max`` below 1 is refused with :class:`ValueError`.
+    positive, or None when no shift in range works at the stage probed.
 
     A returned shift is always a sound certificate: within one column the
     transformation moves whole levels up rigidly, so matching descendant
@@ -622,8 +614,7 @@ def wde_probe(
     point no new differences ``<= n_max`` can appear); a None returned
     short of that cap is horizon-bounded evidence only.
     """
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
+    _check_int("n_max", n_max, 1)
     s = _probe_stage(spec, A, B, n_max)
     # The pair budget counts the pairs a walk over the refined sets would
     # touch: first the self pairs, then the cross pairs, within the window.

@@ -111,6 +111,12 @@ class Budget(
             raise BudgetExceeded(f"{what.format(count)} exceeds {field}={limit}")
         return count
 
+    def power(self, base: int, k: int, name: str) -> int:
+        """``base ** k``, refused first when ``k * base.bit_length()``, a bound on its bits, passes
+        ``max_height_bits``; the refusal names the base and the bits, not the power."""
+        self.check("max_height_bits", k * base.bit_length(), f"{name}**{k} of up to {{}} bits")
+        return base**k
+
 
 class StageSpec(namedtuple("StageSpec", "r spacers")):
     """One cutting stage: cut count ``r`` and spacer counts per subcolumn.
@@ -266,9 +272,8 @@ class RankOneSpec:
     # -- accessors (auto-materializing, budget checked) --------------------
 
     def _reach(self, n: int, upto: int) -> None:
-        """Reject a negative stage index ``n``, then materialize through ``upto``."""
-        if n < 0:
-            raise ValueError(f"stage index must be nonnegative, got {n}")
+        """Reject a stage index ``n`` that is not an int of at least 0, then build to ``upto``."""
+        _check_int("stage index", n, 0)
         self.materialize(upto)
 
     def stage(self, n: int) -> StageSpec:
@@ -414,8 +419,6 @@ def descendant_count(spec: RankOneSpec, i: int, j: int, copies: int = 1) -> int:
 def descendant_set(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
     """D(I, j): heights of the descendants in C_j of level ``b`` of C_i,
     the translated iterated sum set ``b + H_i + ... + H_{j-1}``."""
-    if j < i:
-        raise ValueError(f"need i <= j, got i={i}, j={j}")
     _check_int("level", b, None)
     if not 0 <= b < spec.height(i):
         raise ValueError(f"level {b} is not a level of C_{i} (h_{i}={spec.height(i)})")

@@ -118,7 +118,9 @@ def high_staircase(
     """Staircase lifted by a per-stage base offset: spacers ``z_n + m``.
 
     Cut counts must increase strictly from stage to stage; that growth is
-    what the recurring-pattern certificate keys on.
+    what the recurring-pattern certificate keys on.  So under the default
+    ``extend="repeat"`` the spec is a finite tower of ``len(r)`` stages, one for
+    an int ``r`` under either ``extend``, and the next stage raises PreconditionError.
     """
     r_of, r_seq = _rule(r, extend, "cut count", 2)
     z_of, z_seq = _rule(z, extend, "offset", 0)

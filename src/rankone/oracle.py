@@ -81,10 +81,10 @@ def brute_tuple_fraction(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     keeps every ``a_l - t`` inside the descendant set.  Enumerates every
     tuple and every candidate shift directly.
     """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    _check_int("k", k, 2)
     D = descendant_set(spec, i, j)
-    total = spec.budget.check("max_pairs", len(D) ** k, "{} tuples")
+    total = spec.budget.power(len(D), k, "|D|")
+    spec.budget.check("max_pairs", total, "{} tuples")
     if len(D) ** (k + 1) > _DEFAULT_OP_LIMIT:
         raise BudgetExceeded(
             f"brute tuple scan needs ~{len(D) ** (k + 1)} operations, "
@@ -108,11 +108,11 @@ def brute_shared_coordinate_fraction(spec: RankOneSpec, i: int, j: int, k: int) 
     enumerates tuples of such index vectors and counts those with all ``k``
     vectors equal in at least one stage slot.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _check_int("k", k, 1)
     ranges = [range(spec.stage(m).r) for m in range(i, j)]
-    total_vectors = math.prod(len(r) for r in ranges) if ranges else 1
-    if total_vectors**k * max(1, len(ranges)) > _DEFAULT_OP_LIMIT:
+    total_vectors = math.prod(map(len, ranges))
+    total = spec.budget.power(total_vectors, k, "|D|")  # a vector per descendant
+    if total * max(1, len(ranges)) > _DEFAULT_OP_LIMIT:
         raise BudgetExceeded(
             f"brute coordinate scan over {total_vectors}^{k} tuples exceeds {_DEFAULT_OP_LIMIT}"
         )
@@ -122,11 +122,12 @@ def brute_shared_coordinate_fraction(spec: RankOneSpec, i: int, j: int, k: int) 
     for tup in product(vectors, repeat=k):
         if any(all(v[m] == tup[0][m] for v in tup) for m in range(slots)):
             good += 1
-    return Fraction(good, total_vectors**k)
+    return Fraction(good, total)
 
 
 def brute_nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
     """Twin of :func:`rankone.analysis.nonerg_pair_fraction` over every pair."""
+    _check_int("b", b, None)
     D = descendant_set(spec, 0, n)
     spec.budget.check("max_pairs", len(D) ** 2, "{} pairs")
     mult = Counter(d - d2 for d in D for d2 in D)
@@ -191,8 +192,7 @@ def brute_alpha_type_profile(
     """Twin of :func:`rankone.analysis.alpha_type_profile` over the refined set's pairs."""
     from rankone.analysis import AlphaProfile  # here only: oracle runs need no analysis
 
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
+    _check_int("k_max", k_max, 1)
     threshold = Fraction(threshold)
     if store_ratios or threshold < 0:
         spec.budget.check("max_descendants", k_max, "{} listed ratios")
@@ -225,8 +225,7 @@ def brute_alpha_type_profile(
 
 def brute_wde_probe(spec: RankOneSpec, A: LevelSet, B: LevelSet, n_max: int) -> int | None:
     """Twin of :func:`rankone.analysis.wde_probe`: window walks over the refined sets."""
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
+    _check_int("n_max", n_max, 1)
     s = _probe_stage(spec, A, B, n_max)
     DA = refine(spec, A, s).heights
     DB = refine(spec, B, s).heights
@@ -258,6 +257,7 @@ def brute_intersection_measure(spec: RankOneSpec, A: LevelSet, B: LevelSet, k: i
     With ``A = B`` it is also the twin of
     :func:`rankone.tower.translate_intersection_measure`.
     """
+    _check_int("k", k, None)
     n = max(least_valid_stage(spec, A, k), least_valid_stage(spec, B, k))
     DA = refine(spec, A, n).heights
     DB = set(refine(spec, B, n).heights)
@@ -445,8 +445,8 @@ def monte_carlo_measure(
     stays at or above the column top all the way down (``h_{m+1}`` is at
     least ``max H_m + h_m``), so it is never counted.
     """
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples for a usable estimate, got {samples}")
+    _check_int("k", k, None)
+    _check_int("samples", samples, 1000)  # fewer give no usable estimate
     spec.budget.check("max_iterate", samples, "{} samples")
     rng = SplitMix64(seed)
     hits = 0

@@ -192,6 +192,8 @@ def apply_pointwise(spec: RankOneSpec, p: Point, k: int) -> Point:
     stays outside every column at every stage, which surfaces as
     :class:`rankone.core.BudgetExceeded` once ``max_stage`` is hit.
     """
+    if type(k) is not int:  # an int shift, on the map's hot path, skips the call
+        _check_int("k", k, None)
     return _moved(spec, p, k, p.stage)
 
 
@@ -333,5 +335,6 @@ def translate_intersection_measure(spec: RankOneSpec, B: LevelSet, k: int) -> Fr
 
 def intersection_measure(spec: RankOneSpec, A: LevelSet, B: LevelSet, k: int) -> Fraction:
     """Exact measure of ``T^k A`` meets ``B`` for level sets ``A``, ``B``."""
+    _check_int("k", k, None)
     n = max(least_valid_stage(spec, X, k) for X in {A, B})
     return overlap_counts(spec, A, B, n, (k,))[k] * spec.width(n)

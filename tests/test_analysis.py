@@ -1,6 +1,7 @@
 """Certificate computations: counting formulas, verdicts, profiles."""
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -35,17 +36,24 @@ from rankone.core import (
     explicit_spec,
 )
 from rankone.oracle import (
+    brute_alpha_type_profile,
     brute_intersection_measure,
+    brute_nonerg_pair_fraction,
     brute_rigidity_scan,
     brute_shared_coordinate_fraction,
     brute_staircase_subset_detect,
     brute_tuple_fraction,
+    brute_wde_probe,
+    monte_carlo_measure,
 )
 from rankone.tower import (
+    apply_pointwise,
+    intersection_measure,
     least_valid_stage,
     level_set,
     measure,
     overlap_counts,
+    point,
     translate_intersection_measure,
 )
 
@@ -524,7 +532,7 @@ def test_wde_probe_finds_and_respects_horizon():
     B = level_set(sp, 1, (1,))
     n = wde_probe(sp, A, B, sp.height(2))
     assert n is not None and 1 <= n <= sp.height(2)
-    with pytest.raises(ValueError, match=r"^need n_max >= 1, got 0$"):
+    with pytest.raises(ValueError, match=r"^n_max must be at least 1, got 0$"):
         wde_probe(sp, A, B, 0)
 
 
@@ -584,6 +592,105 @@ def test_staircase_subset_detect_refuses_a_fractional_height(detect, args, messa
     with pytest.raises(TypeError, match=f"^{message}$"):
         detect(*args)
 
+
+# -- integer arguments and exact powers -----------------------------------------
+
+_STAIR = gallery.staircase()
+_LEVEL = level_set(_STAIR, 1, (0,))
+
+# Each integer argument of a certificate, measure or twin entry point: its
+# name, its floor (None for a shift, which may be negative) and the entry
+# called with the argument's value.
+_GATED = {
+    "rho_bound": ("k", 2, lambda v: rho_bound(_STAIR, 0, 2, v)),
+    "cons_fraction_exact": ("k", 2, lambda v: cons_fraction_exact(_STAIR, 0, 2, v)),
+    "conservativity_sufficient-k": ("k", 2, lambda v: conservativity_sufficient(_STAIR, v, 3)),
+    "conservativity_sufficient": ("horizon", 1, lambda v: conservativity_sufficient(_STAIR, 2, v)),
+    "nonconservativity_check-k": ("k", 2, lambda v: nonconservativity_check(_STAIR, v, 3)),
+    "nonconservativity_check": ("horizon", 1, lambda v: nonconservativity_check(_STAIR, 2, v)),
+    "nonergodicity_certificate": ("horizon", 1, lambda v: nonergodicity_certificate(_STAIR, 1, v)),
+    "arithmetic_report": ("horizon", 1, lambda v: arithmetic_report(_STAIR, v)),
+    "arithmetic_report-min_k": ("min_k", None, lambda v: arithmetic_report(_STAIR, 3, min_k=v)),
+    "divisibility_gcd": ("horizon", 1, lambda v: divisibility_gcd(_STAIR, v)),
+    "alpha_type_profile": ("k_max", 1, lambda v: alpha_type_profile(_STAIR, _LEVEL, v)),
+    "brute_alpha_type_profile": ("k_max", 1, lambda v: brute_alpha_type_profile(_STAIR, _LEVEL, v)),
+    "wde_probe": ("n_max", 1, lambda v: wde_probe(_STAIR, _LEVEL, _LEVEL, v)),
+    "brute_wde_probe": ("n_max", 1, lambda v: brute_wde_probe(_STAIR, _LEVEL, _LEVEL, v)),
+    "brute_tuple_fraction": ("k", 2, lambda v: brute_tuple_fraction(_STAIR, 0, 2, v)),
+    "brute_shared_coordinate_fraction": (
+        "k", 1, lambda v: brute_shared_coordinate_fraction(_STAIR, 0, 2, v)
+    ),
+    "monte_carlo_measure": ("samples", 1000, lambda v: monte_carlo_measure(_STAIR, _LEVEL, 1, v, 0)),
+    "nonerg_pair_fraction": ("b", None, lambda v: nonerg_pair_fraction(_STAIR, 2, v)),
+    "brute_nonerg_pair_fraction": ("b", None, lambda v: brute_nonerg_pair_fraction(_STAIR, 2, v)),
+    "intersection_measure": ("k", None, lambda v: intersection_measure(_STAIR, _LEVEL, _LEVEL, v)),
+    "translate_intersection_measure": (
+        "k", None, lambda v: translate_intersection_measure(_STAIR, _LEVEL, v)
+    ),
+    "brute_intersection_measure": (
+        "k", None, lambda v: brute_intersection_measure(_STAIR, _LEVEL, _LEVEL, v)
+    ),
+    "monte_carlo_measure-k": ("k", None, lambda v: monte_carlo_measure(_STAIR, _LEVEL, v, 1000, 0)),
+    "apply_pointwise": ("k", None, lambda v: apply_pointwise(_STAIR, point(_STAIR, 2, 3, 0), v)),
+}
+
+
+@pytest.mark.parametrize("name, floor, call", list(_GATED.values()), ids=list(_GATED))
+def test_integer_arguments_pass_one_gate(name, floor, call):
+    """Every integer argument goes through :func:`rankone.core._check_int`: a
+    rational or a bool is refused by type, a value below the floor by value."""
+    for bad in (1.5, Fraction(3, 2), True):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'{name} must be an int, got {bad!r}')}$"):
+            call(bad)
+    if floor is not None:
+        with pytest.raises(ValueError, match=f"^{name} must be at least {floor}, got {floor - 1}$"):
+            call(floor - 1)
+
+
+def test_a_fractional_shift_certifies_nothing():
+    # b = 1.5 was read as a shift that realigns no pair, and refuted ergodicity
+    sp = explicit_spec([(3, (0, 5, 9)), (2, (1, 40))], cycle=True)
+    rep = nonergodicity_certificate(sp, 1, 3)
+    assert rep.verdict == "inconclusive-at-horizon"
+    assert [row["fraction"] for row in rep.rows] == [Fraction(2, 3), Fraction(2, 3), Fraction(58, 81)]
+    with pytest.raises(TypeError, match=r"^b must be an int, got 1\.5$"):
+        nonergodicity_certificate(sp, 1.5, 3)
+    # the measures returned 0, and the map a point at height 10.5
+    for call in (
+        lambda: translate_intersection_measure(_STAIR, _LEVEL, 7.5),
+        lambda: monte_carlo_measure(_STAIR, _LEVEL, 7.5, 1000, 0),
+        lambda: apply_pointwise(_STAIR, point(_STAIR, 2, 3, 0), 7.5),
+    ):
+        with pytest.raises(TypeError, match=r"^k must be an int, got 7\.5$"):
+            call()
+
+
+# r_0 = 2 has 2 bits and |D| = r_0 r_1 = 6 has 3
+_R0 = "r_0**999999 of up to 1999998"
+_D = "|D|**1000000 of up to 3000000"
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        pytest.param(lambda k: rho_bound(_STAIR, 0, 2, k), _R0, id="rho_bound"),
+        pytest.param(lambda k: conservativity_sufficient(_STAIR, k, 3), _R0, id="conservativity_sufficient"),
+        pytest.param(
+            lambda k: nonconservativity_check(_STAIR, k, 3), "r_0**1000000 of up to 2000000",
+            id="nonconservativity_check",
+        ),
+        pytest.param(lambda k: cons_fraction_exact(_STAIR, 0, 2, k), _D, id="cons_fraction_exact"),
+        pytest.param(lambda k: brute_tuple_fraction(_STAIR, 0, 2, k), _D, id="brute_tuple_fraction"),
+        pytest.param(
+            lambda k: brute_shared_coordinate_fraction(_STAIR, 0, 2, k), _D,
+            id="brute_shared_coordinate_fraction",
+        ),
+    ],
+)
+def test_exact_powers_are_refused_by_their_bits_before_they_are_formed(call, refusal):
+    with pytest.raises(BudgetExceeded) as stop:
+        call(10**6)
+    assert str(stop.value) == f"{refusal} bits exceeds max_height_bits=100000"
 
 
 def test_koopman_decay_check_walks_only_near_its_shifts():

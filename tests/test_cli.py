@@ -18,8 +18,10 @@ import os
 import pathlib
 import random
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from collections import namedtuple
@@ -27,7 +29,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone import analysis, cli, core, gallery
@@ -1103,6 +1105,8 @@ _PARSER_STOPS = {
     ("describe", "--spec", "x", "extra"): "2131dfa0acf27fcc",
     ("oracle", "mc", "--spec", "x", "--k", "1", "extra"): "352c4e02b1e3f9d6",
     ("wde", "--spec", "x"): "9aa57c4faf0ca38b",
+    ("alpha", "--spec", "x", "--kmax", "1", "--stage", "0", "--levels", "1,x"): "0f8d20206b70034f",
+    ("check-cons", "--spec", "x", "--k", "2", "--horizon", "1", "--threshold", "1/0"): "2893f5f01029ea67",
 }
 
 
@@ -1173,7 +1177,7 @@ def test_wde_below_one_shift_exits_4(specfile, capsys):
         capsys, "wde", "--spec", specfile(STAIR), "--a-stage", "2", "--a-levels", "3",
         "--b-stage", "2", "--b-levels", "7", "--nmax", "0",
     )
-    assert (code, out, err) == (4, "", "precondition failed: need n_max >= 1, got 0\n")
+    assert (code, out, err) == (4, "", "precondition failed: n_max must be at least 1, got 0\n")
 
 
 def test_missing_spec_file_exits_2(capsys):
@@ -1235,6 +1239,7 @@ def test_bad_builder_parameters_exit_2(specfile, capsys):
         {"builder": {"kind": "staircase", "r_seq": [2.9]}},
         {"builder": {"kind": "explicit", "stages": [[2, "12"]], "cycle": True}},
         {"name": ["x"], "builder": {"kind": "staircase"}},
+        [{"builder": {"kind": "staircase"}}],
     ],
     ids=[
         "budget-not-int",
@@ -1251,6 +1256,7 @@ def test_bad_builder_parameters_exit_2(specfile, capsys):
         "float-r_seq",
         "spacers-string",
         "name-not-string",
+        "spec-not-object",
     ],
 )
 def test_invalid_spec_values_exit_2(data, specfile, capsys):
@@ -1347,6 +1353,15 @@ WIDE_GAP = {"builder": {"kind": "explicit", "stages": [[2, [0, 10**15]]], "cycle
             KOOP, ["koopman", "--stage", "1", "--samples", "1000001", "--kmin", "60", "--kmax", "61"],
             "1000001 samples exceeds max_iterate=1000000", id="koopman-samples",
         ),
+        pytest.param(
+            STAIR, ["check-cons", "--k", "1000000", "--horizon", "3"],
+            "r_0**999999 of up to 1999998 bits exceeds max_height_bits=100000", id="check-cons-power",
+        ),
+        pytest.param(
+            STAIR, ["check-noncons", "--k", "1000000", "--horizon", "3"],
+            "r_0**1000000 of up to 2000000 bits exceeds max_height_bits=100000",
+            id="check-noncons-power",
+        ),
     ],
 )
 def test_loops_sized_by_a_flag_refuse_before_any_work(data, argv, refusal, specfile, capsys):
@@ -1396,6 +1411,25 @@ def test_koopman_far_shift_exits_3(specfile, capsys):
     assert code == 3
     assert out == ""
     assert err == "budget exceeded: 1814400+ descendants exceeds max_descendants=200000\n"
+
+
+@pytest.mark.parametrize(
+    "data, argv, refusal",
+    [
+        pytest.param(
+            KOOP, ["koopman", "--stage", "1", "--kmin", "60", "--kmax", "60"], "need kmin < kmax",
+            id="koopman-empty-shift-range",
+        ),
+        pytest.param(
+            {"builder": {"kind": "high_staircase", "r_seq": [3, 4], "z_seq": [1]}},
+            ["describe", "-n", "3"], "cut counts must strictly increase: r_2=4 after r_1=4",
+            id="high_staircase-past-its-stages",
+        ),
+    ],
+)
+def test_preconditions_exit_4_with_their_reason(data, argv, refusal, specfile, capsys):
+    code, out, err = run_cli(capsys, *argv, "--spec", specfile(data))
+    assert (code, out, err) == (4, "", f"precondition failed: {refusal}\n")
 
 
 def test_koopman_without_shifts_exits_4(specfile, capsys):
@@ -1572,18 +1606,71 @@ def spec_files(draw):
     return draw(_json) if _rarely(draw) else data
 
 
+# integers at the edges of every flag's range, and level lists of them
+_edge_ints = st.sampled_from([-3, -1, 0, 1, 2, 3, 5, 64, 1000, 10**6, 2**64, 10**30])
+_arg_values = {
+    int: _edge_ints.map(str),
+    cli._int_list: st.lists(_edge_ints | st.integers(0, 12), max_size=3).map(
+        lambda xs: ",".join(map(str, xs))
+    ),
+    cli._fraction: st.sampled_from(["0", "1/2", "-1/2", "1/1000", "3", "x"]),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """One subcommand of ``cli._COMMANDS`` with values for its own arguments:
+    every required one, and each other one half the time."""
+    words = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv = list(words)
+    for flags, kwargs in cli._COMMANDS[words][2]:
+        if kwargs.get("required") or draw(st.booleans()):
+            if kwargs.get("action") == "store_true":
+                argv.append(flags[-1])
+            else:  # "--flag=value", so a value may start with "-"
+                argv.append(f"{flags[-1]}={draw(_arg_values[kwargs['type']])}")
+    return argv
+
+
 @settings(max_examples=100, deadline=None)
-@given(data=spec_files())
-def test_fuzzed_spec_files_keep_the_exit_code_contract(data, tmp_path_factory):
+@given(
+    data=st.sampled_from([STAIR, TRIPLE, KOOP, TQ2, MAIN_WDE, DOUBLING]) | spec_files(),
+    argv=command_lines(),
+)
+@example(data=STAIR, argv=["check-cons", "--k=1000000", "--horizon=3"])
+@example(data=STAIR, argv=["check-noncons", "--k=1000000", "--horizon=3"])
+def test_fuzzed_spec_files_keep_the_exit_code_contract(data, argv, tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    argv = ["describe", "--spec", str(path), "-n", "4", "--max-stage", "6",
+    argv = [*argv, "--spec", str(path), "--max-stage", "6",
             "--max-descendants", "5", "--max-pairs", "50", "--max-height-bits", "64"]
     runs = []
     for _ in range(2):
         out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), _alarm(4.0):
+            try:
+                code = cli.main(argv)
+            except SystemExit as stop:  # the parser refuses a value
+                code = stop.code
         assert code in (0, 2, 3, 4)
+        assert time.perf_counter() - start < 2.0
         runs.append(out.getvalue())
     assert runs[0] == runs[1]
+
+
+@contextlib.contextmanager
+def _alarm(seconds: float):
+    """Raise :class:`TimeoutError` in the block once ``seconds`` of wall-clock
+    time pass, so a run that would not end fails (``cli.main`` exits 1)."""
+
+    def overdue(signum, frame):
+        raise TimeoutError(f"past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

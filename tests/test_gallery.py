@@ -82,6 +82,22 @@ def test_high_staircase_frozen():
     assert sp.stage(0).spacers == (2, 3, 4)
 
 
+@pytest.mark.parametrize(
+    "r, extend",
+    [(3, "repeat"), (3, "increment"), ((3,), "repeat"), ((3, 4), "repeat"), ((2, 5, 9), "repeat")],
+)
+def test_high_staircase_is_a_tower_of_len_r_stages(r, extend):
+    rs = r if isinstance(r, tuple) else (r,)  # the cut counts go flat at stage len(rs)
+    sp = gallery.high_staircase(r, 1, extend=extend)
+    n = len(rs)
+    assert [sp.stage(m).r for m in range(n)] == list(rs)
+    flat = f"r_{n}={rs[-1]} after r_{n - 1}={rs[-1]}"
+    with pytest.raises(PreconditionError, match=f"^cut counts must strictly increase: {flat}$"):
+        sp.stage(n)
+    if isinstance(r, tuple):
+        assert gallery.high_staircase(r, 1, extend="increment").stage(n).r == rs[-1] + 1
+
+
 def test_high_staircase_requires_growth():
     with pytest.raises(PreconditionError):
         gallery.high_staircase((3, 3), (1,))
