@@ -81,7 +81,7 @@ def rho_bound(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     _check_int("k", k, 2)
     out = Fraction(1)
     for m in range(i, j):
-        out *= 1 - Fraction(1, spec.budget.power(spec.stage(m).r, k - 1, f"r_{m}"))
+        out *= 1 - Fraction(1, spec.budget.power(spec.stage(m).r, k - 1, "r", m))
     return out
 
 
@@ -203,7 +203,7 @@ def nonconservativity_check(
             )
         maxd = spec.max_descendant(j)
         g = 2 * maxd
-        total, kept = spec.budget.power(st.r, k, f"r_{j}"), _gap_tuple_count(st.r, g, k)
+        total, kept = spec.budget.power(st.r, k, "r", j), _gap_tuple_count(st.r, g, k)
         excluded, factor = total - kept, Fraction(kept, total)  # kept's powers are at most r**k
         partial *= factor
         separated = spec.height(j) + s0 > _separation_bound(st.r, maxd)
@@ -530,7 +530,7 @@ def arithmetic_report(
         else:
             a, k, length = staircase_subset_detect(spec.height_set(n), h, min_k) or (None, None, 0)
         fraction = Fraction(length, r)
-        qualifies = length >= 3 and fraction > tau
+        qualifies = length >= 3 and length * tau.denominator > tau.numerator * r  # fraction > tau
         rows.append(
             {
                 "stage": n,
@@ -668,16 +668,15 @@ def koopman_decay_check(
     N = overlap_counts(spec, B, B, s, ks)
     rows: list[dict] = []
     ok = True
-    n = 1
+    n, bound = 1, Fraction(2)
     for k in ks:
         while spec.height(n + 1) <= k:
             n += 1
+            bound = Fraction(2, n)  # one per window, shared by its rows
         c = N.get(k, 0)
         holds = c * n < 2 * size
         ok = ok and holds
-        rows.append(
-            {"k": k, "window": n, "ratio": Fraction(c, size), "bound": Fraction(2, n), "ok": holds}
-        )
+        rows.append({"k": k, "window": n, "ratio": Fraction(c, size), "bound": bound, "ok": holds})
     return CertificateReport(
         kind="koopman-decay",
         horizon=len(ks),

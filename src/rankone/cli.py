@@ -35,6 +35,7 @@ from rankone.core import (
     PreconditionError,
     RankOneError,
     RankOneSpec,
+    _check_int,
     descendant_set,
 )
 
@@ -396,8 +397,7 @@ def _command(words: str, help_: str, *arguments):
     _arg("-n", "--stages", type=int, default=8),
 )
 def _h_describe(args, spec):
-    if args.stages < 0:
-        raise ValueError(f"stage count must be nonnegative, got {args.stages}")
+    _check_int("stage count", args.stages, 0)
     rows = []
     for n in range(args.stages):
         st = spec.stage(n)

@@ -99,22 +99,27 @@ class Budget(
             _check_int(f"budget field {name}", value, 0 if name == "max_stage" else 1)
         return self
 
-    def check(self, field: str, count: int, what: str) -> int:
+    def check(self, field: str, count: int, what: str, *args: object) -> int:
         """Return ``count`` if it is at most the limit ``field``, else refuse.
 
-        The one comparison of a count with a budget limit.  ``what`` names the
-        count, ``{}`` standing for its value; the refusal reads
+        The one comparison of a count with a budget limit.  ``what`` is a
+        format template naming the count, filled only on refusal, as
+        ``what.format(count, *args)``: ``{}`` or ``{0}`` stands for the count
+        and ``{1}``, ``{2}``, ... for ``args``, so a caller in a loop builds no
+        message that it does not raise.  The refusal reads
         ``<what> exceeds <field>=<limit>``.
         """
         limit = getattr(self, field)
         if count > limit:
-            raise BudgetExceeded(f"{what.format(count)} exceeds {field}={limit}")
+            raise BudgetExceeded(f"{what.format(count, *args)} exceeds {field}={limit}")
         return count
 
-    def power(self, base: int, k: int, name: str) -> int:
+    def power(self, base: int, k: int, name: str, stage: int | None = None) -> int:
         """``base ** k``, refused first when ``k * base.bit_length()``, a bound on its bits, passes
-        ``max_height_bits``; the refusal names the base and the bits, not the power."""
-        self.check("max_height_bits", k * base.bit_length(), f"{name}**{k} of up to {{}} bits")
+        ``max_height_bits``; the refusal names the base, as ``name_stage`` when a stage is given,
+        and the bits, not the power."""
+        what = "{1}**{2} of up to {0} bits" if stage is None else "{1}_{3}**{2} of up to {0} bits"
+        self.check("max_height_bits", k * base.bit_length(), what, name, k, stage)
         return base**k
 
 
@@ -230,7 +235,7 @@ class RankOneSpec:
         self._stages: list[StageSpec] = []
         self._heights: list[int] = [1]  # h_0 = 1
         self._wden: list[int] = [1]  # w_n = 1 / _wden[n]
-        self._hsets: list[IntSet] = []
+        self._hsets: list[IntSet] = []  # H_0, H_1, ...: a prefix, listed on first read
         self._hdiffs: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}  # filled on demand
         self._maxdesc: list[int] = [0]  # max D(I, n) for I the base of C_0
 
@@ -241,7 +246,13 @@ class RankOneSpec:
         return len(self._stages)
 
     def materialize(self, n: int) -> "RankOneSpec":
-        """Ensure stages 0..n-1 (hence heights h_0..h_n) exist."""
+        """Ensure stages 0..n-1 (hence heights h_0..h_n) exist.
+
+        Each stage costs O(1) big-integer work, in closed form:
+        ``h_{m+1} = r_m h_m + sum_k s_{m,k}``, and ``max H_m``, the growth of
+        :meth:`max_descendant`, is ``h_{m+1} - h_m - s_{m,r-1}``.  No ``H_m``
+        is listed here; :meth:`height_set` lists it when it is first read.
+        """
         self.budget.check("max_stage", n, "stage {}")
         while len(self._stages) < n:
             m = len(self._stages)
@@ -251,14 +262,12 @@ class RankOneSpec:
             r, spacers = stage  # one unpacking: each field read is a descriptor call
             self.check_cut_count(m, r)
             h = self._heights[m]
-            hset = tuple(accumulate(map(add, repeat(h, r - 1), spacers), initial=0))
-            h_next = hset[-1] + h + spacers[r - 1]
-            self.budget.check("max_height_bits", h_next.bit_length(), f"h_{m + 1} of {{}} bits")
+            h_next = r * h + sum(spacers)
+            self.budget.check("max_height_bits", h_next.bit_length(), "h_{1} of {0} bits", m + 1)
             self._stages.append(stage)
             self._heights.append(h_next)
             self._wden.append(self._wden[m] * r)
-            self._hsets.append(hset)
-            self._maxdesc.append(self._maxdesc[m] + hset[-1])
+            self._maxdesc.append(self._maxdesc[m] + h_next - h - spacers[r - 1])  # + max H_m
         return self
 
     def check_cut_count(self, n: int, r: int) -> int:
@@ -267,7 +276,7 @@ class RankOneSpec:
         Every stage passes this check; gallery builders call it before they
         build a stage's spacers, so an oversized cut costs no memory.
         """
-        return self.budget.check("max_descendants", r, f"stage {n} cuts into {{}} subcolumns")
+        return self.budget.check("max_descendants", r, "stage {1} cuts into {0} subcolumns", n)
 
     # -- accessors (auto-materializing, budget checked) --------------------
 
@@ -299,9 +308,18 @@ class RankOneSpec:
         return self._wden[n]
 
     def height_set(self, n: int) -> IntSet:
-        """H_n, the copy heights of the base of C_n inside C_{n+1}."""
+        """H_n, the copy heights of the base of C_n inside C_{n+1}.
+
+        The one place a height set is listed.  The first read of ``H_n``
+        lists every ``H_m`` not yet listed, in stage order up to ``n``, and
+        keeps them; a later read is one list index.
+        """
         if not 0 <= n < len(self._hsets):
             self._reach(n, n + 1)
+            for m in range(len(self._hsets), n + 1):
+                r, spacers = self._stages[m]
+                gaps = map(add, repeat(self._heights[m], r - 1), spacers)  # h_m + s_{m,k}
+                self._hsets.append(tuple(accumulate(gaps, initial=0)))
         return self._hsets[n]
 
     def height_differences(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1402,6 +1402,12 @@ def test_negative_stage_exits_4(argv, specfile, capsys):
     assert "precondition failed" in err
 
 
+def test_negative_stage_count_names_the_floor(specfile, capsys):
+    code, out, err = run_cli(capsys, "describe", "--spec", specfile(STAIR), "-n", "-3")
+    assert (code, out) == (4, "")
+    assert err == "precondition failed: stage count must be at least 0, got -3\n"
+
+
 def test_koopman_far_shift_exits_3(specfile, capsys):
     path = specfile({"builder": {"kind": "koopman"}})
     h3 = gallery.koopman().height(3)

@@ -2,6 +2,7 @@
 
 import pickle
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from rankone.core import (
     sum_set,
 )
 from rankone.gallery import Caps
+from rankone.oracle import brute_descendants
 from rankone.tower import LevelSet, Point
 
 from conftest import product_of_cuts, small_specs, stage_lists
@@ -168,6 +170,39 @@ def test_height_recurrence_matches_definition(spec):
         assert spec.height(n + 1) == st_.r * spec.height(n) + sum(st_.spacers)
 
 
+@settings(max_examples=60, deadline=None)
+@given(spec=small_specs())
+def test_closed_form_stages_match_unfolding_and_listed_height_sets(spec):
+    """``h_n`` and ``max_descendant`` come in closed form; the literal unfolding
+    of the oracle and the listed ``H_n`` check them, and ``H_n`` read deepest
+    first matches ``H_n`` read in stage order."""
+    top = len(spec.params["stages"])
+    fresh = explicit_spec(spec.params["stages"])
+    deepest_first = [fresh.height_set(n) for n in reversed(range(top))][::-1]
+    for n in range(top + 1):
+        assert max(brute_descendants(spec, 0, n)) == spec.max_descendant(n)
+    for n in range(top):
+        H = spec.height_set(n)
+        assert spec.height(n + 1) == H[-1] + spec.height(n) + spec.stage(n).spacers[-1]
+        assert deepest_first[n] == H
+
+
+def test_heights_and_spread_list_no_height_set():
+    """One listed ``H_0`` of 150,000 copy heights takes over 1.2 MB in
+    pointers alone; ``h_3`` and ``max_descendant(3)`` take none of it."""
+    r = 150_000
+    spec = explicit_spec([(r, [0] * (r - 1) + [1])], cycle=True)
+    tracemalloc.start()
+    try:
+        assert spec.height(3) == r * (r * (r + 1) + 1) + 1
+        assert spec.max_descendant(3) == (r - 1) * (1 + (r + 1) + r * (r + 1) + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec._hsets == []
+    assert peak < 100_000
+
+
 @settings(max_examples=40, deadline=None)
 @given(spec=small_specs(max_stages=3))
 def test_descendant_chain_rule(spec):
@@ -269,6 +304,24 @@ def test_budget_check_passes_the_limit_and_refuses_one_more(field):
     assert budget.check(field, 7, "{} things") == 7
     with pytest.raises(BudgetExceeded, match=f"^8 things exceeds {field}=7$"):
         budget.check(field, 8, "{} things")
+    assert budget.check(field, 7, "stage {1} of {2}: {0} things", 3, "C") == 7
+    with pytest.raises(BudgetExceeded, match=f"^stage 3 of C: 8 things exceeds {field}=7$"):
+        budget.check(field, 8, "stage {1} of {2}: {0} things", 3, "C")
+
+
+def test_cut_count_refusal_reads_stage_and_count():
+    spec = explicit_spec([(2, (0, 0)), (9, (0,) * 9)], budget=Budget(max_descendants=8))
+    with pytest.raises(BudgetExceeded) as stop:
+        spec.height(2)
+    assert str(stop.value) == "stage 1 cuts into 9 subcolumns exceeds max_descendants=8"
+
+
+def test_height_bits_refusal_reads_stage_and_bits():
+    spec = explicit_spec([(2, (0, 0))], cycle=True, budget=Budget(max_height_bits=3))
+    assert spec.height(2) == 4
+    with pytest.raises(BudgetExceeded) as stop:
+        spec.height(3)
+    assert str(stop.value) == "h_3 of 4 bits exceeds max_height_bits=3"
 
 
 @pytest.mark.parametrize("stages", [[(2,)], [3], [(2, (0, 0), 1)]])
