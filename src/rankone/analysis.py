@@ -44,10 +44,10 @@ from rankone.core import (
     PreconditionError,
     RankOneSpec,
     _check_int,
-    _difference_product,
+    _exact,
     _gap_tuple_count,
     _separation_bound,
-    _full_product,
+    _tuple_product,
     descendant_count,
     gap_pair_count,
 )
@@ -92,31 +92,11 @@ def cons_fraction_exact(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     every ``a_l - t`` in the descendant set; equivalently, when the set
     ``D`` meets all its translates by the tuple's internal differences in
     at least two points, that is, when its difference vector
-    ``(a_l - a_0)_{l >= 1}`` has two or more realizations.
-
-    The vector is encoded as ``sum_l (a_l - a_0) W^(l-1)`` in balanced base
-    ``W = 2M + 1``, for ``M = max H_i + ... + max H_{j-1}``: every entry lies
-    in ``[-M, M]``, where the encoding is injective.  It is linear, so the
-    encoded vectors of the tuples of ``D`` have the generating polynomial
-    ``prod_m prod_l sum_{a in H_m} x^(c_l a)``, with
-    ``c = (-(1 + W + ... + W^(k-2)), 1, W, ..., W^(k-2))``: ``k`` polynomials
-    of ``|H_m|`` terms per stage, multiplied as one packed integer where
-    dense, once ``|D|^k`` is within ``max_pairs``.  ``|D|^k`` sizes its digits
-    too: a partial product that stops inside a stage counts no difference
-    vector, so no smaller bound is proved for it.
+    ``(a_l - a_0)_{l >= 1}`` has two or more realizations, as counted by
+    :func:`rankone.core._tuple_product`.
     """
     _check_int("k", k, 2)
-    total = spec.budget.power(descendant_count(spec, i, j), k, "|D|")
-    spec.budget.check("max_pairs", total, "{} tuples")
-    M = spec.max_descendant(j) - spec.max_descendant(i)
-    powers = [(2 * M + 1) ** l for l in range(k - 1)]
-    C = sum(powers)  # the encoded vectors lie in [-C * M, C * M]
-    stages = []
-    for m in range(i, j):
-        H = spec.height_set(m)
-        ones = [1] * len(H)
-        stages.append([([c * a for a in H], ones) for c in (-C, *powers)])
-    N = _full_product(stages, total, -C * M, C * M, total)
+    N, total = _tuple_product(spec, i, j, k)
     counts = N.values() if isinstance(N, dict) else N
     return Fraction(total - countOf(counts, 1), total)  # the counts sum to total
 
@@ -137,7 +117,7 @@ def conservativity_sufficient(
     """
     _check_int("k", k, 2)
     _check_int("horizon", horizon, 1)
-    threshold = Fraction(threshold)
+    threshold = _exact("threshold", threshold)
     rows: list[dict] = []
     partial = Fraction(1)
     crossed_at: int | None = None
@@ -189,7 +169,7 @@ def nonconservativity_check(
     """
     _check_int("k", k, 2)
     _check_int("horizon", horizon, 1)
-    floor = Fraction(floor)
+    floor = _exact("floor", floor)
     rows: list[dict] = []
     notes: list[str] = []
     partial = Fraction(1)
@@ -251,13 +231,13 @@ def nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
 
     A pair ``(a, a')`` counts when ``(a - a') + b`` is again a difference
     of two descendants, so the count is ``sum_v N(v) [N(v + b) > 0]`` over
-    the difference counts ``N`` of :func:`rankone.core._difference_product`,
+    the difference counts ``N`` of :func:`rankone.core._tuple_product` at ``k = 2``,
     whose generating polynomial is ``prod_m sum_{a, a' in H_m} x^(a - a')``.
     Where that product is packed, ``N`` is read in place from its digits;
     it is symmetric, so the sum for ``b`` is the sum for ``|b|``.
     """
     _check_int("b", b, None)
-    N, total = _difference_product(spec, 0, n)
+    N, total = _tuple_product(spec, 0, n, 2)
     if isinstance(N, dict):
         good = sum(c for v, c in N.items() if v + b in N)
     else:
@@ -385,7 +365,7 @@ def alpha_type_profile(
     is when ``store_ratios`` lists every ratio.
     """
     _check_int("k_max", k_max, 1)
-    threshold = Fraction(threshold)
+    threshold = _exact("threshold", threshold)
     if store_ratios or threshold < 0:
         spec.budget.check("max_descendants", k_max, "{} listed ratios")
     s = least_valid_stage(spec, B, k_max)
@@ -512,7 +492,7 @@ def arithmetic_report(
     """
     _check_int("horizon", horizon, 1)
     _check_int("min_k", min_k, None)
-    tau = Fraction(tau)
+    tau = _exact("tau", tau)
     rows: list[dict] = []
     notes: list[str] = []
     qualifying: list[tuple[int, int]] = []  # (stage, r)

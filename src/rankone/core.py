@@ -67,6 +67,13 @@ def _check_int(what: str, value: int, floor: int | None) -> None:
         raise ValueError(f"{what} must be at least {floor}, got {value}")
 
 
+def _exact(what: str, value: object) -> Fraction:
+    """``value`` as a :class:`Fraction`; a float or a bool, not an exact rational, is refused."""
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"{what} must be exact, not a {type(value).__name__}, got {value!r}")
+    return Fraction(value)
+
+
 # The ``_make`` of a named tuple whose ``__new__`` validates: namedtuple's own
 # ``_make``, and so ``_replace``, builds with ``tuple.__new__`` and skips it.
 _validated_make = classmethod(lambda cls, iterable: cls(*iterable))
@@ -426,6 +433,7 @@ def descendant_count(spec: RankOneSpec, i: int, j: int, copies: int = 1) -> int:
     Refused as soon as a partial product exceeds ``max_descendants``, before
     any later stage is materialized.
     """
+    _check_int("copies", copies, 0)
     if j < i:
         raise ValueError(f"need i <= j, got i={i}, j={j}")
     size = copies
@@ -456,44 +464,45 @@ def _refined(spec: RankOneSpec, levels: IntSet, i: int, n: int) -> IntSet:
     return levels
 
 
-def _difference_product(spec: RankOneSpec, i: int, n: int) -> tuple[memoryview | dict, int]:
-    """The difference counts of ``D = H_i + ... + H_{n-1}`` at every ``t``,
-    and their total ``|D|^2``.
+def _tuple_product(spec: RankOneSpec, i: int, j: int, k: int) -> tuple[memoryview | dict, int]:
+    """The counts ``N`` of the difference vectors ``(a_l - a_0)_{l >= 1}`` of the k-tuples of
+    ``D = H_i + ... + H_{j-1}``, and their total ``|D|^k``, once it passes
+    :meth:`Budget.power` and ``max_pairs`` (a refusal counts pairs at ``k = 2``).
 
-    These are :func:`rankone.tower.overlap_counts` of the base of ``C_i`` with
-    itself in ``C_n``, in no window.  ``|D|^2`` passes ``max_pairs`` first,
-    so the product's operands are bounded by the budget.  The product is
-    :func:`_full_product`'s, packed where it is dense: digits over
-    ``[-spread, spread]`` for ``spread = max H_i + ... + max H_{n-1}``, or a
-    dict.  The partial product through stage ``m`` counts differences of
-    ``H_i + ... + H_m``, so no digit exceeds ``|D|``.
+    A vector is encoded as ``sum_l (a_l - a_0) W^(l-1)`` in balanced base ``W = 2M + 1``, for
+    ``M = max H_i + ... + max H_{j-1}``: every entry lies in ``[-M, M]``, where the encoding
+    is injective.  It is linear, so the encoded vectors have the generating polynomial
+    ``prod_m prod_l sum_{a in H_m} x^(c_l a)``, ``c = (-C, 1, W, ..., W^(k-2))`` for
+    ``C = 1 + W + ... + W^(k-2)``: ``k`` factors per stage, for every ``k``.
+    :func:`_packed_product` multiplies them where dense, to digits over ``[-C M, C M]``;
+    otherwise the dict loop of :func:`_convolve` multiplies out each stage, then convolves
+    the running product with it once.
+
+    Digits are sized by ``|D|``.  Lemma: no count of a partial product, in the kernel's
+    factor order, exceeds ``|D|``.  Through some factors of stage ``m``, a key is
+    ``sum_l (b_l - a_0) W^(l-1)``, with ``a_0`` and each ``b_l`` sums of one height per
+    stage, over stages ``i..m`` or ``i..m-1``; each entry lies in ``[-M, M]``, so the key
+    fixes the entries, and ``H_i + ... + H_m`` is a direct sum, so the entries and ``a_0``
+    fix the tuple: a key counts at most ``|H_i + ... + H_m| <= |D|`` tuples.
     """
-    size = descendant_count(spec, i, n)
-    total = spec.budget.check("max_pairs", size**2, "{} pairs")
-    spread = spec.max_descendant(n) - spec.max_descendant(i)
-    stages = [[spec.height_differences(m)] for m in range(i, n)]
-    return _full_product(stages, total, -spread, spread, size), total
-
-
-def _full_product(stages: Sequence, total: int, lo: int, hi: int, peak: int) -> memoryview | dict:
-    """The product of the multisets of ``stages``: :func:`_packed_product`'s digits, or a dict.
-
-    Each stage is a list of factors whose product is its multiset, and the
-    kernel takes every factor at once.  Where it declines, the dict loop of
-    :func:`_convolve` multiplies out each stage on its own, then convolves
-    the running product with it, so that a large running product meets each
-    stage once.
-    """
-    digits = _packed_product([f for factors in stages for f in factors], total, lo, hi, peak)
+    size = descendant_count(spec, i, j)
+    total = spec.budget.power(size, k, "|D|")
+    spec.budget.check("max_pairs", total, "{} pairs" if k == 2 else "{} tuples")
+    M = spec.max_descendant(j) - spec.max_descendant(i)
+    powers = [(2 * M + 1) ** l for l in range(k - 1)]
+    C = sum(powers)
+    Hs = map(spec.height_set, range(i, j))
+    stages = [[([c * a for a in H], [1] * len(H)) for c in (-C, *powers)] for H in Hs]
+    digits = _packed_product([f for factors in stages for f in factors], total, -C * M, C * M, size)
     if digits is not None:
-        return digits
+        return digits, total
     acc = {0: 1}
     for factors in stages:
         step = {0: 1}
         for keys, counts in factors:
             step = _convolve(step, keys, counts)
         acc = _convolve(acc, step.keys(), step.values())
-    return acc
+    return acc, total
 
 
 def _convolve(

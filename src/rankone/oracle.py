@@ -27,7 +27,7 @@ from itertools import product
 from sys import byteorder
 from typing import Sequence
 
-from rankone.core import BudgetExceeded, IntSet, RankOneSpec, _check_int, descendant_set
+from rankone.core import BudgetExceeded, IntSet, RankOneSpec, _check_int, _exact, descendant_set
 from rankone.tower import (
     LevelSet,
     Point,
@@ -54,6 +54,7 @@ def brute_descendants(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
     """
     if j < i:
         raise ValueError(f"need i <= j, got i={i}, j={j}")
+    _check_int("level", b, None)
     if not 0 <= b < spec.height(i):
         raise ValueError(f"level {b} is not a level of C_{i}")
     if spec.height(j) > _DEFAULT_CELL_LIMIT:
@@ -84,7 +85,7 @@ def brute_tuple_fraction(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     _check_int("k", k, 2)
     D = descendant_set(spec, i, j)
     total = spec.budget.power(len(D), k, "|D|")
-    spec.budget.check("max_pairs", total, "{} tuples")
+    spec.budget.check("max_pairs", total, "{} pairs" if k == 2 else "{} tuples")
     if len(D) ** (k + 1) > _DEFAULT_OP_LIMIT:
         raise BudgetExceeded(
             f"brute tuple scan needs ~{len(D) ** (k + 1)} operations, "
@@ -129,10 +130,10 @@ def brute_nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
     """Twin of :func:`rankone.analysis.nonerg_pair_fraction` over every pair."""
     _check_int("b", b, None)
     D = descendant_set(spec, 0, n)
-    spec.budget.check("max_pairs", len(D) ** 2, "{} pairs")
+    total = spec.budget.check("max_pairs", spec.budget.power(len(D), 2, "|D|"), "{} pairs")
     mult = Counter(d - d2 for d in D for d2 in D)
     good = sum(pairs for v, pairs in mult.items() if v + b in mult)
-    return Fraction(good, len(D) ** 2)
+    return Fraction(good, total)
 
 
 def brute_staircase_subset_detect(
@@ -193,7 +194,7 @@ def brute_alpha_type_profile(
     from rankone.analysis import AlphaProfile  # here only: oracle runs need no analysis
 
     _check_int("k_max", k_max, 1)
-    threshold = Fraction(threshold)
+    threshold = _exact("threshold", threshold)
     if store_ratios or threshold < 0:
         spec.budget.check("max_descendants", k_max, "{} listed ratios")
     s = least_valid_stage(spec, B, k_max)
@@ -257,8 +258,7 @@ def brute_intersection_measure(spec: RankOneSpec, A: LevelSet, B: LevelSet, k: i
     With ``A = B`` it is also the twin of
     :func:`rankone.tower.translate_intersection_measure`.
     """
-    _check_int("k", k, None)
-    n = max(least_valid_stage(spec, A, k), least_valid_stage(spec, B, k))
+    n = max(least_valid_stage(spec, A, k), least_valid_stage(spec, B, k))  # which checks k
     DA = refine(spec, A, n).heights
     DB = set(refine(spec, B, n).heights)
     return sum(1 for d in DA if d + k in DB) * spec.width(n)
@@ -272,6 +272,7 @@ def brute_apply_pointwise(spec: RankOneSpec, p: Point, k: int, stage: int = 0) -
     twin of :func:`rankone.tower.lift_to`.  Each lift divides the offset by
     the next column width to find the cut, with a gcd per step.
     """
+    _check_int("stage", stage, None)
     n, h, x = p.stage, p.height, p.offset
     while n < stage or not 0 <= h + k < spec.height(n):
         w_next = spec.width(n + 1)
@@ -333,6 +334,7 @@ class SplitMix64:
 
     def next_below(self, n: int) -> int:
         """Uniform-enough integer in [0, n) via multiply-shift."""
+        _check_int("n", n, 1)
         return (self.next_u64() * n) >> 64
 
     def block(self, count: int) -> list[int]:

@@ -31,6 +31,7 @@ from rankone.core import (
     RankOneSpec,
     _check_int,
     _convolve,
+    _exact,
     _refined,
     _validated_make,
     descendant_count,
@@ -67,9 +68,7 @@ class Point(namedtuple("Point", "stage height offset")):
     def __new__(cls, stage: int, height: int, offset: Fraction) -> Point:
         _check_int("stage", stage, 0)
         _check_int("height", height, 0)
-        if isinstance(offset, float):
-            raise TypeError(f"offset must be exact, not a float, got {offset!r}")
-        x = Fraction(offset)
+        x = _exact("offset", offset)
         if x < 0:
             raise ValueError(f"offset must be nonnegative, got {x}")
         return tuple.__new__(cls, (stage, height, x))
@@ -113,9 +112,9 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
     """
     if n < B.stage:
         raise ValueError(f"cannot refine stage {B.stage} set to earlier stage {n}")
-    if n == B.stage:
+    if n == _in_column(spec, B).stage:
         return B
-    return tuple.__new__(LevelSet, (n, _refined(spec, _in_column(spec, B).heights, B.stage, n)))
+    return tuple.__new__(LevelSet, (n, _refined(spec, B.heights, B.stage, n)))
 
 
 def _walk(spec: RankOneSpec, p: Point, k: int, stage: int):
@@ -146,6 +145,7 @@ def _moved(spec: RankOneSpec, p: Point, k: int, stage: int) -> Point:
 
 def lift_to(spec: RankOneSpec, p: Point, n: int) -> Point:
     """The same point addressed at stage ``n``, at or after ``p.stage``."""
+    _check_int("stage", n, None)
     if n < p.stage:
         raise ValueError(f"cannot lower a stage-{p.stage} address to stage {n}")
     return _moved(spec, p, 0, n)
@@ -166,6 +166,10 @@ def project_height(spec: RankOneSpec, stage: int, height: int, n: int) -> int | 
     """
     if n > stage:
         raise ValueError(f"need n <= {stage}, got {n}")
+    _check_int("height", height, 0)
+    top = spec.height(stage)
+    if height >= top:
+        raise ValueError(f"height {height} is not a level of C_{stage} (h_{stage}={top})")
     h = height
     for m in range(stage - 1, n - 1, -1):
         H = spec.height_set(m)
@@ -178,7 +182,7 @@ def project_height(spec: RankOneSpec, stage: int, height: int, n: int) -> int | 
 
 def point_in(spec: RankOneSpec, p: Point, B: LevelSet) -> bool:
     """Membership of a point in a level set, regardless of address stages."""
-    n, h, _, _ = _walk(spec, p, 0, B.stage)
+    n, h, _, _ = _walk(spec, p, 0, _in_column(spec, B).stage)
     h = project_height(spec, n, h, B.stage)
     return h is not None and bisect_left(B.heights, h) < bisect_right(B.heights, h)
 
@@ -208,8 +212,9 @@ def least_valid_stage(spec: RankOneSpec, B: LevelSet, k: int) -> int:
     those counts keep accumulating; when the budget's ``max_stage`` arrives
     first, :class:`rankone.core.BudgetExceeded` is raised.
     """
-    lift = B.heights[-1] - spec.max_descendant(B.stage)  # max B + max D - max_descendant(n)
-    n = B.stage
+    _check_int("k", k, None)
+    n = _in_column(spec, B).stage
+    lift = B.heights[-1] - spec.max_descendant(n)  # max B + max D - max_descendant(n)
     while spec.height(n) - spec.max_descendant(n) - lift <= abs(k):  # refused past max_stage
         n += 1
     return n
@@ -226,7 +231,7 @@ def _probe_stage(spec: RankOneSpec, A: LevelSet, B: LevelSet, n_max: int) -> int
     s = max(A.stage, B.stage)
     size = max(
         descendant_count(spec, A.stage, s, len(A.heights)),
-        descendant_count(spec, B.stage, s, len(B.heights)),
+        descendant_count(spec, _in_column(spec, B).stage, s, len(B.heights)),
     )
     target = least_valid_stage(spec, A, n_max)
     while s < target and size * spec.stage(s).r <= spec.budget.max_descendants:
@@ -271,6 +276,9 @@ def overlap_counts(
     contiguous ``ks`` (a ``range``, or one shift) is its window and skips
     that step.
     """
+    if not isinstance(ks, range) and not set(map(type, ks)) <= {int}:  # the loop names the bad one
+        for k in ks:
+            _check_int("shift", k, None)
     i, DA, DB, _ = _common_stage(spec, A, B, n)
     lo, hi = (ks[0], ks[-1]) if ks else (1, 0)
     gapped = len(ks) < hi - lo + 1
@@ -307,6 +315,8 @@ def overlap_total(spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int, lo: int, 
     sum differ by more than that spread, so the work is linear in the size
     of the stage sum however many pairs there are.
     """
+    _check_int("lo", lo, None)
+    _check_int("hi", hi, None)
     i, DA, DB, completions = _common_stage(spec, A, B, n)
     if lo > hi:
         return 0
@@ -335,6 +345,5 @@ def translate_intersection_measure(spec: RankOneSpec, B: LevelSet, k: int) -> Fr
 
 def intersection_measure(spec: RankOneSpec, A: LevelSet, B: LevelSet, k: int) -> Fraction:
     """Exact measure of ``T^k A`` meets ``B`` for level sets ``A``, ``B``."""
-    _check_int("k", k, None)
-    n = max(least_valid_stage(spec, X, k) for X in {A, B})
+    n = max(least_valid_stage(spec, X, k) for X in {A, B})  # which checks k
     return overlap_counts(spec, A, B, n, (k,))[k] * spec.width(n)

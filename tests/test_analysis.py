@@ -33,10 +33,15 @@ from rankone.core import (
     BudgetExceeded,
     NotStronglyArithmetic,
     PreconditionError,
+    descendant_count,
+    descendant_set,
     explicit_spec,
 )
 from rankone.oracle import (
+    SplitMix64,
     brute_alpha_type_profile,
+    brute_apply_pointwise,
+    brute_descendants,
     brute_intersection_measure,
     brute_nonerg_pair_fraction,
     brute_rigidity_scan,
@@ -47,13 +52,19 @@ from rankone.oracle import (
     monte_carlo_measure,
 )
 from rankone.tower import (
+    LevelSet,
     apply_pointwise,
     intersection_measure,
     least_valid_stage,
     level_set,
+    lift_to,
     measure,
     overlap_counts,
+    overlap_total,
     point,
+    point_in,
+    project_height,
+    refine,
     translate_intersection_measure,
 )
 
@@ -632,6 +643,19 @@ _GATED = {
     ),
     "monte_carlo_measure-k": ("k", None, lambda v: monte_carlo_measure(_STAIR, _LEVEL, v, 1000, 0)),
     "apply_pointwise": ("k", None, lambda v: apply_pointwise(_STAIR, point(_STAIR, 2, 3, 0), v)),
+    "lift_to": ("stage", None, lambda v: lift_to(_STAIR, point(_STAIR, 2, 3, 0), v)),
+    "brute_apply_pointwise": (
+        "stage", None, lambda v: brute_apply_pointwise(_STAIR, point(_STAIR, 2, 3, 0), 0, v)
+    ),
+    "least_valid_stage": ("k", None, lambda v: least_valid_stage(_STAIR, _LEVEL, v)),
+    "overlap_counts": ("shift", None, lambda v: overlap_counts(_STAIR, _LEVEL, _LEVEL, 3, (0, v))),
+    "overlap_total-lo": ("lo", None, lambda v: overlap_total(_STAIR, _LEVEL, _LEVEL, 3, v, 3)),
+    "overlap_total-hi": ("hi", None, lambda v: overlap_total(_STAIR, _LEVEL, _LEVEL, 3, 0, v)),
+    "descendant_count": ("copies", 0, lambda v: descendant_count(_STAIR, 0, 2, v)),
+    "descendant_set": ("level", None, lambda v: descendant_set(_STAIR, 0, 2, v)),
+    "brute_descendants": ("level", None, lambda v: brute_descendants(_STAIR, 0, 2, v)),
+    "next_below": ("n", 1, lambda v: SplitMix64(1).next_below(v)),
+    "project_height": ("height", 0, lambda v: project_height(_STAIR, 2, v, 0)),
 }
 
 
@@ -645,6 +669,75 @@ def test_integer_arguments_pass_one_gate(name, floor, call):
     if floor is not None:
         with pytest.raises(ValueError, match=f"^{name} must be at least {floor}, got {floor - 1}$"):
             call(floor - 1)
+
+
+def test_a_height_past_its_column_has_no_projection():
+    # h = 100 projected to None and h = -1 to -9, where h_2 = 12
+    with pytest.raises(ValueError, match=r"^height 12 is not a level of C_2 \(h_2=12\)$"):
+        project_height(_STAIR, 2, 12, 0)
+    assert project_height(_STAIR, 2, 11, 0) is None  # the top spacer of C_2
+
+
+# Each fast path that reads a level set, and its twin, on a set past its
+# column: C_0 of the staircase has the one level 0.
+_BAD = LevelSet(0, (5,))
+_KOOP = gallery.koopman()
+_PAST_COLUMN = {
+    "measure": lambda B: measure(_STAIR, B),
+    "refine": lambda B: refine(_STAIR, B, 2),
+    "refine-same-stage": lambda B: refine(_STAIR, B, 0),
+    "point_in": lambda B: point_in(_STAIR, point(_STAIR, 0, 0, 0), B),
+    "least_valid_stage": lambda B: least_valid_stage(_STAIR, B, 0),
+    "overlap_counts": lambda B: overlap_counts(_STAIR, _LEVEL, B, 3, (1,)),
+    "overlap_total": lambda B: overlap_total(_STAIR, B, _LEVEL, 3, 1, 1),
+    "translate_intersection_measure": lambda B: translate_intersection_measure(_STAIR, B, 0),
+    "intersection_measure": lambda B: intersection_measure(_STAIR, B, B, 1),
+    "intersection_measure-B": lambda B: intersection_measure(_STAIR, _LEVEL, B, 1),
+    "brute_intersection_measure": lambda B: brute_intersection_measure(_STAIR, B, B, 1),
+    "brute_intersection_measure-B": lambda B: brute_intersection_measure(_STAIR, _LEVEL, B, 1),
+    "monte_carlo_measure": lambda B: monte_carlo_measure(_STAIR, B, 0, 1000, 0),
+    "alpha_type_profile": lambda B: alpha_type_profile(_STAIR, B, 3),
+    "brute_alpha_type_profile": lambda B: brute_alpha_type_profile(_STAIR, B, 3),
+    "wde_probe": lambda B: wde_probe(_STAIR, B, B, 5),
+    "wde_probe-B": lambda B: wde_probe(_STAIR, _LEVEL, B, 1),  # no self pair; was None
+    "brute_wde_probe": lambda B: brute_wde_probe(_STAIR, B, B, 5),
+    "brute_wde_probe-B": lambda B: brute_wde_probe(_STAIR, _LEVEL, B, 1),
+    "koopman_decay_check": lambda B: koopman_decay_check(_KOOP, B, [_KOOP.height(1)]),
+}
+
+
+@pytest.mark.parametrize("call", list(_PAST_COLUMN.values()), ids=list(_PAST_COLUMN))
+def test_level_sets_past_their_column_are_refused_alike(call):
+    """Translated measures answered 1 and 1/2, and profiles and probes their
+    values, where the twins refused."""
+    with pytest.raises(ValueError, match=r"^height 5 is not a level of C_0 \(h_0=1\)$"):
+        call(_BAD)
+
+
+# Each rational argument of a certificate or twin: its name and the entry
+# called with the argument's value.
+_EXACT = {
+    "conservativity_sufficient": (
+        "threshold", lambda v: conservativity_sufficient(_STAIR, 2, 3, v)
+    ),
+    "nonconservativity_check": ("floor", lambda v: nonconservativity_check(_STAIR, 2, 3, v)),
+    "alpha_type_profile": ("threshold", lambda v: alpha_type_profile(_STAIR, _LEVEL, 3, v)),
+    "brute_alpha_type_profile": (
+        "threshold", lambda v: brute_alpha_type_profile(_STAIR, _LEVEL, 3, v)
+    ),
+    "arithmetic_report": ("tau", lambda v: arithmetic_report(_STAIR, 3, v)),
+}
+
+
+@pytest.mark.parametrize("name, call", list(_EXACT.values()), ids=list(_EXACT))
+def test_rational_arguments_pass_one_gate(name, call):
+    """A float or a bool is refused by type, where a threshold of 0.001 was
+    read as 1152921504606847/1152921504606846976; a string is parsed exactly."""
+    for bad in (0.001, True):
+        kind = type(bad).__name__
+        with pytest.raises(TypeError, match=f"^{name} must be exact, not a {kind}, got {bad!r}$"):
+            call(bad)
+    assert call("1/1000") == call(Fraction(1, 1000))
 
 
 def test_a_fractional_shift_certifies_nothing():

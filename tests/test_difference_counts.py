@@ -1,6 +1,6 @@
 """Difference counts of descendant sets against explicit pair enumeration.
 
-``core._difference_product`` multiplies per-stage difference multisets instead
+``core._tuple_product`` multiplies per-stage difference multisets instead
 of listing pairs: as one packed big integer where the product is dense, by
 the dict convolution loop otherwise; ``tower.overlap_counts`` of the base of
 ``C_i`` with itself takes the product in a window.  Both are checked here
@@ -29,8 +29,8 @@ from rankone.core import (
     Budget,
     BudgetExceeded,
     _convolve,
-    _difference_product,
     _packed_product,
+    _tuple_product,
     descendant_count,
     explicit_spec,
 )
@@ -65,6 +65,7 @@ def budgeted_specs(draw, stages=None):
         ]
     budget = Budget(
         max_stage=draw(st.integers(1, 16)),
+        max_height_bits=draw(st.one_of(st.integers(1, 12), st.just(100_000))),
         max_descendants=draw(st.one_of(st.integers(4, 40), st.integers(4, 1000))),
         max_pairs=draw(st.one_of(st.integers(1, 200), st.integers(1, 30_000))),
     )
@@ -146,8 +147,8 @@ def _digits(view, lo):
 
 
 def _full_counts(spec, i, n):
-    """The nonzero counts of ``_difference_product``, packed or not."""
-    N, _ = _difference_product(spec, i, n)
+    """The nonzero counts of ``_tuple_product`` at ``k = 2``, packed or not."""
+    N, _ = _tuple_product(spec, i, n, 2)
     return N if isinstance(N, dict) else _digits(N, -(len(N) // 2))
 
 
@@ -230,7 +231,7 @@ def test_full_product_matches_convolve_chain_at_digit_width_edges(cuts, size, wi
     budget = Budget(max_descendants=size, max_pairs=size**2)
     spec = explicit_spec([(r, (0,) * r) for r in cuts], budget=budget)
     n = len(cuts)
-    digits, total = _difference_product(spec, 0, n)
+    digits, total = _tuple_product(spec, 0, n, 2)
     chain = reduce(lambda acc, m: _convolve(acc, *spec.height_differences(m)), range(n), {0: 1})
     assert total == size**2
     assert digits.itemsize == width
@@ -260,7 +261,7 @@ def test_packed_digits_match_the_dict_loop_at_digit_width_edges(size, data):
     stages = [(r, tuple(data.draw(st.lists(spacers, min_size=r, max_size=r)))) for r in cuts]
     spec = explicit_spec(stages, budget=Budget(max_descendants=size, max_pairs=size**2))
     n = len(cuts)
-    digits, total = _difference_product(spec, 0, n)
+    digits, total = _tuple_product(spec, 0, n, 2)
     assert total == size**2
     assert digits.itemsize == (1 if size < 256 else 2 if size < 65_536 else 4)
     s = len(digits) // 2  # the spread: digits[s] is N(0)
@@ -341,6 +342,67 @@ def test_dense_products_match_twins_at_the_pair_budget(cuts, k, slack, b):
     assert all((x is BudgetExceeded) == (slack < 0) for x in got)
 
 
+@settings(max_examples=100, deadline=None)
+@given(stages=stage_lists(max_stages=3, max_r=4), k=st.integers(2, 4), data=st.data())
+def test_partial_tuple_products_count_at_most_the_descendants(stages, k, data):
+    """Every partial product of the factor chain, in the kernel's order,
+    holds no count above ``|D|``, the digit bound, and the zero vector of
+    the whole product reaches it."""
+    spec = explicit_spec(stages, cycle=True)
+    i = data.draw(st.integers(0, 2))
+    j = data.draw(st.integers(i, i + 2))
+    calls = []
+
+    def spy(steps, total, lo, hi, peak):
+        calls.append((steps, peak))
+        return _packed_product(steps, total, lo, hi, peak)
+
+    with mock.patch.object(core, "_packed_product", spy):
+        N, total = _tuple_product(spec, i, j, k)
+    [(steps, peak)] = calls
+    size = descendant_count(spec, i, j)
+    assert peak == size and total == size**k
+    partial = list(accumulate(steps, lambda acc, step: _convolve(acc, *step), initial={0: 1}))
+    assert max(max(p.values()) for p in partial) == size
+    assert all(c <= size for _, counts in steps for c in counts)
+    assert (N if isinstance(N, dict) else _digits(N, -(len(N) // 2))) == {
+        t: c for t, c in partial[-1].items() if c
+    }
+
+
+@pytest.mark.parametrize("size, width", [(255, 1), (256, 2)])
+def test_tuple_digits_are_sized_by_the_descendants(size, width):
+    """At ``k = 3`` a digit holds ``|D|``, not ``|D|^3``: one byte at
+    ``|D| = 255``, where the tuple total needs four.  ``D = {0, ..., |D| - 1}``,
+    and a tuple has a shifted companion exactly when its spread is below
+    ``|D| - 1``."""
+    spec = explicit_spec([(size, (0,) * size)], budget=Budget(max_pairs=size**3))
+    widths = []
+
+    def spy(*args):
+        digits = _packed_product(*args)
+        widths.append(digits.itemsize)
+        return digits
+
+    with mock.patch.object(core, "_packed_product", spy):
+        got = analysis.cons_fraction_exact(spec, 0, 1, 3)
+    assert widths == [width]
+    assert got == Fraction(core._gap_tuple_count(size, size - 2, 3), size**3)
+
+
+def test_pair_counts_pass_the_bits_check_of_their_twin():
+    """``|D|^2`` passes ``max_height_bits`` as ``|D|^k`` does, in the routine
+    and its twin alike; both returned 255/256 here before."""
+    stages = [(4, [0, 0, 0, 0])]
+    spec = explicit_spec(stages, cycle=True, budget=Budget(max_height_bits=9))
+    free = explicit_spec(stages, cycle=True)
+    refusal = r"^\|D\|\*\*2 of up to 10 bits exceeds max_height_bits=9$"
+    for fraction in (analysis.nonerg_pair_fraction, oracle.brute_nonerg_pair_fraction):
+        with pytest.raises(BudgetExceeded, match=refusal):
+            fraction(spec, 2, 1)
+        assert fraction(free, 2, 1) == Fraction(255, 256)
+
+
 @pytest.fixture
 def packed_calls(monkeypatch):
     """Whether each call of the packed kernel took the product (``True``) or declined."""
@@ -418,11 +480,24 @@ def test_full_difference_counts_pass_one_pair_gate():
     ):
         spec = gallery.staircase(budget=budget)
         with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
-            _difference_product(spec, 0, 3)
+            _tuple_product(spec, 0, 3, 2)
         with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
             analysis.nonerg_pair_fraction(spec, 3, 1)
     spec = gallery.staircase(budget=Budget(max_pairs=1))
     assert _window_counts(spec, 0, 3, 0, 0) == Counter({0: 24})
+
+
+@pytest.mark.parametrize("k, message", [(2, "36 pairs"), (3, "216 tuples")])
+def test_tuple_fraction_refusals_count_pairs_at_k_2(k, message):
+    """``cons_fraction_exact`` and its twin word the ``max_pairs`` refusal
+    alike: pairs at ``k = 2``, as ``nonerg_pair_fraction`` does, tuples above."""
+    spec = gallery.staircase(budget=Budget(max_pairs=35))
+    refusals = []
+    for fraction in (analysis.cons_fraction_exact, oracle.brute_tuple_fraction):
+        with pytest.raises(BudgetExceeded) as stop:
+            fraction(spec, 0, 2, k)
+        refusals.append(str(stop.value))
+    assert refusals == [f"{message} exceeds max_pairs=35"] * 2
 
 
 @st.composite
@@ -533,11 +608,13 @@ def test_gapped_overlap_counts_match_the_window(spec, data):
 
 def test_overlap_total_at_the_common_stage_builds_no_stage():
     """With ``n`` the common stage there is nothing to convolve, so a budget
-    that cannot build that stage does not refuse the count."""
-    spec = explicit_spec([(2, (1, 1))], cycle=True, budget=Budget(max_stage=1))
+    that cannot build that stage does not refuse the count; the stages
+    below it are built to check that the set lies in ``C_3``."""
+    spec = explicit_spec([(2, (1, 1))], cycle=True, budget=Budget(max_stage=3))
     A = tower.LevelSet(3, (0,))
     assert tower.overlap_counts(spec, A, A, 3, (0,)) == Counter({0: 1})
     assert tower.overlap_total(spec, A, A, 3, 0, 0) == 1
+    assert spec.stages_built == 3
 
 
 @settings(max_examples=80, deadline=None)
