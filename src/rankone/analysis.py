@@ -79,6 +79,8 @@ def rho_bound(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     choices never agree on a subcolumn index at any stage.
     """
     _check_int("k", k, 2)
+    if j < i:
+        raise ValueError(f"need i <= j, got i={i}, j={j}")
     out = Fraction(1)
     for m in range(i, j):
         out *= 1 - Fraction(1, spec.budget.power(spec.stage(m).r, k - 1, "r", m))

@@ -67,6 +67,13 @@ def _check_int(what: str, value: int, floor: int | None) -> None:
         raise ValueError(f"{what} must be at least {floor}, got {value}")
 
 
+def _check_level(spec: RankOneSpec, n: int, h: int, what: str = "height") -> None:
+    """Accept only an int ``h``, named ``what``, that is a level of ``C_n``: ``0 <= h < h_n``."""
+    _check_int(what, h, 0)
+    if h >= spec.height(n):
+        raise ValueError(f"{what} {h} is not a level of C_{n} (h_{n}={spec.height(n)})")
+
+
 def _exact(what: str, value: object) -> Fraction:
     """``value`` as a :class:`Fraction`; a float or a bool, not an exact rational, is refused."""
     if isinstance(value, (float, bool)):
@@ -445,9 +452,7 @@ def descendant_count(spec: RankOneSpec, i: int, j: int, copies: int = 1) -> int:
 def descendant_set(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
     """D(I, j): heights of the descendants in C_j of level ``b`` of C_i,
     the translated iterated sum set ``b + H_i + ... + H_{j-1}``."""
-    _check_int("level", b, None)
-    if not 0 <= b < spec.height(i):
-        raise ValueError(f"level {b} is not a level of C_{i} (h_{i}={spec.height(i)})")
+    _check_level(spec, i, b, "level")
     return _refined(spec, (b,), i, j)
 
 

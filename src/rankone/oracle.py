@@ -27,10 +27,19 @@ from itertools import product
 from sys import byteorder
 from typing import Sequence
 
-from rankone.core import BudgetExceeded, IntSet, RankOneSpec, _check_int, _exact, descendant_set
+from rankone.core import (
+    BudgetExceeded,
+    IntSet,
+    RankOneSpec,
+    _check_int,
+    _check_level,
+    _exact,
+    descendant_set,
+)
 from rankone.tower import (
     LevelSet,
     Point,
+    _on_column,
     _probe_stage,
     apply_pointwise,
     least_valid_stage,
@@ -54,9 +63,7 @@ def brute_descendants(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
     """
     if j < i:
         raise ValueError(f"need i <= j, got i={i}, j={j}")
-    _check_int("level", b, None)
-    if not 0 <= b < spec.height(i):
-        raise ValueError(f"level {b} is not a level of C_{i}")
+    _check_level(spec, i, b, "level")
     if spec.height(j) > _DEFAULT_CELL_LIMIT:
         raise BudgetExceeded(
             f"brute unfolding of C_{j} needs {spec.height(j)} cells, "
@@ -110,6 +117,8 @@ def brute_shared_coordinate_fraction(spec: RankOneSpec, i: int, j: int, k: int) 
     vectors equal in at least one stage slot.
     """
     _check_int("k", k, 1)
+    if j < i:
+        raise ValueError(f"need i <= j, got i={i}, j={j}")
     ranges = [range(spec.stage(m).r) for m in range(i, j)]
     total_vectors = math.prod(map(len, ranges))
     total = spec.budget.power(total_vectors, k, "|D|")  # a vector per descendant
@@ -273,7 +282,7 @@ def brute_apply_pointwise(spec: RankOneSpec, p: Point, k: int, stage: int = 0) -
     the next column width to find the cut, with a gcd per step.
     """
     _check_int("stage", stage, None)
-    n, h, x = p.stage, p.height, p.offset
+    n, h, x = _on_column(spec, p)
     while n < stage or not 0 <= h + k < spec.height(n):
         w_next = spec.width(n + 1)
         c = int(x / w_next)
@@ -466,7 +475,7 @@ def stepwise_orbit_check(spec: RankOneSpec, p: Point, k: int) -> bool:
     jumping straight to the final height.
     """
     spec.budget.check("max_iterate", abs(k), "{} orbit steps")
-    direct = apply_pointwise(spec, p, k)
+    direct = apply_pointwise(spec, _on_column(spec, p), k)
     step = 1 if k >= 0 else -1
     q = p
     for _ in range(abs(k)):

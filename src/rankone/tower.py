@@ -30,6 +30,7 @@ from rankone.core import (
     IntSet,
     RankOneSpec,
     _check_int,
+    _check_level,
     _convolve,
     _exact,
     _refined,
@@ -60,7 +61,8 @@ class Point(namedtuple("Point", "stage height offset")):
     """One point of the space, addressed in the coordinates of ``stage``.
 
     The offset is exact, never a float.  Build points with :func:`point`,
-    which checks them against the column; :func:`apply_pointwise` does not."""
+    which checks them against the column.  Every other reader of a point
+    checks it at entry too, except :func:`apply_pointwise`, the per-map path."""
 
     __slots__ = ()
     _make = _validated_make
@@ -76,10 +78,18 @@ class Point(namedtuple("Point", "stage height offset")):
 
 def _in_column(spec: RankOneSpec, B: LevelSet) -> LevelSet:
     """``B``, once its top height is a level of ``C_{B.stage}``."""
-    n, h_n = B.stage, spec.height(B.stage)
-    if B.heights[-1] >= h_n:
-        raise ValueError(f"height {B.heights[-1]} is not a level of C_{n} (h_{n}={h_n})")
+    _check_level(spec, B.stage, B.heights[-1])
     return B
+
+
+def _on_column(spec: RankOneSpec, p: Point) -> Point:
+    """``p``, once its height is a level of ``C_{p.stage}`` and its offset is
+    below ``w_{p.stage}``."""
+    n, h, x = p
+    _check_level(spec, n, h)
+    if x.numerator * spec.width_denominator(n) >= x.denominator:  # x >= w_n, in integers
+        raise ValueError(f"offset {x} out of range for C_{n} (w={spec.width(n)})")
+    return p
 
 
 def level_set(spec: RankOneSpec, stage: int, heights) -> LevelSet:
@@ -89,12 +99,7 @@ def level_set(spec: RankOneSpec, stage: int, heights) -> LevelSet:
 
 def point(spec: RankOneSpec, stage: int, height: int, offset) -> Point:
     """Validated :class:`Point` with ``0 <= height < h_stage``, ``0 <= offset < w_stage``."""
-    if not 0 <= height < spec.height(stage):
-        raise ValueError(f"height {height} out of range for C_{stage}")
-    p = Point(stage, height, offset)
-    if p.offset >= spec.width(stage):
-        raise ValueError(f"offset {p.offset} out of range for C_{stage} (w={spec.width(stage)})")
-    return p
+    return _on_column(spec, Point(stage, height, offset))
 
 
 def measure(spec: RankOneSpec, B: LevelSet) -> Fraction:
@@ -110,8 +115,6 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
     with exactly ``|B| * r_i * ... * r_{n-1}`` levels, increasing, and the
     same measure.
     """
-    if n < B.stage:
-        raise ValueError(f"cannot refine stage {B.stage} set to earlier stage {n}")
     if n == _in_column(spec, B).stage:
         return B
     return tuple.__new__(LevelSet, (n, _refined(spec, B.heights, B.stage, n)))
@@ -148,11 +151,12 @@ def lift_to(spec: RankOneSpec, p: Point, n: int) -> Point:
     _check_int("stage", n, None)
     if n < p.stage:
         raise ValueError(f"cannot lower a stage-{p.stage} address to stage {n}")
-    return _moved(spec, p, 0, n)
+    return _moved(spec, _on_column(spec, p), 0, n)
 
 
 def point_eq(spec: RankOneSpec, p: Point, q: Point) -> bool:
     """Whether two addresses denote the same point of the space."""
+    p, q = _on_column(spec, p), _on_column(spec, q)
     n = max(p.stage, q.stage)
     (_, hp, a, da), (_, hq, b, db) = _walk(spec, p, 0, n), _walk(spec, q, 0, n)
     return hp == hq and a * db == b * da
@@ -166,10 +170,7 @@ def project_height(spec: RankOneSpec, stage: int, height: int, n: int) -> int | 
     """
     if n > stage:
         raise ValueError(f"need n <= {stage}, got {n}")
-    _check_int("height", height, 0)
-    top = spec.height(stage)
-    if height >= top:
-        raise ValueError(f"height {height} is not a level of C_{stage} (h_{stage}={top})")
+    _check_level(spec, stage, height)
     h = height
     for m in range(stage - 1, n - 1, -1):
         H = spec.height_set(m)
@@ -182,7 +183,7 @@ def project_height(spec: RankOneSpec, stage: int, height: int, n: int) -> int | 
 
 def point_in(spec: RankOneSpec, p: Point, B: LevelSet) -> bool:
     """Membership of a point in a level set, regardless of address stages."""
-    n, h, _, _ = _walk(spec, p, 0, _in_column(spec, B).stage)
+    n, h, _, _ = _walk(spec, _on_column(spec, p), 0, _in_column(spec, B).stage)
     h = project_height(spec, n, h, B.stage)
     return h is not None and bisect_left(B.heights, h) < bisect_right(B.heights, h)
 
@@ -253,7 +254,7 @@ def _common_stage(spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int):
 def overlap_counts(
     spec: RankOneSpec, A: LevelSet, B: LevelSet, n: int, ks: Sequence[int]
 ) -> Counter:
-    """``N(t) = #{x in A_n : x + t in B_n}`` for the shifts ``t`` of ``ks``, increasing.
+    """``N(t) = #{x in A_n : x + t in B_n}`` for the shifts ``t`` of ``ks``, in any order.
 
     ``A_n`` and ``B_n`` are the refinements of ``A`` and ``B`` to ``C_n``.
     Only their common stage ``i`` is enumerated: ``x = a + u_A``,
@@ -279,6 +280,7 @@ def overlap_counts(
     if not isinstance(ks, range) and not set(map(type, ks)) <= {int}:  # the loop names the bad one
         for k in ks:
             _check_int("shift", k, None)
+    ks = ks if isinstance(ks, range) and ks.step > 0 else sorted(set(ks))
     i, DA, DB, _ = _common_stage(spec, A, B, n)
     lo, hi = (ks[0], ks[-1]) if ks else (1, 0)
     gapped = len(ks) < hi - lo + 1

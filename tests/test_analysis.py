@@ -1,5 +1,6 @@
 """Certificate computations: counting formulas, verdicts, profiles."""
 
+import inspect
 import random
 import re
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankone import analysis, gallery
+from rankone import analysis, core, gallery, oracle, tower
 from rankone.analysis import (
     AlphaProfile,
     CertificateReport,
@@ -50,9 +51,11 @@ from rankone.oracle import (
     brute_tuple_fraction,
     brute_wde_probe,
     monte_carlo_measure,
+    stepwise_orbit_check,
 )
 from rankone.tower import (
     LevelSet,
+    Point,
     apply_pointwise,
     intersection_measure,
     least_valid_stage,
@@ -62,6 +65,7 @@ from rankone.tower import (
     overlap_counts,
     overlap_total,
     point,
+    point_eq,
     point_in,
     project_height,
     refine,
@@ -113,6 +117,15 @@ def test_rho_bound_is_a_product_past_the_descendant_budget():
     # 2*3*...*11 descendants is far over max_descendants, but the bound
     # never enumerates them: prod (1 - 1/r) telescopes to 1/11
     assert rho_bound(gallery.staircase(), 0, 10, 2) == Fraction(1, 11)
+
+
+@pytest.mark.parametrize(
+    "call", [rho_bound, cons_fraction_exact, brute_shared_coordinate_fraction, brute_tuple_fraction]
+)
+def test_a_reversed_stage_range_is_refused(call):
+    # rho_bound answered 1 and the coordinate twin 0 over stages 3..1
+    with pytest.raises(ValueError, match="^need i <= j, got i=3, j=1$"):
+        call(gallery.staircase(), 3, 1, 2)
 
 
 def test_rho_bound_needs_k2():
@@ -652,8 +665,8 @@ _GATED = {
     "overlap_total-lo": ("lo", None, lambda v: overlap_total(_STAIR, _LEVEL, _LEVEL, 3, v, 3)),
     "overlap_total-hi": ("hi", None, lambda v: overlap_total(_STAIR, _LEVEL, _LEVEL, 3, 0, v)),
     "descendant_count": ("copies", 0, lambda v: descendant_count(_STAIR, 0, 2, v)),
-    "descendant_set": ("level", None, lambda v: descendant_set(_STAIR, 0, 2, v)),
-    "brute_descendants": ("level", None, lambda v: brute_descendants(_STAIR, 0, 2, v)),
+    "descendant_set": ("level", 0, lambda v: descendant_set(_STAIR, 0, 2, v)),
+    "brute_descendants": ("level", 0, lambda v: brute_descendants(_STAIR, 0, 2, v)),
     "next_below": ("n", 1, lambda v: SplitMix64(1).next_below(v)),
     "project_height": ("height", 0, lambda v: project_height(_STAIR, 2, v, 0)),
 }
@@ -712,6 +725,56 @@ def test_level_sets_past_their_column_are_refused_alike(call):
     values, where the twins refused."""
     with pytest.raises(ValueError, match=r"^height 5 is not a level of C_0 \(h_0=1\)$"):
         call(_BAD)
+
+
+# Each routine that reads a point, and its twin, on a point past its column:
+# a height past ``C_0`` (one level) or an offset past ``w_1 = 1/2``.
+_GOOD = Point(2, 3, 0)
+_POINT_PAST_COLUMN = {
+    "point": lambda p: point(_STAIR, *p),
+    "lift_to": lambda p: lift_to(_STAIR, p, 3),  # an IndexError for the offset
+    "point_eq": lambda p: point_eq(_STAIR, p, _GOOD),
+    "point_eq-q": lambda p: point_eq(_STAIR, _GOOD, p),
+    "point_in": lambda p: point_in(_STAIR, p, _LEVEL),
+    "brute_apply_pointwise": lambda p: brute_apply_pointwise(_STAIR, p, 0),  # was Point(2, 5, 0)
+    "stepwise_orbit_check": lambda p: stepwise_orbit_check(_STAIR, p, 1),
+}
+# Readers of a point that do not check it, each with its reason.
+_TRUSTS_ITS_POINT = {"apply_pointwise": "the per-map path: a check there cost a map 25%"}
+
+
+@pytest.mark.parametrize("call", list(_POINT_PAST_COLUMN.values()), ids=list(_POINT_PAST_COLUMN))
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (Point(0, 5, 0), r"^height 5 is not a level of C_0 \(h_0=1\)$"),
+        (Point(1, 0, Fraction(5, 6)), r"^offset 5/6 out of range for C_1 \(w=1/2\)$"),
+    ],
+    ids=["height", "offset"],
+)
+def test_points_past_their_column_are_refused_alike(call, bad, message):
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "kind, table",
+    [("LevelSet", _PAST_COLUMN), ("Point", {**_POINT_PAST_COLUMN, **_TRUSTS_ITS_POINT})],
+    ids=["set", "point"],
+)
+def test_every_reader_of_a_level_set_or_point_is_tabled(kind, table):
+    """Each public function of ``core``, ``tower``, ``analysis`` and ``oracle``
+    with a parameter annotated ``kind`` has an entry in ``table``; the
+    annotations are strings, each module importing ``annotations``."""
+    tabled = {name.split("-")[0] for name in table}
+    readers = {
+        name
+        for module in (core, tower, analysis, oracle)
+        for name, f in vars(module).items()
+        if inspect.isfunction(f) and f.__module__ == module.__name__ and not name.startswith("_")
+        if any(q.annotation == kind for q in inspect.signature(f).parameters.values())
+    }
+    assert readers and readers - tabled == set()
 
 
 # Each rational argument of a certificate or twin: its name and the entry
