@@ -24,8 +24,8 @@ subclasses instead of returning a verdict.  Stage shapes are read once, by
 
 Pair and tuple counts over descendant sets are products of per-stage
 generating polynomials (:func:`rankone.tower.overlap_counts`), taken as
-one big-integer multiply where dense and read in place, so no pair is
-listed.
+one big integer, by multiplies and shifted adds, wherever the product has
+at least one tuple per digit, and read in place, so no pair is listed.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ def rho_bound(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     choices never agree on a subcolumn index at any stage.
     """
     _check_int("k", k, 2)
+    for stage in (i, j):
+        _check_int("stage index", stage, 0)
     if j < i:
         raise ValueError(f"need i <= j, got i={i}, j={j}")
     out = Fraction(1)

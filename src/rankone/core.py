@@ -441,6 +441,8 @@ def descendant_count(spec: RankOneSpec, i: int, j: int, copies: int = 1) -> int:
     any later stage is materialized.
     """
     _check_int("copies", copies, 0)
+    for stage in (i, j):
+        _check_int("stage index", stage, 0)
     if j < i:
         raise ValueError(f"need i <= j, got i={i}, j={j}")
     size = copies
@@ -479,9 +481,11 @@ def _tuple_product(spec: RankOneSpec, i: int, j: int, k: int) -> tuple[memoryvie
     is injective.  It is linear, so the encoded vectors have the generating polynomial
     ``prod_m prod_l sum_{a in H_m} x^(c_l a)``, ``c = (-C, 1, W, ..., W^(k-2))`` for
     ``C = 1 + W + ... + W^(k-2)``: ``k`` factors per stage, for every ``k``.
-    :func:`_packed_product` multiplies them where dense, to digits over ``[-C M, C M]``;
-    otherwise the dict loop of :func:`_convolve` multiplies out each stage, then convolves
-    the running product with it once.
+    :func:`_packed_product` takes their product, to digits over ``[-C M, C M]``, wherever
+    it has at least one tuple per digit, ``|D|^k >= 2 C M + 1``, so the packed integer holds
+    at most ``max_pairs`` digits; otherwise (koopman's products, say) the dict loop of
+    :func:`_convolve` multiplies out each stage, then convolves the running product with it
+    once.
 
     Digits are sized by ``|D|``.  Lemma: no count of a partial product, in the kernel's
     factor order, exceeds ``|D|``.  Through some factors of stage ``m``, a key is
@@ -550,12 +554,20 @@ def _packed_product(steps: Sequence, total: int, lo: int, hi: int, peak: int) ->
     least of 1, 2, 4 and 8 with ``peak < 2^(8B)``, never carries into the
     next.  ``lo`` and ``hi`` bound the product's keys; the digits come back
     as a memoryview ``d`` with ``d[t - lo]`` the count of ``t``.  The
-    product is taken only when dense, ``total >= 4 * span`` for ``span = hi
-    - lo + 1``, so no operand has more than ``total / 4`` digits.  ``None``
-    (sparser, or wider than 8 bytes) leaves it to the dict loop.
+    product is taken only when it has at least one tuple per digit, ``total
+    >= span`` for ``span = hi - lo + 1``, so no operand has more than
+    ``total`` digits.  ``None`` (sparser, or wider than 8 bytes) leaves it to
+    the dict loop.
+
+    A step costs its keys times the running product's width, not its zero
+    digits: a step of few keys against its span ``s``, ``len(keys)^2 < s``,
+    goes in as one shifted copy of the product per key, ``sum_t counts_t
+    prod x^(t - k0)``; a denser one is one multiply.  The two costs crossed
+    near ``s = len(keys)^2`` in timings of 2 to 32 keys on products of
+    10^2 to 10^5 digits.
     """
     span = hi - lo + 1
-    if total < 4 * span:
+    if total < span:
         return None
     width = next((b for b in _DIGIT_CODES if peak < 1 << 8 * b), None)
     if width is None:
@@ -564,10 +576,14 @@ def _packed_product(steps: Sequence, total: int, lo: int, hi: int, peak: int) ->
     prod, base = 1, 0  # the product's digits start at key base
     for keys, counts in steps:
         k0 = min(keys)
-        digits = array(code, bytes(width * (max(keys) - k0 + 1)))
-        for t, e in zip(keys, counts):
-            digits[t - k0] += e
-        prod *= int.from_bytes(digits, byteorder)
+        step_span = max(keys) - k0 + 1
+        if len(keys) ** 2 < step_span:
+            prod = sum(prod * e << 8 * width * (t - k0) for t, e in zip(keys, counts))
+        else:
+            digits = array(code, bytes(width * step_span))
+            for t, e in zip(keys, counts):
+                digits[t - k0] += e
+            prod *= int.from_bytes(digits, byteorder)
         base += k0
     prod <<= 8 * width * (base - lo)
     return memoryview(prod.to_bytes(span * width, byteorder)).cast(code)

@@ -120,9 +120,13 @@ def high_staircase(
     Cut counts must increase strictly from stage to stage; that growth is
     what the recurring-pattern certificate keys on.  So under the default
     ``extend="repeat"`` the spec is a finite tower of ``len(r)`` stages, one for
-    an int ``r`` under either ``extend``, and the next stage raises PreconditionError.
+    an int ``r``, and the next stage raises PreconditionError.  Under
+    ``extend="increment"`` an int ``r`` is read as the rule ``(r,)``, so the
+    cut counts run ``r, r + 1, ...``; ``spec.params`` still records the int.
     """
     r_of, r_seq = _rule(r, extend, "cut count", 2)
+    if extend == "increment" and isinstance(r, int):
+        r_of = lambda n: r + n  # the rule (r,)
     z_of, z_seq = _rule(z, extend, "offset", 0)
     if isinstance(r_seq, list) and any(b <= a for a, b in zip(r_seq, r_seq[1:])):
         raise PreconditionError("cut counts must strictly increase")

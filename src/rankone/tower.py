@@ -115,6 +115,7 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
     with exactly ``|B| * r_i * ... * r_{n-1}`` levels, increasing, and the
     same measure.
     """
+    _check_int("stage index", n, 0)
     if n == _in_column(spec, B).stage:
         return B
     return tuple.__new__(LevelSet, (n, _refined(spec, B.heights, B.stage, n)))
@@ -168,6 +169,7 @@ def project_height(spec: RankOneSpec, stage: int, height: int, n: int) -> int | 
     Returns None when the level lies in spacers added after stage ``n``
     and so belongs to no level of ``C_n``.
     """
+    _check_int("stage index", n, 0)
     if n > stage:
         raise ValueError(f"need n <= {stage}, got {n}")
     _check_level(spec, stage, height)

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rankone import gallery
+from rankone.analysis import rho_bound
 from rankone.core import (
     Budget,
     BudgetExceeded,
@@ -16,6 +18,8 @@ from rankone.core import (
     RankOneError,
     RankOneSpec,
     StageSpec,
+    _tuple_product,
+    descendant_count,
     descendant_set,
     explicit_spec,
     sum_is_direct,
@@ -23,7 +27,7 @@ from rankone.core import (
 )
 from rankone.gallery import Caps
 from rankone.oracle import brute_descendants
-from rankone.tower import LevelSet, Point
+from rankone.tower import LevelSet, Point, level_set, project_height, refine
 
 from conftest import product_of_cuts, small_specs, stage_lists
 
@@ -341,8 +345,6 @@ def test_fingerprint_stability():
 
 
 def test_fingerprint_refuses_callable_parameters():
-    from rankone import gallery
-
     # gallery rules are data; only a direct ``params`` can hold a callable
     direct = RankOneSpec(lambda n, spec: StageSpec(2, (0, 0)), params={"rule": lambda n: 2})
     with pytest.raises(PreconditionError):
@@ -361,6 +363,33 @@ def test_negative_stage_index_is_rejected(accessor):
     sp.materialize(4)  # a negative index must not wrap to the last stage
     with pytest.raises(ValueError):
         getattr(sp, accessor)(-1)
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda sp: descendant_count(sp, 0, 2.0), 2.0),  # raised from range
+        (lambda sp: descendant_count(sp, True, 2), True),
+        (lambda sp: descendant_set(sp, True, 2, 0), True),  # gave (0, 3, 7)
+        (lambda sp: _tuple_product(sp, 0, False, 2), False),
+        (lambda sp: refine(sp, level_set(sp, 1, (0,)), True), True),  # gave the set unchanged
+        (lambda sp: refine(sp, level_set(sp, 1, (0,)), 2.0), 2.0),
+        (lambda sp: rho_bound(sp, False, True, 2), False),  # gave 1/2
+        (lambda sp: rho_bound(sp, 0, 2.0, 2), 2.0),
+        (lambda sp: project_height(sp, 2, 5, True), True),  # gave 2
+        (lambda sp: project_height(sp, 2, 5, 0.0), 0.0),
+    ],
+    ids=[
+        "descendant_count-j", "descendant_count-i", "descendant_set", "tuple_product",
+        "refine-bool", "refine-float", "rho_bound-bool", "rho_bound-float",
+        "project_height-bool", "project_height-float",
+    ],
+)
+def test_stage_indices_pass_the_int_gate(call, bad):
+    """Every stage argument is an int, not a bool or a float read as one, also
+    where the stages it names are built."""
+    with pytest.raises(TypeError, match=f"^stage index must be an int, got {bad!r}$"):
+        call(gallery.staircase().materialize(3))
 
 
 def test_notes_dedup():

@@ -1,15 +1,15 @@
 """Difference counts of descendant sets against explicit pair enumeration.
 
 ``core._tuple_product`` multiplies per-stage difference multisets instead
-of listing pairs: as one packed big integer where the product is dense, by
-the dict convolution loop otherwise; ``tower.overlap_counts`` of the base of
-``C_i`` with itself takes the product in a window.  Both are checked here
-against a plain ``Counter`` of pair differences over sets unfolded by
-``oracle.brute_descendants``, the packed kernel against the dict loop and
-pairs listed one by one, and every certificate routine built on them against
-its ``oracle.brute_*`` twin, on both paths, both for the value and for
-raising :class:`BudgetExceeded` on the same inputs under small random
-budgets.
+of listing pairs: as one packed big integer wherever the product has at
+least one tuple per digit, by the dict convolution loop otherwise;
+``tower.overlap_counts`` of the base of ``C_i`` with itself takes the
+product in a window.  Both are checked here against a plain ``Counter`` of
+pair differences over sets unfolded by ``oracle.brute_descendants``, the
+packed kernel against the dict loop and pairs listed one by one, and every
+certificate routine built on them against its ``oracle.brute_*`` twin, on
+both paths, both for the value and for raising :class:`BudgetExceeded` on
+the same inputs under small random budgets.
 """
 
 import math
@@ -175,22 +175,23 @@ def _window_counts(spec, i, n, lo, hi):
 def test_convolve_switch_and_digit_widths(e):
     """Digits are the fewest of 1, 2, 4 and 8 bytes that hold the peak, here
     the total, the kernel declines past 8 bytes, and it packs at exactly
-    ``total = 4 * span``."""
+    ``total = span``."""
     # one key 7, then keys -3..0 in no order: total e over the keys 4..7
     steps = [((7,), (1,)), ((0, -3, -1, -2), (e - 3, 1, 1, 1) if e > 3 else (e, 0, 0, 0))]
     ref = reduce(lambda acc, step: _pairwise(acc, *step), steps, {0: 1})
     digits = _packed_product(steps, e, 4, 7, e)
     width = next((b for b in (1, 2, 4, 8) if e < 2 ** (8 * b)), None)
-    if e < 16 or width is None:  # 16 is 4 * span
+    if e < 4 or width is None:  # 4 is span
         assert digits is None
     else:
         assert digits.itemsize == width
         assert _digits(digits, 4) == {t: c for t, c in ref.items() if c}
-    # 15 keys of count 4 and one key of count e: at e = 1 the totals are
-    # exactly 4 * span, which packs, and one below, which does not
+    # 15 keys of count 4 and one key of count e, over a key range of 60
+    # digits, -7..52: at e = 1 the totals are exactly span, which packs, and
+    # one below, which does not
     for counts in ([4] * 15, [4] * 14 + [3]):
         total = e * sum(counts)
-        digits = _packed_product([((0,), (e,)), (range(-7, 8), counts)], total, -7, 7, total)
+        digits = _packed_product([((0,), (e,)), (range(-7, 8), counts)], total, -7, 52, total)
         assert (digits is None) == (total < 60 or total >= 2**64)
         if digits is not None:
             assert _digits(digits, -7) == _pairwise({0: e}, range(-7, 8), counts)
@@ -199,12 +200,17 @@ def test_convolve_switch_and_digit_widths(e):
 @st.composite
 def step_lists(draw):
     """Up to four multisets, keys negative or not and in any order, with the
-    product's sum and a key range that bounds it, sometimes loosely."""
+    product's sum and a key range that bounds it, sometimes loosely.  A step
+    is dense, keys from a range of at most 12 with holes, or sparse, 2 to 6
+    keys over a span of up to about 10^4, which the kernel takes by shifted adds."""
     steps = []
     for _ in range(draw(st.integers(0, 4))):
-        start = draw(st.integers(-30, 30))
-        keys = draw(st.permutations(range(start, start + draw(st.integers(1, 12)))))
-        keys = keys[: draw(st.integers(1, len(keys)))]  # a key range with holes
+        if draw(st.booleans()):
+            keys = draw(st.lists(st.integers(-5000, 5000), min_size=2, max_size=6, unique=True))
+        else:
+            start = draw(st.integers(-30, 30))
+            keys = draw(st.permutations(range(start, start + draw(st.integers(1, 12)))))
+            keys = keys[: draw(st.integers(1, len(keys)))]  # a key range with holes
         count = st.integers(1, draw(st.sampled_from([3, 300, 2**40])))
         steps.append((keys, [draw(count) for _ in keys]))
     total = math.prod(sum(counts) for _, counts in steps)
@@ -226,10 +232,29 @@ def test_packed_product_matches_convolve_chain(inputs):
     peak = max(max(p.values()) for p in partial)  # every step's counts are in some partial
     digits = _packed_product(steps, total, lo, hi, peak)
     if digits is None:
-        assert total < 4 * (hi - lo + 1) or peak >= 2**64
+        assert total < hi - lo + 1 or peak >= 2**64
     else:
         assert len(digits) == hi - lo + 1
         assert _digits(digits, lo) == ref
+
+
+@pytest.mark.parametrize("e", [1, *NEAR_WIDTH_LIMITS])
+def test_sparse_steps_match_convolve_chain_at_digit_width_edges(e):
+    """A sparse step that carries the count ``e``, a dense step and a second
+    sparse step, out of order and with a negative key: their product counts
+    ``e`` at most, in digits of the width that just holds it, or is declined
+    below one tuple per digit (at ``e = 1``) and past 8 bytes."""
+    steps = [((110, -90, 0), (1, e, 1)), ((0, 1, 2), (1, 1, 1)), ((10, 0), (1, 1))]
+    ref = reduce(lambda acc, step: _pairwise(acc, *step), steps, {0: 1})
+    assert reduce(lambda acc, step: _convolve(acc, *step), steps, {0: 1}) == ref
+    total = (e + 2) * 3 * 2
+    digits = _packed_product(steps, total, -90, 122, e)
+    width = next((b for b in (1, 2, 4, 8) if e < 2 ** (8 * b)), None)
+    if e == 1 or width is None:  # 1 is below 213 / 18 tuples a digit
+        assert digits is None
+    else:
+        assert digits.itemsize == width
+        assert _digits(digits, -90) == ref
 
 
 @pytest.mark.parametrize(
@@ -437,8 +462,8 @@ SPARSE = explicit_spec([(3, (0, 1, 40)), (2, (0, 5)), (2, (1, 900))])  # large l
 @pytest.mark.parametrize(
     "spec, n, packed",
     [
-        (gallery.staircase(), 1, False),
-        (gallery.staircase(), 2, False),
+        (gallery.staircase(), 1, True),
+        (gallery.staircase(), 2, True),
         (gallery.staircase(), 3, True),
         (gallery.staircase(), 4, True),
         (ZEROS, 2, True),
@@ -462,11 +487,11 @@ def test_nonerg_pair_fraction_matches_twin_on_both_paths(spec, n, packed, packed
     "spec, i, j, k, packed",
     [
         (gallery.staircase(), 0, 3, 2, True),
-        (gallery.staircase(), 0, 3, 3, False),
+        (gallery.staircase(), 0, 3, 3, True),
         (gallery.staircase(), 1, 3, 4, False),
         (ZEROS, 0, 2, 2, True),
         (ZEROS, 0, 2, 3, True),
-        (ZEROS, 0, 2, 4, False),
+        (ZEROS, 0, 2, 4, True),
         (SPARSE, 0, 3, 2, False),
         (SPARSE, 0, 3, 3, False),
     ],

@@ -84,7 +84,8 @@ def test_high_staircase_frozen():
 
 @pytest.mark.parametrize(
     "r, extend",
-    [(3, "repeat"), (3, "increment"), ((3,), "repeat"), ((3, 4), "repeat"), ((2, 5, 9), "repeat")],
+    [(3, "repeat"), ((3,), "repeat"), ((3, 4), "repeat"), ((2, 5, 9), "repeat")],
+    ids=["3-repeat", "r2-repeat", "r3-repeat", "r4-repeat"],
 )
 def test_high_staircase_is_a_tower_of_len_r_stages(r, extend):
     rs = r if isinstance(r, tuple) else (r,)  # the cut counts go flat at stage len(rs)
@@ -96,6 +97,17 @@ def test_high_staircase_is_a_tower_of_len_r_stages(r, extend):
         sp.stage(n)
     if isinstance(r, tuple):
         assert gallery.high_staircase(r, 1, extend="increment").stage(n).r == rs[-1] + 1
+
+
+def test_high_staircase_int_cut_count_grows_under_increment():
+    """An int cut count under ``"increment"`` grows as the rule ``(r,)`` does,
+    and is recorded as the int, so its fingerprint is that of the int."""
+    sp = gallery.high_staircase(3, 1, extend="increment")
+    seq = gallery.high_staircase((3,), 1, extend="increment")
+    assert [sp.stage(n) for n in range(4)] == [seq.stage(n) for n in range(4)]
+    assert [sp.stage(n).r for n in range(4)] == [3, 4, 5, 6]
+    assert sp.params["r_seq"] == 3
+    assert sp.fingerprint() == "3d7feabba3e1becd83fa6b67aa3671020273bb7961b676b666d0ad0c0573fe99"
 
 
 def test_high_staircase_requires_growth():
