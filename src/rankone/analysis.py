@@ -23,7 +23,7 @@ subclasses instead of returning a verdict.  Stage shapes are read once, by
 :attr:`rankone.core.StageSpec.shape`, and ``|H_n| = r_n`` needs no listing.
 
 Pair and tuple counts over descendant sets are products of per-stage
-generating polynomials (:func:`rankone.tower.overlap_counts`), taken as
+generating polynomials (:func:`rankone.core._tuple_product`), taken as
 one big integer, by multiplies and shifted adds, wherever the product has
 at least one tuple per digit, and read in place, so no pair is listed.
 """
@@ -35,21 +35,20 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import countOf
-from typing import Sequence
+from typing import Callable, Sequence
 
 from rankone.core import (
     BudgetExceeded,
-    IntSet,
     NotStronglyArithmetic,
     PreconditionError,
     RankOneSpec,
     _check_int,
+    _check_stages,
     _exact,
     _gap_tuple_count,
     _separation_bound,
     _tuple_product,
     descendant_count,
-    gap_pair_count,
 )
 from rankone.tower import (
     LevelSet,
@@ -79,10 +78,7 @@ def rho_bound(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     choices never agree on a subcolumn index at any stage.
     """
     _check_int("k", k, 2)
-    for stage in (i, j):
-        _check_int("stage index", stage, 0)
-    if j < i:
-        raise ValueError(f"need i <= j, got i={i}, j={j}")
+    _check_stages(i, j)
     out = Fraction(1)
     for m in range(i, j):
         out *= 1 - Fraction(1, spec.budget.power(spec.stage(m).r, k - 1, "r", m))
@@ -227,6 +223,21 @@ def nonconservativity_check(
     )
 
 
+def _stage_rows(stages: range, row: Callable, skipped: Callable) -> tuple[list[dict], list[str]]:
+    """The row ``row(n)`` of each stage ``n``, and the notes.  A stage the budget
+    refuses is skipped: its row is ``skipped(n)`` and its note ``stage n skipped:
+    <refusal>``, so no note means every stage was computed."""
+    rows: list[dict] = []
+    notes: list[str] = []
+    for n in stages:
+        try:
+            rows.append(row(n))
+        except BudgetExceeded as e:
+            rows.append(skipped(n))
+            notes.append(f"stage {n} skipped: {e}")
+    return rows, notes
+
+
 # -- ergodicity ---------------------------------------------------------------
 
 
@@ -263,21 +274,14 @@ def nonergodicity_certificate(
     """
     _check_int("horizon", horizon, 1)
     spec.budget.check("max_stage", horizon, "stage {}")
-    rows: list[dict] = []
-    notes: list[str] = []
-    computed = 0
-    worst = Fraction(0)
-    for n in range(1, horizon + 1):
-        try:
-            frac = nonerg_pair_fraction(spec, n, b)
-        except BudgetExceeded as e:
-            rows.append({"stage": n, "fraction": None, "skipped": True})
-            notes.append(f"stage {n} skipped: {e}")
-            continue
-        computed += 1
-        worst = max(worst, frac)
-        rows.append({"stage": n, "fraction": frac, "skipped": False})
-    ok = computed == horizon and worst <= Fraction(1, 2)
+    rows, notes = _stage_rows(
+        range(1, horizon + 1),
+        lambda n: {"stage": n, "fraction": nonerg_pair_fraction(spec, n, b), "skipped": False},
+        lambda n: {"stage": n, "fraction": None, "skipped": True},
+    )
+    fractions = [row["fraction"] for row in rows if not row["skipped"]]
+    worst = max(fractions, default=None)
+    ok = not notes and worst <= Fraction(1, 2)
     return CertificateReport(
         kind="non-ergodicity",
         horizon=horizon,
@@ -285,8 +289,8 @@ def nonergodicity_certificate(
         rows=tuple(rows),
         summary={
             "b": b,
-            "max_fraction": worst if computed else None,
-            "stages_computed": computed,
+            "max_fraction": worst,
+            "stages_computed": len(fractions),
         },
         notes=tuple(notes),
     )
@@ -497,38 +501,31 @@ def arithmetic_report(
     _check_int("horizon", horizon, 1)
     _check_int("min_k", min_k, None)
     tau = _exact("tau", tau)
-    rows: list[dict] = []
-    notes: list[str] = []
-    qualifying: list[tuple[int, int]] = []  # (stage, r)
-    for n in range(horizon):
+
+    def stage_row(n: int) -> dict:
         st, h = spec.stage(n), spec.height(n)
-        try:
-            spec.budget.check("max_pairs", st.r**2, "{} height pairs")
-        except BudgetExceeded as e:
-            rows.append({"stage": n, "r": st.r, "skipped": True})
-            notes.append(f"stage {n} skipped: {e}")
-            continue
+        spec.budget.check("max_pairs", st.r**2, "{} height pairs")
         r, s0 = st.r, st.shape[1]
         if s0 is not None and min_k <= s0 - 1:
             a, k, length = 0, s0 - 1, r
         else:
             a, k, length = staircase_subset_detect(spec.height_set(n), h, min_k) or (None, None, 0)
-        fraction = Fraction(length, r)
-        qualifies = length >= 3 and length * tau.denominator > tau.numerator * r  # fraction > tau
-        rows.append(
-            {
-                "stage": n,
-                "r": r,
-                "skipped": False,
-                "best_a": a,
-                "best_k": k,
-                "best_length": length,
-                "fraction": fraction,
-                "qualifies": qualifies,
-            }
-        )
-        if qualifies:
-            qualifying.append((n, r))
+        return {
+            "stage": n,
+            "r": r,
+            "skipped": False,
+            "best_a": a,
+            "best_k": k,
+            "best_length": length,
+            "fraction": Fraction(length, r),
+            "qualifies": length >= 3 and length * tau.denominator > tau.numerator * r,  # > tau
+        }
+
+    # A refusal while stage n is built is raised again by the skipped row's spec.stage(n).
+    rows, notes = _stage_rows(
+        range(horizon), stage_row, lambda n: {"stage": n, "r": spec.stage(n).r, "skipped": True}
+    )
+    qualifying = [(row["stage"], row["r"]) for row in rows if row.get("qualifies")]
     increasing = all(b[1] > a[1] for a, b in zip(qualifying, qualifying[1:]))
     ok = not notes and len(qualifying) >= 2 and increasing
     return CertificateReport(

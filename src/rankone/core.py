@@ -74,6 +74,14 @@ def _check_level(spec: RankOneSpec, n: int, h: int, what: str = "height") -> Non
         raise ValueError(f"{what} {h} is not a level of C_{n} (h_{n}={spec.height(n)})")
 
 
+def _check_stages(i: int, j: int) -> None:
+    """Accept only a stage range ``i..j``: int stages, each at least 0, with ``i <= j``."""
+    _check_int("stage index", i, 0)
+    _check_int("stage index", j, 0)
+    if j < i:
+        raise ValueError(f"stage range {i}..{j} is reversed")
+
+
 def _exact(what: str, value: object) -> Fraction:
     """``value`` as a :class:`Fraction`; a float or a bool, not an exact rational, is refused."""
     if isinstance(value, (float, bool)):
@@ -300,24 +308,22 @@ class RankOneSpec:
         self.materialize(upto)
 
     def stage(self, n: int) -> StageSpec:
-        if not 0 <= n < len(self._stages):
+        if type(n) is not int or not 0 <= n < len(self._stages):
             self._reach(n, n + 1)
         return self._stages[n]
 
     def height(self, n: int) -> int:
         """Column height h_n."""
-        if not 0 <= n < len(self._heights):
+        if type(n) is not int or not 0 <= n < len(self._heights):
             self._reach(n, n)
         return self._heights[n]
 
     def width(self, n: int) -> Fraction:
         """Column width w_n = 1 / (r_0 ... r_{n-1}), exact."""
-        if not 0 <= n < len(self._wden):
-            self._reach(n, n)
-        return Fraction(1, self._wden[n])
+        return Fraction(1, self.width_denominator(n))
 
     def width_denominator(self, n: int) -> int:
-        if not 0 <= n < len(self._wden):
+        if type(n) is not int or not 0 <= n < len(self._wden):
             self._reach(n, n)
         return self._wden[n]
 
@@ -328,7 +334,7 @@ class RankOneSpec:
         lists every ``H_m`` not yet listed, in stage order up to ``n``, and
         keeps them; a later read is one list index.
         """
-        if not 0 <= n < len(self._hsets):
+        if type(n) is not int or not 0 <= n < len(self._hsets):
             self._reach(n, n + 1)
             for m in range(len(self._hsets), n + 1):
                 r, spacers = self._stages[m]
@@ -343,7 +349,7 @@ class RankOneSpec:
         to ``max``, with ``N(0) = |H_n|`` at the centre and ``N(-t) = N(t)``.
         """
         diffs = self._hdiffs.get(n)
-        if diffs is None:
+        if diffs is None or type(n) is not int:
             H = self.height_set(n)
             counts = Counter(starmap(sub, combinations(reversed(H), 2)))
             pos = sorted(counts)
@@ -354,7 +360,7 @@ class RankOneSpec:
 
     def max_descendant(self, n: int) -> int:
         """max D(I, n) where I is the base level of C_0."""
-        if not 0 <= n < len(self._maxdesc):
+        if type(n) is not int or not 0 <= n < len(self._maxdesc):
             self._reach(n, n)
         return self._maxdesc[n]
 
@@ -441,10 +447,7 @@ def descendant_count(spec: RankOneSpec, i: int, j: int, copies: int = 1) -> int:
     any later stage is materialized.
     """
     _check_int("copies", copies, 0)
-    for stage in (i, j):
-        _check_int("stage index", stage, 0)
-    if j < i:
-        raise ValueError(f"need i <= j, got i={i}, j={j}")
+    _check_stages(i, j)
     size = copies
     for m in range(i, j):
         size = spec.budget.check("max_descendants", size * spec.stage(m).r, "{}+ descendants")
@@ -454,6 +457,7 @@ def descendant_count(spec: RankOneSpec, i: int, j: int, copies: int = 1) -> int:
 def descendant_set(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
     """D(I, j): heights of the descendants in C_j of level ``b`` of C_i,
     the translated iterated sum set ``b + H_i + ... + H_{j-1}``."""
+    _check_stages(i, j)  # before C_i is built to check the level
     _check_level(spec, i, b, "level")
     return _refined(spec, (b,), i, j)
 

@@ -190,7 +190,7 @@ def _capped(r_faithful: int, caps: Caps, spec: RankOneSpec, stage: int) -> int:
 
 def _staircase_run_spacers(r: int) -> tuple[int, ...]:
     """Spacer counts ``1, 2, ..., r-1, r``: one extra level per subcolumn."""
-    return tuple(range(1, r)) + (r,)
+    return tuple(range(1, r + 1))
 
 
 def _two_phase(

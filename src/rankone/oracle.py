@@ -33,6 +33,7 @@ from rankone.core import (
     RankOneSpec,
     _check_int,
     _check_level,
+    _check_stages,
     _exact,
     descendant_set,
 )
@@ -61,8 +62,7 @@ def brute_descendants(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
     Costs O(h_j) memory, so only usable for small columns; that is the
     point, it shares nothing with the sum-set arithmetic it checks.
     """
-    if j < i:
-        raise ValueError(f"need i <= j, got i={i}, j={j}")
+    _check_stages(i, j)
     _check_level(spec, i, b, "level")
     if spec.height(j) > _DEFAULT_CELL_LIMIT:
         raise BudgetExceeded(
@@ -117,8 +117,7 @@ def brute_shared_coordinate_fraction(spec: RankOneSpec, i: int, j: int, k: int) 
     vectors equal in at least one stage slot.
     """
     _check_int("k", k, 1)
-    if j < i:
-        raise ValueError(f"need i <= j, got i={i}, j={j}")
+    _check_stages(i, j)
     ranges = [range(spec.stage(m).r) for m in range(i, j)]
     total_vectors = math.prod(map(len, ranges))
     total = spec.budget.power(total_vectors, k, "|D|")  # a vector per descendant

@@ -31,6 +31,7 @@ from rankone.core import (
     RankOneSpec,
     _check_int,
     _check_level,
+    _check_stages,
     _convolve,
     _exact,
     _refined,
@@ -115,7 +116,7 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
     with exactly ``|B| * r_i * ... * r_{n-1}`` levels, increasing, and the
     same measure.
     """
-    _check_int("stage index", n, 0)
+    _check_stages(B.stage, n)
     if n == _in_column(spec, B).stage:
         return B
     return tuple.__new__(LevelSet, (n, _refined(spec, B.heights, B.stage, n)))
@@ -132,8 +133,9 @@ def _walk(spec: RankOneSpec, p: Point, k: int, stage: int):
     n, h, x = p.stage, p.height, p.offset
     num, den = x.numerator * spec.width_denominator(n), x.denominator
     while n < stage or not 0 <= h + k < spec.height(n):
-        c, num = divmod(num * spec.stage(n).r, den)
-        h += spec.height_set(n)[c]
+        H = spec.height_set(n)
+        c, num = divmod(num * len(H), den)  # |H_n| = r_n
+        h += H[c]
         n += 1
     return n, h + k, num, den
 
@@ -149,9 +151,7 @@ def _moved(spec: RankOneSpec, p: Point, k: int, stage: int) -> Point:
 
 def lift_to(spec: RankOneSpec, p: Point, n: int) -> Point:
     """The same point addressed at stage ``n``, at or after ``p.stage``."""
-    _check_int("stage", n, None)
-    if n < p.stage:
-        raise ValueError(f"cannot lower a stage-{p.stage} address to stage {n}")
+    _check_stages(p.stage, n)
     return _moved(spec, _on_column(spec, p), 0, n)
 
 
@@ -169,9 +169,7 @@ def project_height(spec: RankOneSpec, stage: int, height: int, n: int) -> int | 
     Returns None when the level lies in spacers added after stage ``n``
     and so belongs to no level of ``C_n``.
     """
-    _check_int("stage index", n, 0)
-    if n > stage:
-        raise ValueError(f"need n <= {stage}, got {n}")
+    _check_stages(n, stage)
     _check_level(spec, stage, height)
     h = height
     for m in range(stage - 1, n - 1, -1):

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from rankone import analysis, gallery, oracle, tower
-from rankone.core import descendant_set, explicit_spec, sum_is_direct
+from rankone.core import descendant_set, explicit_spec, gap_pair_count, sum_is_direct
 
 SRC = Path(__file__).resolve().parents[1] / "src"  # on the PYTHONPATH of CLI child processes
 
@@ -57,7 +57,7 @@ def test_criterion_01_counting_identities():
         running = 0
         for m in range(1, r + 1):
             running += hist[m - 1]
-            ok = ok and analysis.gap_pair_count(r, m) == running
+            ok = ok and gap_pair_count(r, m) == running
 
     checked = 0
     for a in range(61):

@@ -19,7 +19,6 @@ from rankone.analysis import (
     cons_fraction_exact,
     conservativity_sufficient,
     divisibility_gcd,
-    gap_pair_count,
     koopman_decay_check,
     nonconservativity_check,
     nonerg_pair_fraction,
@@ -37,6 +36,7 @@ from rankone.core import (
     descendant_count,
     descendant_set,
     explicit_spec,
+    gap_pair_count,
 )
 from rankone.oracle import (
     SplitMix64,
@@ -124,7 +124,7 @@ def test_rho_bound_is_a_product_past_the_descendant_budget():
 )
 def test_a_reversed_stage_range_is_refused(call):
     # rho_bound answered 1 and the coordinate twin 0 over stages 3..1
-    with pytest.raises(ValueError, match="^need i <= j, got i=3, j=1$"):
+    with pytest.raises(ValueError, match=r"^stage range 3\.\.1 is reversed$"):
         call(gallery.staircase(), 3, 1, 2)
 
 
@@ -593,6 +593,12 @@ def test_koopman_decay_rejects_small_shifts():
         koopman_decay_check(ko, level_set(ko, 1, (0,)), [1])
 
 
+def test_koopman_decay_needs_a_shift():
+    ko = gallery.koopman()
+    with pytest.raises(ValueError, match="^need at least one shift to check$"):
+        koopman_decay_check(ko, level_set(ko, 1, (0,)), [])
+
+
 def test_koopman_decay_refuses_a_fractional_shift():
     ko = gallery.koopman()
     k = ko.height(2) + 0.9  # was read as h_2
@@ -656,7 +662,7 @@ _GATED = {
     ),
     "monte_carlo_measure-k": ("k", None, lambda v: monte_carlo_measure(_STAIR, _LEVEL, v, 1000, 0)),
     "apply_pointwise": ("k", None, lambda v: apply_pointwise(_STAIR, point(_STAIR, 2, 3, 0), v)),
-    "lift_to": ("stage", None, lambda v: lift_to(_STAIR, point(_STAIR, 2, 3, 0), v)),
+    "lift_to": ("stage index", 0, lambda v: lift_to(_STAIR, point(_STAIR, 2, 3, 0), v)),
     "brute_apply_pointwise": (
         "stage", None, lambda v: brute_apply_pointwise(_STAIR, point(_STAIR, 2, 3, 0), 0, v)
     ),
@@ -682,6 +688,47 @@ def test_integer_arguments_pass_one_gate(name, floor, call):
     if floor is not None:
         with pytest.raises(ValueError, match=f"^{name} must be at least {floor}, got {floor - 1}$"):
             call(floor - 1)
+
+
+_BUILT = gallery.staircase().materialize(4)
+# Each stage-range entry and twin, called on the range i..j of a built spec.
+_RANGES = {
+    "descendant_set": lambda i, j: descendant_set(_BUILT, i, j),
+    "brute_descendants": lambda i, j: brute_descendants(_BUILT, i, j),  # gave (0, 3, 7) at i=True
+    "rho_bound": lambda i, j: rho_bound(_BUILT, i, j, 3),
+    "brute_shared_coordinate_fraction": (  # gave 1/2 at i=True
+        lambda i, j: brute_shared_coordinate_fraction(_BUILT, i, j, 3)
+    ),
+    "project_height": lambda i, j: project_height(_BUILT, j, 0, i),  # n..stage; gave 0 at j=True
+    "lift_to": lambda i, j: lift_to(_BUILT, point(_BUILT, i, 0, 0), j),  # p.stage..n
+}
+_BAD_RANGES = {
+    "i-bool": (True, 3, TypeError, "stage index must be an int, got True"),
+    "i-float": (1.0, 3, TypeError, "stage index must be an int, got 1.0"),
+    "i-negative": (-1, 3, ValueError, "stage index must be at least 0, got -1"),
+    "i-past-max_stage": (70, 1, ValueError, "stage range 70..1 is reversed"),  # before any build
+    "j-bool": (0, True, TypeError, "stage index must be an int, got True"),
+    "j-float": (0, 2.0, TypeError, "stage index must be an int, got 2.0"),
+    "j-negative": (0, -2, ValueError, "stage index must be at least 0, got -2"),
+    "reversed": (3, 1, ValueError, "stage range 3..1 is reversed"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [
+        (entry, case)
+        for entry in _RANGES
+        for case in _BAD_RANGES
+        if not (entry == "lift_to" and case.startswith("i-"))  # a Point checks its own stage
+    ],
+)
+def test_a_stage_range_passes_one_gate(entry, case):
+    """Every stage-range entry, and its twin, refuses a bad range through
+    :func:`rankone.core._check_stages`, with one message, on built stages too."""
+    i, j, error, message = _BAD_RANGES[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _RANGES[entry](i, j)
 
 
 def test_a_height_past_its_column_has_no_projection():

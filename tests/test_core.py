@@ -328,10 +328,21 @@ def test_height_bits_refusal_reads_stage_and_bits():
     assert str(stop.value) == "h_3 of 4 bits exceeds max_height_bits=3"
 
 
-@pytest.mark.parametrize("stages", [[(2,)], [3], [(2, (0, 0), 1)]])
+@pytest.mark.parametrize("stages", [[(2,)], [3], [(2, (0, 0), 1)], []])
 def test_explicit_spec_rejects_malformed_stages(stages):
     with pytest.raises(ValueError):
         explicit_spec(stages)
+
+
+def test_spec_refuses_a_non_str_name():
+    with pytest.raises(TypeError, match="^spec name must be a string, got 3$"):
+        RankOneSpec(lambda n, spec: StageSpec(2, (0, 0)), name=3)
+
+
+def test_builder_must_return_a_stage_spec():
+    sp = RankOneSpec(lambda n, spec: (2, (0, 0)))
+    with pytest.raises(TypeError, match="^builder must return a StageSpec$"):
+        sp.stage(0)
 
 
 def test_fingerprint_stability():
@@ -352,10 +363,13 @@ def test_fingerprint_refuses_callable_parameters():
     assert gallery.staircase(2).fingerprint() != gallery.staircase(5).fingerprint()
 
 
-@pytest.mark.parametrize(
-    "accessor",
-    ["stage", "height", "width", "width_denominator", "height_set", "max_descendant"],
-)
+ACCESSORS = [
+    "stage", "height", "width", "width_denominator", "height_set", "height_differences",
+    "max_descendant",
+]
+
+
+@pytest.mark.parametrize("accessor", ACCESSORS)
 def test_negative_stage_index_is_rejected(accessor):
     sp = explicit_spec(TRIPLE, cycle=True)
     with pytest.raises(ValueError):
@@ -363,6 +377,16 @@ def test_negative_stage_index_is_rejected(accessor):
     sp.materialize(4)  # a negative index must not wrap to the last stage
     with pytest.raises(ValueError):
         getattr(sp, accessor)(-1)
+
+
+@pytest.mark.parametrize("accessor", ACCESSORS)
+@pytest.mark.parametrize("bad", [True, False, 1.0])
+def test_accessors_refuse_a_non_int_stage_index_on_built_stages(accessor, bad):
+    # height(True) gave h_1, width(False) gave 1 and stage(1.0) failed on list indexing
+    sp = gallery.staircase().materialize(4)
+    sp.height_differences(1)  # a cached N(t) is not read for True either
+    with pytest.raises(TypeError, match=f"^stage index must be an int, got {bad!r}$"):
+        getattr(sp, accessor)(bad)
 
 
 @pytest.mark.parametrize(

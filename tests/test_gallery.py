@@ -74,6 +74,8 @@ def test_staircase_rejects_bad_rule():
         gallery.staircase((1,))
     with pytest.raises(ValueError):
         gallery.staircase((2,), extend="sideways")
+    with pytest.raises(ValueError, match="^cut count sequence must be nonempty$"):
+        gallery.staircase(())
 
 
 def test_high_staircase_frozen():
@@ -412,6 +414,23 @@ def test_declared_divisor_holds_at_the_deepest_horizon(build, arg):
     g, verdict = analysis.divisibility_gcd(sp, horizon)
     assert verdict == "not-weak-mixing"
     assert all(g % d == 0 for d in divisors.values()), (sp.name, horizon, g)
+
+
+@pytest.mark.parametrize(
+    "tag, verdict",
+    [
+        ("all-heights-divisible-by-2", "not-weak-mixing"),
+        ("all-heights-divisible-by-two", "at-horizon"),
+    ],
+)
+def test_a_malformed_divisor_tag_declares_nothing(tag, verdict):
+    from rankone.core import RankOneSpec
+
+    def build(n, spec):  # H_0 = {0, 2}, H_1 = {0, 4}: the gcd is 2
+        return StageSpec(2, (1, 1) if n == 0 else (0, 0))
+
+    sp = RankOneSpec(build, name="even", declared_properties=(tag,))
+    assert analysis.divisibility_gcd(sp, 2) == (2, verdict)
 
 
 def test_declared_divisor_lie_is_refuted():

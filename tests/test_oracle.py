@@ -57,6 +57,29 @@ def test_brute_descendants_match_closed_form(spec, data):
     assert brute_descendants(spec, i, j, b) == descendant_set(spec, i, j, b)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda sp: brute_descendants(sp, 0, 9),
+            r"brute unfolding of C_9 needs \d+ cells, limit is 1000000",
+        ),
+        (
+            lambda sp: brute_tuple_fraction(sp, 0, 5, 2),  # |D| = 720
+            "brute tuple scan needs ~373248000 operations, limit is 100000000",
+        ),
+        (
+            lambda sp: brute_shared_coordinate_fraction(sp, 0, 5, 3),
+            r"brute coordinate scan over 720\^3 tuples exceeds 100000000",
+        ),
+    ],
+    ids=["cells", "tuple-operations", "coordinate-operations"],
+)
+def test_brute_scans_refuse_past_their_limits(call, message):
+    with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+        call(gallery.staircase())
+
+
 def test_brute_tuple_fraction_matches_exact():
     sp = explicit_spec(TRIPLE)
     got = brute_tuple_fraction(sp, 0, 2, 2)
