@@ -1,4 +1,4 @@
-"""Exact certificates for rank-one transformations of infinite measure."""
+"""Exact certificates for rank-one transformations, of finite or infinite measure."""
 
 from rankone.core import (
     Budget,

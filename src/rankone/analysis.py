@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from operator import countOf
 from typing import Callable, Sequence
 
@@ -428,15 +428,8 @@ def staircase_subset_detect(
     ``min_k`` bounds the offsets searched; the plain staircase pattern
     itself has offset -1.  Ties in length go to the smallest ``a``, then
     the smallest ``k``: runs are scanned in that order and only a strictly
-    longer one replaces the best.
-
-    Two cuts skip only pairs ``(a, e1)`` whose run cannot beat the best
-    length ``L`` so far, so the answer is the full scan's
-    (:func:`rankone.oracle.brute_staircase_subset_detect`).  A run of
-    ``L + 1`` needs ``L + 1`` elements at or above ``a``, so the scan stops
-    once fewer remain.  With first step ``d = e1 - a`` such a run ends at
-    ``a + L d + L(L-1)/2``, so the scan of ``e1`` stops once that passes
-    ``max H``: ``d`` grows with ``e1``.  The worst case stays ``|H|^2`` pairs.
+    longer one replaces the best.  Every pair ``(a, e1)`` with ``a < e1``
+    is tried, so the scan costs ``|H|^2`` pairs.
     """
     _check_int("h", h, None)
     _check_int("min_k", min_k, None)
@@ -446,29 +439,17 @@ def staircase_subset_detect(
     Hset = set(Hs)
     best_a = best_k = None
     best_length = 1
-    for i, a in enumerate(Hs):
-        if len(Hs) - i <= best_length:
-            break
-        for e1 in Hs[i + 1 :]:
-            d = e1 - a
-            if a + best_length * d + best_length * (best_length - 1) // 2 > Hs[-1]:
-                break
-            k = d - h - 1
-            if k < min_k:
-                continue
-            if d > 1 and a - h - k in Hset and k - 1 >= min_k:
-                continue  # extends backward; not maximal
-            length = 2
-            nxt = e1
-            while True:
-                step = h + k + length  # increment into position `length`
-                if nxt + step in Hset:
-                    nxt += step
-                    length += 1
-                else:
-                    break
-            if length > best_length:
-                best_a, best_k, best_length = a, k, length
+    for a, e1 in combinations(Hs, 2):
+        d = e1 - a
+        k = d - h - 1
+        if k < min_k or (d > 1 and a - h - k in Hset and k - 1 >= min_k):
+            continue  # offset out of range, or extends backward: not maximal
+        length, nxt = 2, e1
+        while nxt + h + k + length in Hset:  # the increment into position `length`
+            nxt += h + k + length
+            length += 1
+        if length > best_length:
+            best_a, best_k, best_length = a, k, length
     return None if best_a is None else (best_a, best_k, best_length)
 
 

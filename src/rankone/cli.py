@@ -715,7 +715,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     """
     top = argparse.ArgumentParser(
         prog="rankone",
-        description="Exact certificates for rank-one constructions of infinite measure.",
+        description="Exact certificates for rank-one constructions, of finite or infinite measure.",
     )
     sub = top.add_subparsers(dest="command", required=True)
     oracle = None

@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from sys import byteorder
-from typing import Sequence
 
 from rankone.core import (
     BudgetExceeded,
@@ -116,7 +115,7 @@ def brute_shared_coordinate_fraction(spec: RankOneSpec, i: int, j: int, k: int) 
     enumerates tuples of such index vectors and counts those with all ``k``
     vectors equal in at least one stage slot.
     """
-    _check_int("k", k, 1)
+    _check_int("k", k, 2)
     _check_stages(i, j)
     ranges = [range(spec.stage(m).r) for m in range(i, j)]
     total_vectors = math.prod(map(len, ranges))
@@ -142,39 +141,6 @@ def brute_nonerg_pair_fraction(spec: RankOneSpec, n: int, b: int) -> Fraction:
     mult = Counter(d - d2 for d in D for d2 in D)
     good = sum(pairs for v, pairs in mult.items() if v + b in mult)
     return Fraction(good, total)
-
-
-def brute_staircase_subset_detect(
-    H: Sequence[int], h: int, min_k: int = -1
-) -> tuple[int, int, int] | None:
-    """Twin of :func:`rankone.analysis.staircase_subset_detect`: the run from every pair."""
-    _check_int("h", h, None)
-    _check_int("min_k", min_k, None)
-    Hs = tuple(sorted(set(H)))
-    for x in Hs:
-        _check_int("height", x, None)
-    Hset = set(Hs)
-    best_a = best_k = None
-    best_length = 1
-    for a in Hs:
-        for e1 in Hs:
-            k = e1 - a - h - 1
-            if e1 <= a or k < min_k:
-                continue
-            if e1 - a > 1 and a - h - k in Hset and k - 1 >= min_k:
-                continue  # extends backward; not maximal
-            length = 2
-            nxt = e1
-            while True:
-                step = h + k + length  # increment into position `length`
-                if nxt + step in Hset:
-                    nxt += step
-                    length += 1
-                else:
-                    break
-            if length > best_length:
-                best_a, best_k, best_length = a, k, length
-    return None if best_a is None else (best_a, best_k, best_length)
 
 
 def brute_rigidity_scan(spec: RankOneSpec, n: int) -> tuple[int, Fraction]:
@@ -280,7 +246,7 @@ def brute_apply_pointwise(spec: RankOneSpec, p: Point, k: int, stage: int = 0) -
     twin of :func:`rankone.tower.lift_to`.  Each lift divides the offset by
     the next column width to find the cut, with a gcd per step.
     """
-    _check_int("stage", stage, None)
+    _check_int("stage index", stage, 0)
     n, h, x = _on_column(spec, p)
     while n < stage or not 0 <= h + k < spec.height(n):
         w_next = spec.width(n + 1)

@@ -47,7 +47,7 @@ class LevelSet(namedtuple("LevelSet", "stage heights")):
     _make = _validated_make
 
     def __new__(cls, stage: int, heights: IntSet) -> LevelSet:
-        _check_int("stage", stage, 0)
+        _check_int("stage index", stage, 0)
         hs = tuple(heights)
         if not hs:
             raise ValueError("a level set needs at least one level")
@@ -69,7 +69,7 @@ class Point(namedtuple("Point", "stage height offset")):
     _make = _validated_make
 
     def __new__(cls, stage: int, height: int, offset: Fraction) -> Point:
-        _check_int("stage", stage, 0)
+        _check_int("stage index", stage, 0)
         _check_int("height", height, 0)
         x = _exact("offset", offset)
         if x < 0:

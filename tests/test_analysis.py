@@ -47,7 +47,6 @@ from rankone.oracle import (
     brute_nonerg_pair_fraction,
     brute_rigidity_scan,
     brute_shared_coordinate_fraction,
-    brute_staircase_subset_detect,
     brute_tuple_fraction,
     brute_wde_probe,
     monte_carlo_measure,
@@ -367,37 +366,43 @@ def test_staircase_subset_detect_keeps_a_unit_first_step():
     # step onto a itself; it subsumes nothing, and a lower floor keeps the run
     H = (0, 1, 3, 6)
     assert staircase_subset_detect(H, 1, min_k=-2) == (0, -1, 4)
-    assert brute_staircase_subset_detect(H, 1, min_k=-2) == (0, -1, 4)
 
 
 @st.composite
 def run_sets(draw):
-    """An unsorted height set with repeats and ``h >= 0``, often holding planted runs."""
+    """An unsorted height set with repeats and ``h >= 0``, often holding
+    planted runs, and the runs it plants as ``(start, offset, length)``."""
     h = draw(st.integers(0, 6))
     H = draw(st.lists(st.integers(0, 80), max_size=14))
+    planted = []
     for _ in range(draw(st.integers(0, 3))):
-        x = draw(st.integers(0, 40))
+        x = start = draw(st.integers(0, 40))
         k = draw(st.integers(-h, 3))  # the first step h + k + 1 stays positive
-        for m in range(draw(st.integers(2, 7))):
+        length = draw(st.integers(2, 7))
+        for m in range(length):
             H.append(x)
             x += h + k + m + 1
+        planted.append((start, k, length))
     if H:
         H += draw(st.lists(st.sampled_from(H), max_size=4))
-    return draw(st.permutations(H)), h
+    return draw(st.permutations(H)), h, planted
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=run_sets(), min_k=st.integers(-4, 2))
-def test_staircase_subset_detect_matches_twin(case, min_k):
-    H, h = case
-    assert staircase_subset_detect(H, h, min_k) == brute_staircase_subset_detect(H, h, min_k)
-
-
-def test_staircase_subset_detect_matches_twin_on_staircase_stages():
-    spec = gallery.staircase()
-    for n in range(60):
-        H, h = spec.height_set(n), spec.height(n)
-        assert staircase_subset_detect(H, h) == brute_staircase_subset_detect(H, h)
+def test_staircase_subset_detect_finds_a_run_as_long_as_every_planted_one(case, min_k):
+    # a run skipped because it extends backward is covered by a longer run
+    # whose offset is lower by one, so no planted run in range is longer
+    H, h, planted = case
+    longest = max((length for _, k, length in planted if k >= min_k), default=0)
+    found = staircase_subset_detect(H, h, min_k)
+    if found is None:
+        assert longest == 0
+        return
+    a, k, length = found
+    assert k >= min_k
+    assert length >= max(2, longest)
+    assert all(a + m * (h + k) + m * (m + 1) // 2 in H for m in range(length))
 
 
 def test_arithmetic_report_verdicts():
@@ -468,7 +473,7 @@ def test_arithmetic_report_matches_twin_stage_by_stage(stages, min_k, tau, max_p
             assert row == {"stage": n, "r": len(H), "skipped": True}
             notes.append(f"stage {n} skipped: {pairs} height pairs exceeds max_pairs={max_pairs}")
             continue
-        a, k, length = brute_staircase_subset_detect(H, h, min_k) or (None, None, 0)
+        a, k, length = staircase_subset_detect(H, h, min_k) or (None, None, 0)
         fraction = Fraction(length, len(H))
         assert (row["best_a"], row["best_k"], row["best_length"]) == (a, k, length)
         assert row["fraction"] == fraction
@@ -607,20 +612,19 @@ def test_koopman_decay_refuses_a_fractional_shift():
 
 
 @pytest.mark.parametrize(
-    "detect, args, message",
+    "args, message",
     [
-        pytest.param(detect, args, message, id=f"{case}{detect.__name__}")
+        pytest.param(args, message, id=f"{case}staircase_subset_detect")
         for case, args, message in [
             ("", ((0, 1.5, 3), 1), "height must be an int, got 1.5"),  # was read as (0, 1, 3)
             ("h-", ((0, 1, 3, 6), 1.5), "h must be an int, got 1.5"),  # gave (1, -0.5, 3)
             ("min_k-", ((0, 1, 3, 6), 1, -1.5), "min_k must be an int, got -1.5"),
         ]
-        for detect in (staircase_subset_detect, brute_staircase_subset_detect)
     ],
 )
-def test_staircase_subset_detect_refuses_a_fractional_height(detect, args, message):
+def test_staircase_subset_detect_refuses_a_fractional_height(args, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
-        detect(*args)
+        staircase_subset_detect(*args)
 
 
 # -- integer arguments and exact powers -----------------------------------------
@@ -648,7 +652,7 @@ _GATED = {
     "brute_wde_probe": ("n_max", 1, lambda v: brute_wde_probe(_STAIR, _LEVEL, _LEVEL, v)),
     "brute_tuple_fraction": ("k", 2, lambda v: brute_tuple_fraction(_STAIR, 0, 2, v)),
     "brute_shared_coordinate_fraction": (
-        "k", 1, lambda v: brute_shared_coordinate_fraction(_STAIR, 0, 2, v)
+        "k", 2, lambda v: brute_shared_coordinate_fraction(_STAIR, 0, 2, v)
     ),
     "monte_carlo_measure": ("samples", 1000, lambda v: monte_carlo_measure(_STAIR, _LEVEL, 1, v, 0)),
     "nonerg_pair_fraction": ("b", None, lambda v: nonerg_pair_fraction(_STAIR, 2, v)),
@@ -664,7 +668,7 @@ _GATED = {
     "apply_pointwise": ("k", None, lambda v: apply_pointwise(_STAIR, point(_STAIR, 2, 3, 0), v)),
     "lift_to": ("stage index", 0, lambda v: lift_to(_STAIR, point(_STAIR, 2, 3, 0), v)),
     "brute_apply_pointwise": (
-        "stage", None, lambda v: brute_apply_pointwise(_STAIR, point(_STAIR, 2, 3, 0), 0, v)
+        "stage index", 0, lambda v: brute_apply_pointwise(_STAIR, point(_STAIR, 2, 3, 0), 0, v)
     ),
     "least_valid_stage": ("k", None, lambda v: least_valid_stage(_STAIR, _LEVEL, v)),
     "overlap_counts": ("shift", None, lambda v: overlap_counts(_STAIR, _LEVEL, _LEVEL, 3, (0, v))),

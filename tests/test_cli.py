@@ -947,6 +947,11 @@ def test_integers_are_strings_from_2_to_the_53():
         assert _written(n) == f'"{n}"\n'
 
 
+def test_json_writer_refuses_a_value_with_no_json_image():
+    with pytest.raises(TypeError, match="^cannot serialize complex$"):
+        _written({"result": {"z": 1j}})
+
+
 def test_json_writer_matches_a_real_report():
     rep = analysis.nonergodicity_certificate(gallery.staircase(), 1, 3)
     assert _written({"report": rep}) == _json_oracle({"report": rep})
@@ -1095,7 +1100,7 @@ def test_one_subcommand_parser_prints_the_full_parsers_help(words, capsys, monke
 # parser, printed at 80 columns by the one parser of all subcommands
 _PARSER_STOPS = {
     (): "16a7e3f6ecf33205",
-    ("--help",): "bb118b5a227f565a",
+    ("--help",): "cc9ee1cd145685c8",
     ("nosuch",): "b63a69276b093ddf",
     ("oracle",): "43317f71add2d8ea",
     ("oracle", "nosuch"): "0e5eb12c908b3b5d",

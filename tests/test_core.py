@@ -227,6 +227,14 @@ def test_explicit_spec_cycle():
         nocycle.stage(1)
 
 
+def test_explicit_spec_takes_stage_specs_as_they_are():
+    stages = [StageSpec(2, (0, 1)), (3, [0, 1, 2])]
+    sp = explicit_spec(stages)
+    assert sp.stage(0) is stages[0]
+    assert sp.stage(1) == StageSpec(3, (0, 1, 2))
+    assert sp.params == explicit_spec([(2, (0, 1)), (3, (0, 1, 2))]).params
+
+
 def test_budget_stage_cap():
     sp = explicit_spec([(2, (0, 0))], cycle=True, budget=Budget(max_stage=3))
     sp.height(3)

@@ -93,8 +93,10 @@ def test_level_sets_are_exact_where_they_enter():
         level_set(sp, 2, (2.7, True))  # was read as heights (1, 2)
     with pytest.raises(TypeError, match="^height must be an int, got 2.7$"):
         LevelSet(2, (2.7,))
-    with pytest.raises(TypeError, match="^stage must be an int, got 1.0$"):
+    with pytest.raises(TypeError, match="^stage index must be an int, got 1.0$"):
         LevelSet(1.0, (0,))
+    with pytest.raises(ValueError, match="^stage index must be at least 0, got -1$"):
+        LevelSet(-1, (0,))  # a stage reads as a stage index wherever it enters
     raw = LevelSet(1, (0, 1, 2, 50))  # C_1 has 3 levels
     with pytest.raises(ValueError, match=r"^height 50 is not a level of C_1 \(h_1=3\)$"):
         measure(sp, raw)  # was 2
@@ -107,6 +109,8 @@ def test_points_are_exact_where_they_enter():
     sp = gallery.staircase()
     with pytest.raises(TypeError, match="^height must be an int, got 0.5$"):
         Point(0, 0.5, 0)
+    with pytest.raises(TypeError, match="^stage index must be an int, got True$"):
+        Point(True, 0, 0)
     with pytest.raises(TypeError, match="^offset must be exact, not a float"):
         Point(1, 0, 0.25)
     with pytest.raises(ValueError, match="^offset must be nonnegative, got -1/4$"):
