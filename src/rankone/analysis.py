@@ -24,7 +24,7 @@ subclasses instead of returning a verdict.  Stage shapes are read once, by
 
 Pair and tuple counts over descendant sets are products of per-stage
 generating polynomials (:func:`rankone.core._tuple_product`), taken as
-one big integer, by multiplies and shifted adds, wherever the product has
+one big integer, by one shifted add per key, wherever the product has
 at least one tuple per digit, and read in place, so no pair is listed.
 """
 

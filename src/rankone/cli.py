@@ -120,7 +120,7 @@ def load_spec(path: str, args: argparse.Namespace) -> RankOneSpec:
 
 _JSON_INT_LIMIT = 1 << 53
 _BRANCH = object()  # what _leaf returns for a dict, list or tuple (a record too)
-_BATCH = 4096  # list items per batch, and text pieces gathered per write
+_BATCH = 4096  # list items per batch
 _INF = float("inf")
 
 
@@ -227,16 +227,10 @@ def _write_json(v, out) -> None:
     the raw values.
 
     A list goes out in batches of ``_BATCH`` items, each one join where
-    :func:`_batch_text` can and piece by piece where not.  Pieces are written
-    whenever ``_BATCH`` of them gather and after each batch of a longer list,
-    so the document is never held whole.
+    :func:`_batch_text` can and piece by piece where not.  Each piece is
+    written to ``out`` as it is made, so the document is never held whole.
     """
-    parts: list[str] = []
-    put = parts.append
-
-    def flush() -> None:
-        out.write("".join(parts))
-        parts.clear()
+    put = out.write
 
     def node(v, nl: str) -> None:
         x = _leaf(v)
@@ -273,15 +267,10 @@ def _write_json(v, out) -> None:
                     if i:
                         put(sep)
                     node(x, inner)
-                    if len(parts) >= _BATCH:
-                        flush()
-            if len(v) > _BATCH:
-                flush()
         put(nl + "]")
 
     node(v, "\n")
     put("\n")
-    flush()
 
 
 def _spec_block(spec: RankOneSpec) -> dict:
@@ -615,6 +604,7 @@ def _h_koopman(args, spec):
         span = args.kmax - args.kmin
         if span <= 0:
             raise ValueError("need kmin < kmax")
+        _check_int("samples", args.samples, 1)
         spec.budget.check("max_iterate", args.samples, "{} samples")
         ks = [args.kmin + (u * span >> 64) for u in rng.block(args.samples)]
     B = tower.level_set(spec, args.stage, args.levels)

@@ -563,12 +563,9 @@ def _packed_product(steps: Sequence, total: int, lo: int, hi: int, peak: int) ->
     ``total`` digits.  ``None`` (sparser, or wider than 8 bytes) leaves it to
     the dict loop.
 
-    A step costs its keys times the running product's width, not its zero
-    digits: a step of few keys against its span ``s``, ``len(keys)^2 < s``,
-    goes in as one shifted copy of the product per key, ``sum_t counts_t
-    prod x^(t - k0)``; a denser one is one multiply.  The two costs crossed
-    near ``s = len(keys)^2`` in timings of 2 to 32 keys on products of
-    10^2 to 10^5 digits.
+    A step goes in as one shifted copy of the running product per key,
+    ``sum_t counts_t prod x^(t - k0)``, so it costs its keys times the
+    product's width, not its zero digits.
     """
     span = hi - lo + 1
     if total < span:
@@ -576,18 +573,10 @@ def _packed_product(steps: Sequence, total: int, lo: int, hi: int, peak: int) ->
     width = next((b for b in _DIGIT_CODES if peak < 1 << 8 * b), None)
     if width is None:
         return None
-    code = _DIGIT_CODES[width]
     prod, base = 1, 0  # the product's digits start at key base
     for keys, counts in steps:
         k0 = min(keys)
-        step_span = max(keys) - k0 + 1
-        if len(keys) ** 2 < step_span:
-            prod = sum(prod * e << 8 * width * (t - k0) for t, e in zip(keys, counts))
-        else:
-            digits = array(code, bytes(width * step_span))
-            for t, e in zip(keys, counts):
-                digits[t - k0] += e
-            prod *= int.from_bytes(digits, byteorder)
+        prod = sum(prod * e << 8 * width * (t - k0) for t, e in zip(keys, counts))
         base += k0
     prod <<= 8 * width * (base - lo)
-    return memoryview(prod.to_bytes(span * width, byteorder)).cast(code)
+    return memoryview(prod.to_bytes(span * width, byteorder)).cast(_DIGIT_CODES[width])

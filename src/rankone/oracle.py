@@ -3,16 +3,19 @@
 Everything in this module recomputes a quantity the rest of the package
 derives combinatorially, using a deliberately different method: explicit
 level-by-level unfolding of columns, exhaustive tuple enumeration, index
-vectors over the product structure, or seeded random sampling.  None of it
-shares code paths with :mod:`rankone.core` set arithmetic, so agreement is
-meaningful evidence and disagreement localizes a bug.
+vectors over the product structure, or seeded random sampling, so
+agreement is meaningful evidence and disagreement localizes a bug.
 
-The ``brute_*`` twins of certificate routines are the exception: they
-build their sets with :func:`rankone.core.descendant_set` and
-:func:`rankone.tower.refine`, then walk every pair (or tuple), where the
-routines convolve per-stage difference counts.  They share the sets, not
-the counting: each twin counts for itself and refuses through
-:meth:`rankone.core.Budget.check`, as its routine does.
+What the twins do share with the fast paths is stage arithmetic.  The
+``brute_*`` twins of certificate routines list their sets with
+:func:`rankone.core.descendant_set` and :func:`rankone.tower.refine`, then
+walk every pair (or tuple), where the routines convolve per-stage
+difference counts; and they pick the stage they count at with
+:func:`rankone.tower._probe_stage` and :func:`rankone.tower.least_valid_stage`,
+as their routines do.  They share the sets and the stage choice, not the
+counting: each twin counts for itself and refuses through
+:meth:`rankone.core.Budget.check`, as its routine does.  ROADMAP item 21
+plans twins that share no stage arithmetic at all.
 """
 
 from __future__ import annotations

@@ -1432,6 +1432,11 @@ def test_koopman_far_shift_exits_3(specfile, capsys):
             id="koopman-empty-shift-range",
         ),
         pytest.param(
+            KOOP, ["koopman", "--stage", "1", "--samples", "0", "--kmin", "60", "--kmax", "600"],
+            "samples must be at least 1, got 0",
+            id="koopman-no-samples",
+        ),
+        pytest.param(
             {"builder": {"kind": "high_staircase", "r_seq": [3, 4], "z_seq": [1]}},
             ["describe", "-n", "3"], "cut counts must strictly increase: r_2=4 after r_1=4",
             id="high_staircase-past-its-stages",

@@ -127,7 +127,7 @@ NEAR_WIDTH_LIMITS = [2**b + d for b in (8, 16, 32, 64) for d in (-1, 0, 1)]
 
 @st.composite
 def convolution_inputs(draw):
-    """A running sum and a stage multiset, sparse or dense about the switch.
+    """A running sum and a stage multiset, its keys sparse or dense.
 
     Keys may be negative; the multiset is either sorted, as a stage's
     differences are, or the unsorted ``dict_keys`` that
@@ -202,7 +202,8 @@ def step_lists(draw):
     """Up to four multisets, keys negative or not and in any order, with the
     product's sum and a key range that bounds it, sometimes loosely.  A step
     is dense, keys from a range of at most 12 with holes, or sparse, 2 to 6
-    keys over a span of up to about 10^4, which the kernel takes by shifted adds."""
+    keys over a span of up to about 10^4; the kernel takes either kind by
+    shifted adds, one per key, whatever its span."""
     steps = []
     for _ in range(draw(st.integers(0, 4))):
         if draw(st.booleans()):
@@ -241,8 +242,8 @@ def test_packed_product_matches_convolve_chain(inputs):
 @pytest.mark.parametrize("e", [1, *NEAR_WIDTH_LIMITS])
 def test_sparse_steps_match_convolve_chain_at_digit_width_edges(e):
     """A sparse step that carries the count ``e``, a dense step and a second
-    sparse step, out of order and with a negative key: their product counts
-    ``e`` at most, in digits of the width that just holds it, or is declined
+    sparse step, out of order and with a negative key, each taken by shifted
+    adds whatever its span: their product counts ``e`` at most, in digits of the width that just holds it, or is declined
     below one tuple per digit (at ``e = 1``) and past 8 bytes."""
     steps = [((110, -90, 0), (1, e, 1)), ((0, 1, 2), (1, 1, 1)), ((10, 0), (1, 1))]
     ref = reduce(lambda acc, step: _pairwise(acc, *step), steps, {0: 1})
