@@ -25,7 +25,6 @@ import sys
 import warnings
 from fractions import Fraction
 from itertools import count, repeat
-from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
 
 from rankone import gallery
@@ -69,7 +68,7 @@ def load_spec(path: str, args: argparse.Namespace) -> RankOneSpec:
             data = json.load(fh)
     except OSError as e:
         raise SpecFileError(f"cannot read spec file {path}: {e}") from e
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # nesting past the parser's depth
         raise SpecFileError(f"spec file {path} is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise SpecFileError("spec file must contain a JSON object")
@@ -105,6 +104,10 @@ def load_spec(path: str, args: argparse.Namespace) -> RankOneSpec:
     if "name" in data:  # otherwise the constructor's default name applies
         if not isinstance(data["name"], str):
             raise SpecFileError(f'"name" must be a string, got {data["name"]!r}')
+        try:  # a lone surrogate, as "\ud800" in the file gives, has no UTF-8
+            data["name"].encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise SpecFileError(f'"name" must encode as UTF-8, got {data["name"]!r}') from e
         kwargs["name"] = data["name"]
     try:
         for field, value in builder.items():
@@ -121,7 +124,6 @@ def load_spec(path: str, args: argparse.Namespace) -> RankOneSpec:
 _JSON_INT_LIMIT = 1 << 53
 _BRANCH = object()  # what _leaf returns for a dict, list or tuple (a record too)
 _BATCH = 4096  # list items per batch
-_INF = float("inf")
 
 
 def _leaf(v):
@@ -139,25 +141,6 @@ def _leaf(v):
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-def _leaf_text(x) -> str:
-    """JSON text of a scalar image, as ``json.dumps`` writes it."""
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def _sorted_items(v) -> list:
     """The (key, value) pairs of a dict or record as the JSON image orders them."""
     if not isinstance(v, dict):
@@ -170,16 +153,17 @@ def _sorted_items(v) -> list:
 def _texts(column) -> list[str] | None:
     """The JSON texts of a column of scalars, or ``None`` if it holds a
     container.  Integers inside the 53-bit range take one C-level pass by
-    ``int.__repr__``, and rationals one ``str`` per distinct object."""
+    ``int.__repr__``, rationals one text per distinct object, and any other
+    column ``json.dumps`` item by item."""
     kinds = set(map(type, column))
     if kinds == {int} and -_JSON_INT_LIMIT < min(column) and max(column) < _JSON_INT_LIMIT:
         return list(map(int.__repr__, column))
     if kinds == {Fraction}:
         ids = list(map(id, column))
-        text = {i: encode_basestring_ascii(str(x)) for i, x in dict(zip(ids, column)).items()}
+        text = {i: json.dumps(str(x)) for i, x in dict(zip(ids, column)).items()}
         return list(map(text.__getitem__, ids))
     images = list(map(_leaf, column))
-    return None if _BRANCH in images else list(map(_leaf_text, images))
+    return None if _BRANCH in images else list(map(json.dumps, images))
 
 
 def _batch_text(batch, nl: str) -> str | None:
@@ -209,7 +193,7 @@ def _batch_text(batch, nl: str) -> str | None:
         return None
     # one join of labels and values, interleaved row by row
     n, width = len(batch), 2 * len(slots)
-    labels = ["," + nl + "  " + encode_basestring_ascii(k) + ": " for k, _ in slots]
+    labels = ["," + nl + "  " + json.dumps(k) + ": " for k, _ in slots]
     head = "{" + labels[0][1:]
     labels[0] = nl + "}" + sep + head
     pieces = [None] * (n * width)
@@ -226,7 +210,8 @@ def _write_json(v, out) -> None:
     indented by 2 with sorted keys, and a newline to ``out`` in one pass over
     the raw values.
 
-    A list goes out in batches of ``_BATCH`` items, each one join where
+    Every scalar and every key is written as ``json.dumps`` of its image; the
+    writer adds only key order, indentation and batching.  A list goes out in batches of ``_BATCH`` items, each one join where
     :func:`_batch_text` can and piece by piece where not.  Each piece is
     written to ``out`` as it is made, so the document is never held whole.
     """
@@ -235,7 +220,7 @@ def _write_json(v, out) -> None:
     def node(v, nl: str) -> None:
         x = _leaf(v)
         if x is not _BRANCH:
-            put(_leaf_text(x))
+            put(json.dumps(x))
             return
         inner = nl + "  "
         if isinstance(v, dict) or hasattr(v, "_fields"):  # a record is a tuple too
@@ -245,7 +230,7 @@ def _write_json(v, out) -> None:
                 return
             sep = "{" + inner
             for k, x in items:
-                put(sep + encode_basestring_ascii(k) + ": ")
+                put(sep + json.dumps(k) + ": ")
                 node(x, inner)
                 sep = "," + inner
             put(nl + "}")

@@ -215,6 +215,8 @@ def gap_pair_count(r: int, m: int) -> int:
     The ``k = 2`` gap-tuple count, ``r^2 - (r-m)(r-m+1)``.  Only defined
     for ``1 <= m <= r``.
     """
+    _check_int("r", r, 1)
+    _check_int("m", m, 1)
     if not 1 <= m <= r:
         raise ValueError(f"need 1 <= m <= r, got m={m}, r={r}")
     return _gap_tuple_count(r, m - 1, 2)

@@ -300,6 +300,7 @@ class SplitMix64:
     _CHUNK = 2 * _BLOCK  # outputs mixed at once: a Monte Carlo block's two draws per sample
 
     def __init__(self, seed: int) -> None:
+        _check_int("seed", seed, None)
         self._state = seed & self._MASK
 
     def next_u64(self) -> int:
@@ -328,6 +329,7 @@ class SplitMix64:
         before the multiply, and a value below 2^64 times a 64-bit constant
         stays below 2^128, so no lane carries into the next.
         """
+        _check_int("count", count, None)
         out: list[int] = []
         while count > 0:
             n = min(count, self._CHUNK)

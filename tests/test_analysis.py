@@ -678,6 +678,10 @@ _GATED = {
     "descendant_set": ("level", 0, lambda v: descendant_set(_STAIR, 0, 2, v)),
     "brute_descendants": ("level", 0, lambda v: brute_descendants(_STAIR, 0, 2, v)),
     "next_below": ("n", 1, lambda v: SplitMix64(1).next_below(v)),
+    "SplitMix64": ("seed", None, lambda v: SplitMix64(v)),
+    "block": ("count", None, lambda v: SplitMix64(1).block(v)),  # gave 1 output at True
+    "gap_pair_count-r": ("r", 1, lambda v: gap_pair_count(v, 1)),
+    "gap_pair_count-m": ("m", 1, lambda v: gap_pair_count(10, v)),  # gave 19.25 at 1.5
     "project_height": ("height", 0, lambda v: project_height(_STAIR, 2, v, 0)),
 }
 

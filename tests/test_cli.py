@@ -1244,6 +1244,7 @@ def test_bad_builder_parameters_exit_2(specfile, capsys):
         {"builder": {"kind": "staircase", "r_seq": [2.9]}},
         {"builder": {"kind": "explicit", "stages": [[2, "12"]], "cycle": True}},
         {"name": ["x"], "builder": {"kind": "staircase"}},
+        {"name": "x\ud800", "builder": {"kind": "staircase"}},
         [{"builder": {"kind": "staircase"}}],
     ],
     ids=[
@@ -1261,6 +1262,7 @@ def test_bad_builder_parameters_exit_2(specfile, capsys):
         "float-r_seq",
         "spacers-string",
         "name-not-string",
+        "name-lone-surrogate",
         "spec-not-object",
     ],
 )
@@ -1269,6 +1271,15 @@ def test_invalid_spec_values_exit_2(data, specfile, capsys):
     code, _, err = run_cli(capsys, "describe", "--spec", path, "-n", "3")
     assert code == 2
     assert "spec error" in err
+
+
+def test_spec_nested_past_the_parser_depth_exits_2(tmp_path, capsys):
+    """Written as text: ``json.dumps`` of so deep a value recurses too."""
+    path = tmp_path / "spec.json"
+    path.write_text('{"builder": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    code, _, err = run_cli(capsys, "describe", "--spec", str(path), "-n", "3")
+    assert code == 2
+    assert err.startswith("spec error: ") and "not valid JSON" in err
 
 
 def test_usage_error_exits_2(specfile):
@@ -1594,6 +1605,8 @@ _json = st.recursive(
 # cut counts up to 6 and 2**70 go over the budgets the fuzz runs under
 _small = st.integers(-1, 6) | st.just(2**70)
 _stage_lists = st.lists(st.tuples(_small, st.lists(_small, max_size=4)).map(list), max_size=3)
+# short names, lone surrogates among them (``st.text`` leaves category Cs out)
+_names = st.text(st.characters(exclude_categories=()), max_size=3)
 _values = st.one_of(
     _small,
     st.lists(_small, max_size=3),
@@ -1618,7 +1631,7 @@ def spec_files(draw):
         builder[draw(st.sampled_from([*_FIELDS, "bogus"]))] = draw(_values)
     data = {"builder": draw(_json) if _rarely(draw) else builder}
     tops = st.sampled_from(["name", "max_stage", "budget"] + ["extra"] * _rarely(draw))
-    data.update(draw(st.dictionaries(tops, _values | st.text(max_size=3), max_size=2)))
+    data.update(draw(st.dictionaries(tops, _values | _names, max_size=2)))
     return draw(_json) if _rarely(draw) else data
 
 
@@ -1635,10 +1648,11 @@ _arg_values = {
 
 @st.composite
 def command_lines(draw):
-    """One subcommand of ``cli._COMMANDS`` with values for its own arguments:
-    every required one, and each other one half the time."""
+    """One subcommand of ``cli._COMMANDS`` in one of the three formats, with
+    values for its own arguments: every required one, and each other one half
+    the time."""
     words = draw(st.sampled_from(list(cli._COMMANDS)))
-    argv = list(words)
+    argv = [*words, f"--format={draw(st.sampled_from(['json', 'csv', 'text']))}"]
     for flags, kwargs in cli._COMMANDS[words][2]:
         if kwargs.get("required") or draw(st.booleans()):
             if kwargs.get("action") == "store_true":
@@ -1655,6 +1669,10 @@ def command_lines(draw):
 )
 @example(data=STAIR, argv=["check-cons", "--k=1000000", "--horizon=3"])
 @example(data=STAIR, argv=["check-noncons", "--k=1000000", "--horizon=3"])
+@example(  # a lone surrogate has no UTF-8, so no text summary naming it can be written
+    data={"name": "x\ud800", "builder": {"kind": "staircase"}},
+    argv=["describe", "--format=text", "--stages=2"],
+)
 def test_fuzzed_spec_files_keep_the_exit_code_contract(data, argv, tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -1662,7 +1680,7 @@ def test_fuzzed_spec_files_keep_the_exit_code_contract(data, argv, tmp_path_fact
             "--max-descendants", "5", "--max-pairs", "50", "--max-height-bits", "64"]
     runs = []
     for _ in range(2):
-        out = io.StringIO()
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # encodes as stdout does
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), _alarm(4.0):
             try:
@@ -1671,7 +1689,8 @@ def test_fuzzed_spec_files_keep_the_exit_code_contract(data, argv, tmp_path_fact
                 code = stop.code
         assert code in (0, 2, 3, 4)
         assert time.perf_counter() - start < 2.0
-        runs.append(out.getvalue())
+        out.flush()
+        runs.append(out.buffer.getvalue())
     assert runs[0] == runs[1]
 
 
