@@ -107,13 +107,15 @@ def conservativity_sufficient(
     horizon: int,
     threshold: Fraction = Fraction(1, 1000),
 ) -> CertificateReport:
-    """Certify conservativity of the k-fold power by driving the bound down.
+    """Drive down the bound on k-tuples that share no subcolumn index.
 
     The fraction of k-tuples with no shared subcolumn index through stage
     ``m`` is at most the running product of the per-stage factors
-    ``1 - 1/r^{k-1}`` of :func:`rho_bound`; once that product drops below
-    ``threshold``, all but a vanishing fraction of orbits return and the
-    power is conservative.
+    ``1 - 1/r^{k-1}`` of :func:`rho_bound`; ``satisfied`` says that product
+    fell below ``threshold`` within the horizon.  That is all the rows
+    prove: a bound at one finite stage does not make the power conservative,
+    which needs the share of tuples that never return to vanish for every
+    set of positive measure.
     """
     _check_int("k", k, 2)
     _check_int("horizon", horizon, 1)
@@ -166,6 +168,12 @@ def nonconservativity_check(
     rows record that separation check, and the verdict only refutes
     conservativity when every stage passes it and the product stays at or
     above ``floor`` through the horizon.
+
+    The refutation rests on the claim that separated wide tuples never
+    realign, and exact counts contradict it: on acceptance criterion 4's
+    doubling tower the product is 1/2, yet only 1283/4096 of the pairs of
+    descendants of ``C_0`` in ``C_3`` (their distinct differences) have no
+    forward return there.
     """
     _check_int("k", k, 2)
     _check_int("horizon", horizon, 1)

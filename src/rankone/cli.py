@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -50,6 +51,7 @@ class SpecFileError(RankOneError):
 _STAGE_FIELD = "max_stage"
 _BUDGET_KEYS = ("max_descendants", "max_pairs", "max_height_bits")
 _TOP_KEYS = {"name", "builder", "budget", _STAGE_FIELD}
+_BAD_NAME = re.compile(r"[\x00-\x1f\x7f-\x9f\ud800-\udfff]")  # C0, DEL, C1; surrogates
 
 
 def _require_keys(mapping: dict, allowed, where: str) -> None:
@@ -104,10 +106,9 @@ def load_spec(path: str, args: argparse.Namespace) -> RankOneSpec:
     if "name" in data:  # otherwise the constructor's default name applies
         if not isinstance(data["name"], str):
             raise SpecFileError(f'"name" must be a string, got {data["name"]!r}')
-        try:  # a lone surrogate, as "\ud800" in the file gives, has no UTF-8
-            data["name"].encode("utf-8")
-        except UnicodeEncodeError as e:
-            raise SpecFileError(f'"name" must encode as UTF-8, got {data["name"]!r}') from e
+        if _BAD_NAME.search(data["name"]):  # no UTF-8, or a newline forging a text summary line
+            what = "control character or lone surrogate"
+            raise SpecFileError(f'"name" must hold no {what}, got {data["name"]!r}')
         kwargs["name"] = data["name"]
     try:
         for field, value in builder.items():

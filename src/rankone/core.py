@@ -344,6 +344,29 @@ class RankOneSpec:
                 self._hsets.append(tuple(accumulate(gaps, initial=0)))
         return self._hsets[n]
 
+    def _lift(self, n: int, h: int, x: Fraction, k: int, stage: int) -> tuple[int, int, Fraction]:
+        """The point at height ``h``, offset ``x`` of ``C_n``, shifted by ``k`` and addressed at
+        the least stage at or after ``n`` and ``stage`` where ``h + k`` is a level.
+
+        The one walk of a point's address, in integers: the offset travels as ``num / den`` of
+        the column width, a stage up ``divmod(num * r_n, den)`` picks the cut ``c`` and the new
+        numerator with no gcd (the mixed-radix address), and the height gains ``H_n[c]``.  Only
+        a lifted point gets a new ``Fraction``.  The tables are read as lists and an accessor
+        runs only where one runs out, so stages are built and refused as the accessors would.
+        """
+        heights, wden, hsets = self._heights, self._wden, self._hsets  # appended to in place
+        if n >= stage and 0 <= h + k < (heights[n] if n < len(heights) else self.height(n)):
+            return n, h + k, x
+        num = x.numerator * (wden[n] if n < len(wden) else self.width_denominator(n))
+        den = x.denominator
+        while True:
+            H = hsets[n] if n < len(hsets) else self.height_set(n)  # which builds h_{n+1}
+            c, num = divmod(num * len(H), den)  # |H_n| = r_n
+            h += H[c]
+            n += 1
+            if n >= stage and 0 <= h + k < heights[n]:
+                return n, h + k, Fraction(num, den * wden[n])
+
     def height_differences(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The difference multiset of ``H_n``, built once: differences, increasing, and counts.
 

@@ -3,14 +3,9 @@
 A point of the space is addressed relative to a stage: ``Point(n, h, x)``
 is the point of column ``C_n`` sitting at height ``h`` (an integer level)
 and horizontal offset ``x``, an exact rational with ``0 <= x < w_n``.  The
-same point has an address at every later stage.  Inside the walk that
-rewrites an address stage by stage, the offset is an integer numerator
-``num`` over a fixed denominator ``den``, relative to the column width:
-``x = (num / den) w_n``.  One stage up, ``num * r_n = c * den + num'`` picks
-the cut ``c`` and the new numerator, so ``den`` never changes and no gcd
-runs; this is the mixed-radix (odometer) address of the point.  A
-:class:`Point` enters the walk with no :class:`fractions.Fraction` built, and
-one is built at exit only for a point that was lifted.
+same point has an address at every later stage; :meth:`RankOneSpec._lift
+<rankone.core.RankOneSpec._lift>` is the one walk that rewrites it, in
+integers, and it builds a :class:`fractions.Fraction` only for a point it lifts.
 
 Measurable sets are finite unions of levels, :class:`LevelSet`.  All
 measures are exact :class:`fractions.Fraction` values: a level of ``C_n``
@@ -122,45 +117,17 @@ def refine(spec: RankOneSpec, B: LevelSet, n: int) -> LevelSet:
     return tuple.__new__(LevelSet, (n, _refined(spec, B.heights, B.stage, n)))
 
 
-def _walk(spec: RankOneSpec, p: Point, k: int, stage: int):
-    """Lift ``p`` until it is addressed at ``stage`` or later and a shift by
-    ``k`` stays in the column.
-
-    Returns the stage, the shifted height ``h + k`` and the offset as ``num / den``
-    of that column's width, unreduced.  The offset selects the subcolumn: cut
-    ``c = floor(num * r_n / den)``, after which the height gains the c-th entry of ``H_n``.
-    """
-    n, h, x = p.stage, p.height, p.offset
-    num, den = x.numerator * spec.width_denominator(n), x.denominator
-    while n < stage or not 0 <= h + k < spec.height(n):
-        H = spec.height_set(n)
-        c, num = divmod(num * len(H), den)  # |H_n| = r_n
-        h += H[c]
-        n += 1
-    return n, h + k, num, den
-
-
-def _moved(spec: RankOneSpec, p: Point, k: int, stage: int) -> Point:
-    """:func:`_walk` from and back to a :class:`Point`, built unchecked; a new
-    ``Fraction`` only after a lift."""
-    if p.stage >= stage and 0 <= p.height + k < spec.height(p.stage):
-        return tuple.__new__(Point, (p.stage, p.height + k, p.offset))
-    n, h, num, den = _walk(spec, p, k, stage)
-    return tuple.__new__(Point, (n, h, Fraction(num, den * spec.width_denominator(n))))
-
-
 def lift_to(spec: RankOneSpec, p: Point, n: int) -> Point:
     """The same point addressed at stage ``n``, at or after ``p.stage``."""
     _check_stages(p.stage, n)
-    return _moved(spec, _on_column(spec, p), 0, n)
+    return tuple.__new__(Point, spec._lift(*_on_column(spec, p), 0, n))
 
 
 def point_eq(spec: RankOneSpec, p: Point, q: Point) -> bool:
     """Whether two addresses denote the same point of the space."""
     p, q = _on_column(spec, p), _on_column(spec, q)
     n = max(p.stage, q.stage)
-    (_, hp, a, da), (_, hq, b, db) = _walk(spec, p, 0, n), _walk(spec, q, 0, n)
-    return hp == hq and a * db == b * da
+    return spec._lift(*p, 0, n) == spec._lift(*q, 0, n)
 
 
 def project_height(spec: RankOneSpec, stage: int, height: int, n: int) -> int | None:
@@ -183,7 +150,7 @@ def project_height(spec: RankOneSpec, stage: int, height: int, n: int) -> int | 
 
 def point_in(spec: RankOneSpec, p: Point, B: LevelSet) -> bool:
     """Membership of a point in a level set, regardless of address stages."""
-    n, h, _, _ = _walk(spec, _on_column(spec, p), 0, _in_column(spec, B).stage)
+    n, h, _ = spec._lift(*_on_column(spec, p), 0, _in_column(spec, B).stage)
     h = project_height(spec, n, h, B.stage)
     return h is not None and bisect_left(B.heights, h) < bisect_right(B.heights, h)
 
@@ -199,7 +166,7 @@ def apply_pointwise(spec: RankOneSpec, p: Point, k: int) -> Point:
     """
     if type(k) is not int:  # an int shift, on the map's hot path, skips the call
         _check_int("k", k, None)
-    return _moved(spec, p, k, p.stage)
+    return tuple.__new__(Point, spec._lift(*p, k, p.stage))
 
 
 def least_valid_stage(spec: RankOneSpec, B: LevelSet, k: int) -> int:

@@ -194,12 +194,15 @@ def test_noncons_two_cut_stages_trivially_qualify():
     nonconservativity_check(sp, 2, 3)  # no exception
 
 
-def test_noncons_refutes_on_fast_doubling():
+def _fast_doubling():
+    """Acceptance criterion 4's doubling tower: ``r_n = 2^(n+1)``, staircase runs from ``z_n``."""
     z = [3, 13, 110, 1626, 50132, 3191142, 408388556, 104552444694,
          53531662608812, 54816632339894742]
-    r = [2 ** (n + 1) for n in range(10)]
-    sp = gallery.high_staircase(r, z)
-    rep = nonconservativity_check(sp, 2, 10)
+    return gallery.high_staircase([2 ** (n + 1) for n in range(10)], z)
+
+
+def test_noncons_refutes_on_fast_doubling():
+    rep = nonconservativity_check(_fast_doubling(), 2, 10)
     assert rep.verdict == "refuted-conservativity"
     assert rep.summary["all_separated"] is True
     assert rep.summary["product"] == Fraction(1, 2)
@@ -207,6 +210,22 @@ def test_noncons_refutes_on_fast_doubling():
     # count; every later stage is fully separated with factor 1
     assert rep.rows[0]["factor"] == Fraction(1, 2)
     assert all(row["factor"] == 1 for row in rep.rows[1:])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the refutation's product exceeds the exact forward-escape share (ROADMAP item 22)",
+)
+def test_noncons_refutation_stays_below_the_exact_escape_share():
+    # a pair (a, a') of D x D returns forward within C_3 unless it is the topmost pair
+    # with its difference a' - a, so the pairs that escape are the distinct differences
+    sp = _fast_doubling()
+    rep = nonconservativity_check(sp, 2, 10)
+    D = descendant_set(sp, 0, 3)
+    escape = Fraction(len({b - a for a in D for b in D}), len(D) ** 2)
+    assert len(D) == 64 and round(float(escape), 3) == 0.313
+    assert rep.verdict == "refuted-conservativity"
+    assert rep.summary["product"] <= escape
 
 
 def test_noncons_inconclusive_on_plain_staircase():

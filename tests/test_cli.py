@@ -1273,6 +1273,25 @@ def test_invalid_spec_values_exit_2(data, specfile, capsys):
     assert "spec error" in err
 
 
+def test_name_with_a_newline_cannot_forge_a_summary_line(specfile, capsys):
+    path = specfile({"name": "x\nverdict: satisfied", "builder": {"kind": "staircase"}})
+    argv = ("check-nonerg", "--spec", path, "--b", "1", "--horizon", "2", "--format", "text")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("spec error: ") and "control character" in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"name": "x"}, {"builder": "staircase"}],
+    ids=["builder-missing", "builder-not-object"],
+)
+def test_spec_needs_a_builder_object(data, specfile, capsys):
+    code, _, err = run_cli(capsys, "describe", "--spec", specfile(data), "-n", "3")
+    assert code == 2
+    assert err == 'spec error: spec file needs a "builder" object\n'
+
+
 def test_spec_nested_past_the_parser_depth_exits_2(tmp_path, capsys):
     """Written as text: ``json.dumps`` of so deep a value recurses too."""
     path = tmp_path / "spec.json"

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankone import gallery, tower
-from rankone.core import BudgetExceeded, explicit_spec
+from rankone.core import BudgetExceeded, RankOneSpec, explicit_spec
 from rankone.oracle import brute_descendants
 from rankone.tower import (
     LevelSet,
@@ -147,6 +147,24 @@ def test_lift_walks_cuts(sp):
     assert q.stage == 1
     assert q.height == sp.height_set(0)[1]
     assert q.offset == Fraction(1, 2) - Fraction(1, 3)
+
+
+def test_lifted_maps_read_built_tables_without_accessor_calls(monkeypatch):
+    spec = gallery.staircase()
+    spec.height_set(6)  # builds h_0..h_7 and lists H_0..H_6
+    h2, h4 = spec.height(2), spec.height(4)
+    maps = [
+        (point(spec, 2, h, spec.width(2) * Fraction(2 * h + 1, 2 * h2)), k)
+        for h in range(h2)
+        for k in (-h - 1, h4 - h, 7)
+    ]
+    calls = []
+    for name in ("height", "height_set", "width_denominator"):
+        method = getattr(RankOneSpec, name)
+        counted = lambda self, n, name=name, method=method: calls.append(name) or method(self, n)
+        monkeypatch.setattr(RankOneSpec, name, counted)
+    stages = [apply_pointwise(spec, p, k).stage for p, k in maps]
+    assert calls == [] and stages.count(2) < len(maps) // 2 and max(stages) <= 6
 
 
 def test_lift_to_preserves_identity(sp):
