@@ -232,9 +232,9 @@ def nonconservativity_check(
 
 
 def _stage_rows(stages: range, row: Callable, skipped: Callable) -> tuple[list[dict], list[str]]:
-    """The row ``row(n)`` of each stage ``n``, and the notes.  A stage the budget
-    refuses is skipped: its row is ``skipped(n)`` and its note ``stage n skipped:
-    <refusal>``, so no note means every stage was computed."""
+    """The row ``row(n)`` of each stage ``n``, built by the caller, and the notes.  A
+    count the budget refuses skips its stage: the row is ``skipped(n)`` and the note
+    ``stage n skipped: <refusal>``, so no note means every stage was computed."""
     rows: list[dict] = []
     notes: list[str] = []
     for n in stages:
@@ -276,12 +276,14 @@ def nonergodicity_certificate(
 
     When the fraction stays at or below one half at every stage, a
     positive-measure set of pairs never realigns to displacement ``b`` and
-    ergodicity of the Cartesian square fails.  A stage over budget is
-    skipped, with the refusal as its note, and leaves the verdict
-    inconclusive; a horizon past ``max_stage`` is refused outright.
+    ergodicity of the Cartesian square fails.  The stages through the
+    horizon are built first, so a stage the spec cannot build (past
+    ``max_stage``, past ``max_height_bits`` or past an explicit spec's end)
+    refuses the certificate; a stage whose pairs are over budget is skipped,
+    with the refusal as its note, and leaves the verdict inconclusive.
     """
     _check_int("horizon", horizon, 1)
-    spec.budget.check("max_stage", horizon, "stage {}")
+    spec.materialize(horizon)
     rows, notes = _stage_rows(
         range(1, horizon + 1),
         lambda n: {"stage": n, "fraction": nonerg_pair_fraction(spec, n, b), "skipped": False},
@@ -473,7 +475,9 @@ def arithmetic_report(
     its height set and has length at least three (length-two runs exist in
     almost any set and certify nothing).  The pattern counts as recurring
     when at least two stages qualify and their cut counts strictly
-    increase in stage order.  A stage whose height pairs exceed
+    increase in stage order.  The stages below the horizon are built first,
+    so a stage the spec cannot build refuses the report, as it refuses
+    :func:`nonergodicity_certificate`; a stage whose height pairs exceed
     ``max_pairs`` is skipped, with the refusal as its note, and leaves the
     verdict inconclusive.
 
@@ -490,6 +494,7 @@ def arithmetic_report(
     _check_int("horizon", horizon, 1)
     _check_int("min_k", min_k, None)
     tau = _exact("tau", tau)
+    spec.materialize(horizon)
 
     def stage_row(n: int) -> dict:
         st, h = spec.stage(n), spec.height(n)
@@ -510,7 +515,6 @@ def arithmetic_report(
             "qualifies": length >= 3 and length * tau.denominator > tau.numerator * r,  # > tau
         }
 
-    # A refusal while stage n is built is raised again by the skipped row's spec.stage(n).
     rows, notes = _stage_rows(
         range(horizon), stage_row, lambda n: {"stage": n, "r": spec.stage(n).r, "skipped": True}
     )

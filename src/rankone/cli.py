@@ -36,6 +36,7 @@ from rankone.core import (
     RankOneError,
     RankOneSpec,
     _check_int,
+    _exact,
     descendant_set,
 )
 
@@ -337,8 +338,8 @@ def _int_list(text: str) -> list[int]:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
+        return _exact("rational", text)
+    except ValueError as e:
         raise argparse.ArgumentTypeError(f"expected a rational like 1/2: {text!r}") from e
 
 
@@ -592,7 +593,7 @@ def _h_koopman(args, spec):
             raise ValueError("need kmin < kmax")
         _check_int("samples", args.samples, 1)
         spec.budget.check("max_iterate", args.samples, "{} samples")
-        ks = [args.kmin + (u * span >> 64) for u in rng.block(args.samples)]
+        ks = [args.kmin + rng.next_below(span) for _ in range(args.samples)]
     B = tower.level_set(spec, args.stage, args.levels)
     rep = analysis.koopman_decay_check(spec, B, ks)
     # the shifts drawn are the input, not the options that drew them

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations, repeat, starmap
 from operator import add, neg, sub
-from sys import byteorder
+from sys import byteorder, get_int_max_str_digits
 from typing import Callable, Iterable, Sequence
 
 IntSet = tuple[int, ...]  # strictly increasing tuple of nonnegative ints
@@ -83,10 +84,20 @@ def _check_stages(i: int, j: int) -> None:
 
 
 def _exact(what: str, value: object) -> Fraction:
-    """``value`` as a :class:`Fraction`; a float or a bool, not an exact rational, is refused."""
+    """``value`` as a :class:`Fraction`.  A float or a bool, not an exact rational, is
+    refused, and so is a string that divides by 0 or whose decimal exponent ``e`` has
+    ``|e| > sys.get_int_max_str_digits()`` (0 is no limit): ``Fraction`` builds ``10**e``."""
     if isinstance(value, (float, bool)):
         raise TypeError(f"{what} must be exact, not a {type(value).__name__}, got {value!r}")
-    return Fraction(value)
+    if isinstance(value, str):
+        exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", value)
+        limit = get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"{what} exponent exceeds {limit} in absolute value, got {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} has a zero denominator, got {value!r}") from None
 
 
 # The ``_make`` of a named tuple whose ``__new__`` validates: namedtuple's own

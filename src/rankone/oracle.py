@@ -297,7 +297,6 @@ class SplitMix64:
 
     _MASK = (1 << 64) - 1
     _GAMMA = 0x9E3779B97F4A7C15
-    _CHUNK = 2 * _BLOCK  # outputs mixed at once: a Monte Carlo block's two draws per sample
 
     def __init__(self, seed: int) -> None:
         _check_int("seed", seed, None)
@@ -315,13 +314,14 @@ class SplitMix64:
         _check_int("n", n, 1)
         return (self.next_u64() * n) >> 64
 
-    def block(self, count: int) -> list[int]:
-        """The next ``count`` outputs, with the state left as ``count`` calls of
-        :meth:`next_u64` would leave it; a ``count`` below 1 draws nothing.
+    def _mix(self, n: int) -> memoryview:
+        """The next ``n`` outputs, ``n <= 2 * _BLOCK`` (a Monte Carlo block's
+        two draws per sample), as the low words (even indices) of the
+        :func:`_words` of ``n`` lanes, with the state left as ``n`` calls of
+        :meth:`next_u64` would leave it.
 
-        Outputs are mixed in chunks of ``_CHUNK``.  The states of a chunk
-        form an arithmetic progression, so they pack
-        into one integer with 128-bit lanes, lane ``j`` holding
+        The states of the ``n`` draws form an arithmetic progression, so they
+        pack into one integer with 128-bit lanes, lane ``j`` holding
         ``state + (j + 1) * GAMMA`` (``state * ONES + GAMMA * IDX``, masked to
         the low 64 bits of each lane).  Each mixing step is then one
         big-integer operation and a per-lane mask: a right shift pulls the
@@ -329,17 +329,6 @@ class SplitMix64:
         before the multiply, and a value below 2^64 times a 64-bit constant
         stays below 2^128, so no lane carries into the next.
         """
-        _check_int("count", count, None)
-        out: list[int] = []
-        while count > 0:
-            n = min(count, self._CHUNK)
-            out += self._mix(n)[0::2].tolist()
-            count -= n
-        return out
-
-    def _mix(self, n: int) -> memoryview:
-        """The next ``n`` outputs, ``n <= _CHUNK``, as the low words (even
-        indices) of the :func:`_words` of ``n`` lanes."""
         ones, steps, low = _generator_lanes()
         z = (self._state * ones + steps) & low & ((1 << 128 * n) - 1)
         z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
@@ -350,9 +339,9 @@ class SplitMix64:
 
 @cache
 def _generator_lanes() -> tuple[int, int, int]:
-    """:meth:`SplitMix64._mix`'s constants over a chunk's lanes: ``ONES``,
-    ``GAMMA * IDX`` and the low-half mask."""
-    count = SplitMix64._CHUNK
+    """:meth:`SplitMix64._mix`'s constants over a Monte Carlo block's lanes:
+    ``ONES``, ``GAMMA * IDX`` and the low-half mask."""
+    count = 2 * _BLOCK
     ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
     steps = SplitMix64._GAMMA * _lanes(array("Q", range(1, count + 1)))
     return ones, steps, _low_halves(count)

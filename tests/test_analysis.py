@@ -287,6 +287,17 @@ def test_nonergodicity_horizon_is_bounded_by_max_stage():
         nonergodicity_certificate(sp, 1, 5)
 
 
+def test_a_stage_the_spec_cannot_build_refuses_both_certificates():
+    # nonerg reported stages 3 and 4 of a two-stage spec as budget skips
+    sp = explicit_spec([(2, (0, 1)), (3, (0, 1, 2))])
+    assert not nonergodicity_certificate(sp, 1, 2).notes
+    assert not arithmetic_report(sp, 2).notes
+    with pytest.raises(BudgetExceeded, match="^explicit spec has 2 stages, stage 2 requested$"):
+        nonergodicity_certificate(sp, 1, 4)
+    with pytest.raises(BudgetExceeded, match="^explicit spec has 2 stages, stage 2 requested$"):
+        arithmetic_report(sp, 4)
+
+
 # -- rigidity and alpha ------------------------------------------------------
 
 
@@ -698,7 +709,6 @@ _GATED = {
     "brute_descendants": ("level", 0, lambda v: brute_descendants(_STAIR, 0, 2, v)),
     "next_below": ("n", 1, lambda v: SplitMix64(1).next_below(v)),
     "SplitMix64": ("seed", None, lambda v: SplitMix64(v)),
-    "block": ("count", None, lambda v: SplitMix64(1).block(v)),  # gave 1 output at True
     "gap_pair_count-r": ("r", 1, lambda v: gap_pair_count(v, 1)),
     "gap_pair_count-m": ("m", 1, lambda v: gap_pair_count(10, v)),  # gave 19.25 at 1.5
     "project_height": ("height", 0, lambda v: project_height(_STAIR, 2, v, 0)),
@@ -869,12 +879,17 @@ _EXACT = {
 @pytest.mark.parametrize("name, call", list(_EXACT.values()), ids=list(_EXACT))
 def test_rational_arguments_pass_one_gate(name, call):
     """A float or a bool is refused by type, where a threshold of 0.001 was
-    read as 1152921504606847/1152921504606846976; a string is parsed exactly."""
+    read as 1152921504606847/1152921504606846976; a string is parsed exactly,
+    but not ``1/0`` (a bare ``ZeroDivisionError``) or ``1e-5000``, whose power
+    of ten ``Fraction`` built in full."""
     for bad in (0.001, True):
         kind = type(bad).__name__
         with pytest.raises(TypeError, match=f"^{name} must be exact, not a {kind}, got {bad!r}$"):
             call(bad)
     assert call("1/1000") == call(Fraction(1, 1000))
+    for bad in ("1/0", "1e-5000"):
+        with pytest.raises(ValueError, match=f"^{name} .*, got {bad!r}$"):
+            call(bad)
 
 
 def test_a_fractional_shift_certifies_nothing():

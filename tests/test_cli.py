@@ -338,6 +338,20 @@ def test_koopman_explicit_shifts(specfile, capsys):
     assert len(report["rows"]) == 3
 
 
+def test_koopman_draws_its_shifts_without_the_lane_mixer(specfile, capsys):
+    # the lanes of SplitMix64._mix serve the Monte Carlo sampler alone
+    from rankone import oracle
+
+    oracle._generator_lanes.cache_clear()
+    code, out, _ = run_cli(
+        capsys, "koopman", "--spec", specfile(KOOP), "--stage", "1",
+        "--samples", "40", "--kmin", "60", "--kmax", "600", "--seed", "5",
+    )
+    assert code == 0
+    assert json.loads(out)["inputs"]["shifts"] == 40
+    assert oracle._generator_lanes.cache_info().currsize == 0
+
+
 # -- oracle subcommands ----------------------------------------------------------
 
 
@@ -1112,6 +1126,10 @@ _PARSER_STOPS = {
     ("wde", "--spec", "x"): "9aa57c4faf0ca38b",
     ("alpha", "--spec", "x", "--kmax", "1", "--stage", "0", "--levels", "1,x"): "0f8d20206b70034f",
     ("check-cons", "--spec", "x", "--k", "2", "--horizon", "1", "--threshold", "1/0"): "2893f5f01029ea67",
+    # a power of ten past the int digit limit, which Fraction built in full
+    ("check-cons", "--spec", "x", "--k", "2", "--horizon", "1", "--threshold", "1e-5000"): (
+        "8c0a98ec8e5162d2"
+    ),
 }
 
 

@@ -2,6 +2,7 @@
 
 import pickle
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from rankone.core import (
     RankOneError,
     RankOneSpec,
     StageSpec,
+    _exact,
     _tuple_product,
     descendant_count,
     descendant_set,
@@ -32,6 +34,22 @@ from rankone.tower import LevelSet, Point, level_set, project_height, refine
 from conftest import product_of_cuts, small_specs, stage_lists
 
 TRIPLE = [(3, (0, 1, 2)), (3, (0, 1, 2))]
+
+
+def test_exact_bounds_a_decimal_exponent_by_the_int_digit_limit():
+    assert _exact("t", "1e-4300") == Fraction(1, 10**4300)
+    assert _exact("t", "-2.5E+3") == -2500
+    for bad in ("1e-5000", "1e5000", " 1e-4_301 "):
+        with pytest.raises(ValueError, match=f"^t exponent exceeds 4300 .*, got {bad!r}$"):
+            _exact("t", bad)
+    with pytest.raises(ValueError, match="^t has a zero denominator, got '1/0'$"):
+        _exact("t", "1/0")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit, as for int
+    try:
+        assert _exact("t", "1e-5000") == Fraction(1, 10**5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_stage_spec_validation():

@@ -134,22 +134,23 @@ def test_splitmix_below_and_unit():
 
 
 @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
-@pytest.mark.parametrize("n", [0, 1, 4097])
+@pytest.mark.parametrize("n", [0, 1, 2 * _BLOCK])
 def test_splitmix_block_is_single_draws(seed, n):
+    # the lanes the Monte Carlo sampler mixes a block of draws in
     rng, ref = SplitMix64(seed), SplitMix64(seed)
-    assert rng.block(n) == [ref.next_u64() for _ in range(n)]
+    assert rng._mix(n)[0::2].tolist() == [ref.next_u64() for _ in range(n)]
     assert rng.next_u64() == ref.next_u64()
 
 
 def test_splitmix_block_and_single_draws_interleave():
     rng, ref = SplitMix64(2**64 - 1), SplitMix64(2**64 - 1)
     got = []
-    for n in (3, 0, 1, 2048, 5, 2049, -4):
-        got += rng.block(n)
+    for n in (3, 0, 1, 2 * _BLOCK, 5):
+        got += rng._mix(n)[0::2].tolist()
         got.append(rng.next_u64())
         got.append(rng.next_below(7))
     want = []
-    for n in (3, 0, 1, 2048, 5, 2049, -4):
+    for n in (3, 0, 1, 2 * _BLOCK, 5):
         want += [ref.next_u64() for _ in range(n)]
         want.append(ref.next_u64())
         want.append(ref.next_below(7))
@@ -159,7 +160,8 @@ def test_splitmix_block_and_single_draws_interleave():
 def test_cut_lanes_never_carry_across_lanes():
     # a cut count of 2^64 or more cannot be materialized (a stage lists one
     # spacer count per cut), so r stops at the widest a lane holds
-    us = array("Q", [0, 1, 2**63, 2**64 - 1, *SplitMix64(3).block(7)])
+    rng = SplitMix64(3)
+    us = array("Q", [0, 1, 2**63, 2**64 - 1, *(rng.next_u64() for _ in range(7))])
     for r in (2, 3, 2**32 + 1, 2**64 - 1):
         cuts, packed = _cut_lanes(_lanes(us), r, _low_halves(len(us)), len(us))
         assert cuts == [u * r >> 64 for u in us]
