@@ -25,11 +25,12 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Sequence
+from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate, combinations, repeat, starmap
-from operator import add, neg, sub
+from itertools import accumulate, chain, combinations, repeat, starmap
+from operator import add, eq, neg, sub
 from sys import byteorder, get_int_max_str_digits
-from typing import Callable, Iterable, Sequence
 
 IntSet = tuple[int, ...]  # strictly increasing tuple of nonnegative ints
 
@@ -85,15 +86,22 @@ def _check_stages(i: int, j: int) -> None:
 
 def _exact(what: str, value: object) -> Fraction:
     """``value`` as a :class:`Fraction`.  A float or a bool, not an exact rational, is
-    refused, and so is a string that divides by 0 or whose decimal exponent ``e`` has
-    ``|e| > sys.get_int_max_str_digits()`` (0 is no limit): ``Fraction`` builds ``10**e``."""
+    refused, and so is a non-finite :class:`Decimal`, a string that divides by 0, and a
+    string or ``Decimal`` whose decimal exponent ``e`` has ``|e| > sys.get_int_max_str_digits()``
+    (0 is no limit): ``Fraction`` builds ``10**e``."""
     if isinstance(value, (float, bool)):
         raise TypeError(f"{what} must be exact, not a {type(value).__name__}, got {value!r}")
+    exponent = None
     if isinstance(value, str):
-        exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", value)
-        limit = get_int_max_str_digits()
-        if exponent and limit and abs(int(exponent[1])) > limit:
-            raise ValueError(f"{what} exponent exceeds {limit} in absolute value, got {value!r}")
+        match = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", value)
+        exponent = match and int(match[1])
+    elif isinstance(value, Decimal):
+        if not value.is_finite():
+            raise ValueError(f"{what} must be finite, got {value!r}")
+        exponent = value.as_tuple().exponent
+    limit = get_int_max_str_digits()
+    if exponent and limit and abs(exponent) > limit:
+        raise ValueError(f"{what} exponent exceeds {limit} in absolute value, got {value!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError:
@@ -156,11 +164,53 @@ class Budget(
         return base**k
 
 
+class _SpacerRun(Sequence):
+    """The ``r`` spacer counts ``s_i = s0 + step * i`` for ``i < r - 1``, then ``last``, held
+    in O(1) space and read like the tuple that lists them: it equals that tuple, hashes
+    and prints as it does, and a slice of it is a tuple.  Built by :meth:`StageSpec.run`."""
+
+    __slots__ = ("r", "s0", "step", "last")
+
+    def __init__(self, r: int, s0: int, step: int, last: int) -> None:
+        self.r, self.s0, self.step, self.last = r, s0, step, last
+
+    def __len__(self) -> int:
+        return self.r
+
+    def __getitem__(self, i):
+        i = range(self.r)[i]  # an index from 0, or a range of them
+        if type(i) is range:
+            return tuple(map(self.__getitem__, i))
+        return self.last if i == self.r - 1 else self.s0 + self.step * i
+
+    def __iter__(self):
+        return chain(accumulate(repeat(self.step, self.r - 2), initial=self.s0), (self.last,))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _SpacerRun)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    @property
+    def total(self) -> int:
+        """The sum of the spacers, in closed form."""
+        r = self.r
+        return (r - 1) * self.s0 + self.step * ((r - 1) * (r - 2) // 2) + self.last
+
+
 class StageSpec(namedtuple("StageSpec", "r spacers")):
     """One cutting stage: cut count ``r`` and spacer counts per subcolumn.
 
     Every spacer count is a nonnegative int, so each gap ``h + s_k`` of the
-    height set, above copy ``k``, is at least the column height ``h``.
+    height set, above copy ``k``, is at least the column height ``h``.  The
+    spacers are a tuple, or a run built by :meth:`run`, which equals that
+    tuple and costs O(1) to check, sum and shape.
     """
 
     __slots__ = ()
@@ -168,24 +218,43 @@ class StageSpec(namedtuple("StageSpec", "r spacers")):
 
     def __new__(cls, r: int, spacers: Sequence[int]) -> StageSpec:
         _check_int("cut count", r, 2)
-        spacers = tuple(spacers)
+        listed = type(spacers) is not _SpacerRun  # a run was checked when it was built
+        if listed:
+            spacers = tuple(spacers)
         if len(spacers) != r:
             raise ValueError(
                 f"need one spacer count per subcolumn: r={r}, "
                 f"got {len(spacers)} spacer entries"
             )
-        if set(map(type, spacers)) != {int} or min(spacers) < 0:  # the loop names the bad one
-            for s in spacers:
+        if listed and (set(map(type, spacers)) != {int} or min(spacers) < 0):
+            for s in spacers:  # the loop names the bad one
                 _check_int("spacer count", s, 0)
         return tuple.__new__(cls, (r, spacers))
+
+    @classmethod
+    def run(cls, r: int, s0: int, step: int, last: int) -> StageSpec:
+        """The stage of ``r`` cuts whose spacers are ``s_i = s0 + step * i`` for ``i < r - 1``,
+        then ``last``, held as a run.  It equals the stage that lists them, and refuses in
+        O(1) what that refuses, by the same message: the first bad spacer is named."""
+        _check_int("cut count", r, 2)
+        _check_int("spacer count", s0, 0)
+        _check_int("spacer step", step, None)
+        if s0 + step * (r - 2) < 0:  # step < 0: s_i < 0 from i = s0 // -step + 1 on
+            _check_int("spacer count", s0 % -step + step, 0)
+        _check_int("spacer count", last, 0)
+        return tuple.__new__(cls, (r, _SpacerRun(r, s0, step, last)))
 
     @property
     def shape(self) -> tuple[int | None, int | None]:
         """``(s, s_0)``: the constant gap ``s`` when ``s_i = s`` for every ``i < r - 1``, the
         run start ``s_0`` when ``s_i = s_0 + i`` there, and ``None`` for a shape the stage
-        lacks.  The last spacer is free, so a stage of two cuts has both."""
+        lacks.  The last spacer is free, so a stage of two cuts has both.  A run's steps
+        are read off its step, in O(1)."""
         r, spacers = self
-        s0, steps = spacers[0], set(map(sub, spacers[1 : r - 1], spacers))
+        if type(spacers) is _SpacerRun:
+            s0, steps = spacers.s0, {spacers.step} if r > 2 else set()
+        else:
+            s0, steps = spacers[0], set(map(sub, spacers[1 : r - 1], spacers))
         return (s0 if steps <= {0} else None), (s0 if steps <= {1} else None)
 
 
@@ -285,8 +354,9 @@ class RankOneSpec:
 
         Each stage costs O(1) big-integer work, in closed form:
         ``h_{m+1} = r_m h_m + sum_k s_{m,k}``, and ``max H_m``, the growth of
-        :meth:`max_descendant`, is ``h_{m+1} - h_m - s_{m,r-1}``.  No ``H_m``
-        is listed here; :meth:`height_set` lists it when it is first read.
+        :meth:`max_descendant`, is ``h_{m+1} - h_m - s_{m,r-1}``.  A listed
+        stage's spacer sum scans its tuple; a run's is its closed form.  No
+        ``H_m`` is listed here; :meth:`height_set` lists it when it is first read.
         """
         self.budget.check("max_stage", n, "stage {}")
         while len(self._stages) < n:
@@ -297,7 +367,7 @@ class RankOneSpec:
             r, spacers = stage  # one unpacking: each field read is a descriptor call
             self.check_cut_count(m, r)
             h = self._heights[m]
-            h_next = r * h + sum(spacers)
+            h_next = r * h + (sum(spacers) if type(spacers) is tuple else spacers.total)
             self.budget.check("max_height_bits", h_next.bit_length(), "h_{1} of {0} bits", m + 1)
             self._stages.append(stage)
             self._heights.append(h_next)

@@ -96,7 +96,7 @@ def staircase(
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
         rn = spec.check_cut_count(n, r_of(n))
-        return StageSpec(rn, tuple(range(rn)))
+        return StageSpec.run(rn, 0, 1, rn - 1)
 
     return RankOneSpec(
         build,
@@ -138,7 +138,7 @@ def high_staircase(
             raise PreconditionError(
                 f"cut counts must strictly increase: r_{n}={rn} after r_{n - 1}={spec.stage(n - 1).r}"
             )
-        return StageSpec(rn, tuple(range(zn, zn + rn)))
+        return StageSpec.run(rn, zn, 1, zn + rn - 1)
 
     return RankOneSpec(
         build,
@@ -188,11 +188,6 @@ def _capped(r_faithful: int, caps: Caps, spec: RankOneSpec, stage: int) -> int:
     return spec.check_cut_count(stage, caps.max_r)
 
 
-def _staircase_run_spacers(r: int) -> tuple[int, ...]:
-    """Spacer counts ``1, 2, ..., r-1, r``: one extra level per subcolumn."""
-    return tuple(range(1, r + 1))
-
-
 def _two_phase(
     caps: Caps,
     even: Callable[[int, int, int], tuple[int, int]],
@@ -216,7 +211,7 @@ def _two_phase(
         if n % 2:
             maxd = spec.max_descendant(n)
             r = _capped(odd_r(n - 1, spec.height(n - 1), maxd), caps, spec, n)
-            return StageSpec(r, _staircase_run_spacers(r))
+            return StageSpec.run(r, 1, 1, r)  # spacers 1, 2, ..., r
         h, maxd = spec.height(n), spec.max_descendant(n)
         r, gap = even(n, h, maxd)
         spec.check_cut_count(n, r)
@@ -225,7 +220,7 @@ def _two_phase(
         if caps.max_r is not None:
             r_next = min(r_next, caps.max_r)
         h_next = max(_separation_bound(r_next, maxd_next), pad(r_next, h)) + 1
-        return StageSpec(r, (gap - h,) * (r - 1) + (h_next - (r - 1) * gap - h,))
+        return StageSpec.run(r, gap - h, 0, h_next - (r - 1) * gap - h)
 
     tags = (f"caps-max-r-{caps.max_r}",) if caps.max_r is not None else ()
     return RankOneSpec(build, declared_properties=tags, **spec_args)
@@ -377,7 +372,7 @@ def partition_staircase(
     def build(n: int, spec: RankOneSpec) -> StageSpec:
         rn = spec.check_cut_count(n, r_of(n))
         d = (-spec.height(n)) % k
-        return StageSpec(rn, tuple(range(d, d + k * rn, k)))
+        return StageSpec.run(rn, d, k, d + k * (rn - 1))
 
     return RankOneSpec(
         build,
@@ -408,7 +403,7 @@ def not_eic(
     def build(n: int, spec: RankOneSpec) -> StageSpec:
         h = spec.height(n)
         spec.check_cut_count(n, q)
-        return StageSpec(q, (h,) * (q - 1) + (h + 1,))
+        return StageSpec.run(q, h, 0, h + 1)
 
     return RankOneSpec(
         build,

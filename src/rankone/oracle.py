@@ -73,11 +73,10 @@ def brute_descendants(spec: RankOneSpec, i: int, j: int, b: int = 0) -> IntSet:
         )
     tags = [lvl == b for lvl in range(spec.height(i))]
     for m in range(i, j):
-        st = spec.stage(m)
         nxt: list[bool] = []
-        for cut in range(st.r):
+        for s in tuple(spec.stage(m).spacers):  # listed once: no index arithmetic of a run
             nxt.extend(tags)
-            nxt.extend([False] * st.spacers[cut])
+            nxt.extend([False] * s)
         tags = nxt
     if len(tags) != spec.height(j):
         raise AssertionError("unfolded column has the wrong height")

@@ -1531,20 +1531,19 @@ def test_large_cut_count_refused_before_spacers_are_built(builder, specfile, cap
 
 
 @pytest.mark.parametrize("kind", ["main_wde", "rigid_wde", "t_q"])
-def test_uncapped_odd_stage_refused_before_spacers_are_built(kind, specfile, capsys, monkeypatch):
-    # uncapped, stage 3 calls for about 3e7 subcolumns: refuse without building them
-    build = gallery._staircase_run_spacers
-
-    def guarded(r):
-        assert r <= Budget().max_descendants, f"spacers built for {r} subcolumns"
-        return build(r)
-
-    monkeypatch.setattr(gallery, "_staircase_run_spacers", guarded)
+def test_uncapped_odd_stage_refused_before_spacers_are_built(kind, specfile, capsys):
+    # uncapped, stage 3 calls for about 3e7 subcolumns: refuse without listing them
     builder = {"kind": kind, "max_r": None, **({"q": 2} if kind == "t_q" else {})}
     path = specfile({"builder": builder})
-    code, _, err = run_cli(capsys, "describe", "--spec", path, "-n", "4")
+    tracemalloc.start()
+    try:
+        code, _, err = run_cli(capsys, "describe", "--spec", path, "-n", "4")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 3
     assert "stage 3 cuts into" in err
+    assert peak < 4_000_000
 
 
 # -- spec loading across the whole gallery ------------------------------------------

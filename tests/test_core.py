@@ -4,6 +4,7 @@ import pickle
 import re
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from rankone.core import (
     RankOneError,
     RankOneSpec,
     StageSpec,
+    _SpacerRun,
     _exact,
     _tuple_product,
     descendant_count,
@@ -29,7 +31,7 @@ from rankone.core import (
 )
 from rankone.gallery import Caps
 from rankone.oracle import brute_descendants
-from rankone.tower import LevelSet, Point, level_set, project_height, refine
+from rankone.tower import LevelSet, Point, apply_pointwise, level_set, point, project_height, refine
 
 from conftest import product_of_cuts, small_specs, stage_lists
 
@@ -50,6 +52,18 @@ def test_exact_bounds_a_decimal_exponent_by_the_int_digit_limit():
         assert _exact("t", "1e-5000") == Fraction(1, 10**5000)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_exact_bounds_a_decimal_exponent_and_refuses_a_non_finite_decimal():
+    assert _exact("t", Decimal("1e-4300")) == Fraction(1, 10**4300)
+    assert _exact("t", Decimal("-2.50")) == Fraction(-5, 2)
+    for bad in ("1e-1000000", "1e5000"):  # Fraction builds 10**e: 0.2 s for the first
+        with pytest.raises(ValueError, match=r"^t exponent exceeds 4300 .*, got Decimal"):
+            _exact("t", Decimal(bad))
+    for bad in ("Infinity", "-Infinity", "NaN", "sNaN"):  # Fraction raises OverflowError on ±Infinity
+        text = f"t must be finite, got {Decimal(bad)!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            _exact("t", Decimal(bad))
 
 
 def test_stage_spec_validation():
@@ -86,6 +100,115 @@ def test_stage_shape_matches_a_brute_classification(stage):
     s = StageSpec(r, spacers)
     assert s.shape == (gap, run)
     assert s._asdict() == {"r": r, "spacers": spacers}  # a property, not a field
+
+
+def _listed(r, s0, step, last):
+    """The spacers of ``StageSpec.run(r, s0, step, last)``, listed one by one."""
+    return (s0, *[s0 + step * i for i in range(1, r - 1)], last)
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type and message of its refusal."""
+    try:
+        return build()
+    except (TypeError, ValueError, BudgetExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(
+    r=st.integers(-1, 8) | st.just(True),
+    s0=st.integers(-3, 6) | st.sampled_from([True, 1.5]),
+    step=st.integers(-4, 3),
+    last=st.integers(-2, 9) | st.sampled_from([False, 2.5]),
+)
+@example(r=7, s0=5, step=-2, last=0)  # s_3 = -1 is the first bad spacer, s_5 = -5 the last
+@example(r=2, s0=0, step=-4, last=0)  # the step of two cuts is never read
+def test_a_run_stage_agrees_with_its_listed_twin(r, s0, step, last):
+    listed = _listed(r, s0, step, last)
+    twin = _outcome(lambda: StageSpec(r, listed))
+    run = _outcome(lambda: StageSpec.run(r, s0, step, last))
+    if not isinstance(twin, StageSpec):
+        assert run == twin  # the same refusal, by the same message
+        return
+    spacers = run.spacers
+    assert type(spacers) is _SpacerRun
+    assert run == twin and twin == run and not run != twin and hash(run) == hash(twin)
+    assert repr(run) == repr(twin) and repr(spacers) == repr(listed)
+    assert len(spacers) == r and list(spacers) == list(listed) and sum(spacers) == sum(listed)
+    assert [spacers[i] for i in range(-r, r)] == [listed[i] for i in range(-r, r)]
+    for i in (-r - 1, r):
+        with pytest.raises(IndexError):
+            spacers[i]
+    assert spacers[1:-1] == listed[1:-1] and spacers[::-2] == listed[::-2]
+    assert spacers.total == sum(listed)
+    assert run.shape == twin.shape
+    for same in (run._replace(r=r), StageSpec._make(run), pickle.loads(pickle.dumps(run))):
+        assert same == twin and type(same.spacers) is _SpacerRun
+    assert _outcome(lambda: run._replace(r=r + 1)) == _outcome(lambda: twin._replace(r=r + 1))
+    assert spacers != list(listed) and spacers != (*listed, 0)
+
+
+def test_a_run_step_must_be_an_int():
+    for step in (True, 1.0):
+        with pytest.raises(TypeError, match=f"^spacer step must be an int, got {step!r}$"):
+            StageSpec.run(3, 0, step, 2)
+
+
+@st.composite
+def run_stage_lists(draw):
+    """One to three ``(r, s0, step, last)`` runs whose spacers are all nonnegative."""
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        r, s0 = draw(st.integers(2, 5)), draw(st.integers(0, 4))
+        step = draw(st.integers(-(s0 // max(r - 2, 1)), 3))
+        runs.append((r, s0, step, draw(st.integers(0, 4))))
+    return runs
+
+
+@settings(max_examples=80, deadline=None)
+@given(runs=run_stage_lists(), data=st.data())
+def test_a_spec_of_runs_agrees_with_its_listed_twin(runs, data):
+    stages = [StageSpec.run(*run) for run in runs]
+    fast = RankOneSpec(lambda n, spec: stages[n % len(stages)])
+    twin = explicit_spec([(run[0], _listed(*run)) for run in runs], cycle=True)
+    top = len(runs) + 1
+    for n in range(top + 1):
+        assert fast.height(n) == twin.height(n) and fast.width(n) == twin.width(n)
+        assert fast.max_descendant(n) == twin.max_descendant(n)
+        assert fast.height_set(n) == twin.height_set(n)
+    i = data.draw(st.integers(0, top))
+    j = data.draw(st.integers(i, top))
+    b = data.draw(st.integers(0, fast.height(i) - 1))
+    assert descendant_set(fast, i, j, b) == descendant_set(twin, i, j, b)
+    for _ in range(5):
+        stage = data.draw(st.integers(0, top))
+        h = data.draw(st.integers(0, fast.height(stage) - 1))
+        x = data.draw(st.integers(0, 96)) * fast.width(stage) / 97
+        k = data.draw(st.integers(-2 * fast.height(stage), 2 * fast.height(stage)))
+        fast_image, twin_image = (
+            _outcome(lambda: apply_pointwise(sp, point(sp, stage, h, x), k)) for sp in (fast, twin)
+        )
+        assert fast_image == twin_image
+
+
+def test_a_run_stage_is_checked_summed_and_shaped_without_listing(monkeypatch):
+    """``materialize`` and ``shape`` read a run in O(1): cut counts up to 150,000,
+    whose listed tuple alone takes over 1.2 MB in pointers, cost no listing."""
+    spec = gallery.high_staircase([50_000, 100_000, 150_000], [2, 0, 1])
+    monkeypatch.setattr(_SpacerRun, "__iter__", None)  # iterating a run raises TypeError
+    tracemalloc.start()
+    try:
+        spec.materialize(3)
+        shapes = [spec.stage(n).shape for n in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shapes == [(None, 2), (None, 0), (None, 1)]
+    assert all(type(spec.stage(n).spacers) is _SpacerRun for n in range(3))
+    assert spec.height(1) == 50_000 + sum(range(2, 50_002))
+    assert spec._hsets == []
+    assert peak < 100_000
 
 
 def test_height_recurrence_small():

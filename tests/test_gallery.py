@@ -15,6 +15,7 @@ from rankone.core import (
     CapsMakeConstructionUnfaithful,
     PreconditionError,
     StageSpec,
+    _SpacerRun,
     gap_pair_count,
 )
 
@@ -359,6 +360,9 @@ def test_stage_shape_reads_the_shape_each_recipe_writes(sp, promised):
     read = "".join("NRGB"[2 * (gap is not None) + (run is not None)] for gap, run in shapes)
     assert read == promised
     assert [s.r == 2 for s in stages] == [c == "B" for c in promised]
+    # every recipe but koopman builds runs, whose shape the listed scan confirms
+    assert all((type(s.spacers) is _SpacerRun) == (sp.params["kind"] != "koopman") for s in stages)
+    assert [StageSpec(s.r, tuple(s.spacers)).shape for s in stages] == shapes
 
 
 # -- declaration audit -------------------------------------------------------
