@@ -26,7 +26,7 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import compress, product
 from sys import byteorder
 
 from rankone.core import (
@@ -375,11 +375,14 @@ def _block_hits(spec: RankOneSpec, B: LevelSet, k: int, draws: memoryview) -> in
         cuts, offsets = _cut_lanes(offsets, r, low, count)
         hs = [h + H[c] for h, c in zip(hs, cuts)]
         n += 1
+    # a sample's hit depends on its h + k alone: project each distinct one once
+    counts = Counter(hs)
+    tops = counts
     right = bisect.bisect_right
     for m in reversed(range(B.stage, n)):
         H = spec.height_set(m)
-        hs = [h - H[right(H, h) - 1] for h in hs]
-    return sum(map(set(levels).__contains__, hs))
+        tops = [y - H[right(H, y) - 1] for y in tops]
+    return sum(compress(counts.values(), map(set(levels).__contains__, tops)))
 
 
 def monte_carlo_measure(
@@ -401,8 +404,8 @@ def monte_carlo_measure(
     high 64 bits of its lane) and new offset (the low 64 bits); a cut count
     is the length of a tuple, so ``r_n < 2^64`` and a lane holds
     ``u * r_n < 2^128`` with no carry.  The block walks until every sample
-    satisfies ``0 <= h + k < h_n``, then projects every ``h + k`` down to
-    ``B.stage`` by bisection.
+    satisfies ``0 <= h + k < h_n``, then projects each distinct ``h + k``
+    down to ``B.stage`` by bisection.
 
     Lemma: once ``0 <= h + k < h_n`` holds at stage ``n``, it holds at every
     later stage, and projecting down returns the same level.  Copy ``c`` of
@@ -412,18 +415,22 @@ def monte_carlo_measure(
     its own stopping stage therefore changes no hit, and the estimate is the
     one the point-by-point walk gives.  A level that projects into spacers
     stays at or above the column top all the way down (``h_{m+1}`` is at
-    least ``max H_m + h_m``), so it is never counted.
+    least ``max H_m + h_m``), so it is never counted.  Whether a sample hits
+    depends on its final ``h + k`` alone, so each distinct value is
+    projected once and counts once per sample ending on it: the same hits
+    as projecting sample by sample.
     """
     _check_int("k", k, None)
     _check_int("samples", samples, 1000)  # fewer give no usable estimate
     spec.budget.check("max_iterate", samples, "{} samples")
+    mu = measure(spec, B)  # refuses a level set past its column before any draw
     rng = SplitMix64(seed)
     hits = 0
     for start in range(0, samples, _BLOCK):
         hits += _block_hits(spec, B, k, rng._mix(2 * min(_BLOCK, samples - start)))
     p_hat = hits / samples
-    stderr = float(measure(spec, B)) * math.sqrt(p_hat * (1.0 - p_hat) / samples)
-    return measure(spec, B) * Fraction(hits, samples), stderr
+    stderr = float(mu) * math.sqrt(p_hat * (1.0 - p_hat) / samples)
+    return mu * Fraction(hits, samples), stderr
 
 
 def stepwise_orbit_check(spec: RankOneSpec, p: Point, k: int) -> bool:

@@ -1,9 +1,11 @@
 """Independent cross-checks: brute-force unfolding, sampling, orbit stepping."""
 
+import bisect
 import math
 import tracemalloc
 from array import array
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from rankone.oracle import (
     stepwise_orbit_check,
 )
 from rankone.tower import (
+    LevelSet,
     Point,
     apply_pointwise,
     level_set,
@@ -35,7 +38,7 @@ from rankone.tower import (
     point_in,
     translate_intersection_measure,
 )
-from rankone import analysis
+from rankone import analysis, oracle
 
 from conftest import product_of_cuts, small_specs, stage_lists
 
@@ -314,6 +317,54 @@ def test_monte_carlo_matches_pointwise_twin(row, max_stage, samples, seed, data)
     k = data.draw(st.just(0) | st.integers(-h, h))
     got = _outcome(lambda: monte_carlo_measure(spec, B, k, samples, seed)[0])
     assert got == _outcome(_twin_estimate, spec, B, k, samples, seed)
+
+
+@pytest.mark.filterwarnings("ignore::rankone.core.CapsMakeConstructionUnfaithful")
+def test_monte_carlo_projects_each_distinct_height_once(monkeypatch):
+    # the rows of acceptance criterion 9 at 2000 samples: a block of about
+    # 1000 samples ends on 3 to 54 distinct heights, where projecting every
+    # sample would take 14,000 bisections
+    rows = _criterion_9_sets(Budget())
+    shifts = [4, 7, 2 * rows[2][0].height(1), 2 * rows[3][0].height(2), 7]
+    calls = []
+
+    def counted(a, x):
+        calls.append(x)
+        return bisect.bisect_right(a, x)
+
+    monkeypatch.setattr(oracle, "bisect", SimpleNamespace(bisect_right=counted))
+    for i, ((spec, (stage, levels)), k) in enumerate(zip(rows, shifts)):
+        monte_carlo_measure(spec, level_set(spec, stage, levels), k, 2000, 99 + i)
+    assert 0 < len(calls) <= 360
+
+
+# Deep walks whose blocks end on nearly as many distinct heights as samples:
+# (builder, stage, levels, n, sign) with k = sign * h_n.
+_DEEP_WALKS = {
+    "staircase-up": (gallery.staircase, 2, (0, 5), 5, 1),
+    "staircase-down": (gallery.staircase, 1, (0,), 4, -1),
+    "koopman-down": (gallery.koopman, 1, (0,), 3, -1),
+}
+
+
+@pytest.mark.parametrize("walk", list(_DEEP_WALKS.values()), ids=list(_DEEP_WALKS))
+def test_monte_carlo_matches_its_twin_on_deep_walks(walk):
+    # the hypothesis twin draws |k| <= h_{s+1}, which seldom reaches this
+    build, stage, levels, n, sign = walk
+    spec = build()
+    B = level_set(spec, stage, levels)
+    k = sign * spec.height(n)
+    assert monte_carlo_measure(spec, B, k, 1000, 0)[0] == _twin_estimate(spec, B, k, 1000, 0)
+
+
+def test_monte_carlo_refuses_a_level_set_past_its_column_before_drawing(monkeypatch):
+    # checked after sampling, the refusal would wait 1.4 s for 10^6 samples
+    def no_draws(self, n):
+        raise AssertionError("drew before checking the level set")
+
+    monkeypatch.setattr(SplitMix64, "_mix", no_draws)
+    with pytest.raises(ValueError, match=r"^height 100 is not a level of C_1 \(h_1=3\)$"):
+        monte_carlo_measure(gallery.staircase(), LevelSet(1, (0, 100)), 1, 1_000_000, 0)
 
 
 def test_monte_carlo_refuses_as_its_twin():
