@@ -77,12 +77,14 @@ def rho_bound(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     Equals the exact probability that ``k`` independent uniform descendant
     choices never agree on a subcolumn index at any stage.
     """
-    _check_int("k", k, 2)
+    if type(k) is not int or k < 2:
+        _check_int("k", k, 2)
     _check_stages(i, j)
-    out = Fraction(1)
+    num = den = 1
     for m in range(i, j):
-        out *= 1 - Fraction(1, spec.budget.power(spec.stage(m).r, k - 1, "r", m))
-    return out
+        p = spec.budget.power(spec.stage(m).r, k - 1, "r", m)
+        num, den = num * (p - 1), den * p
+    return Fraction(num, den)
 
 
 def cons_fraction_exact(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
@@ -97,8 +99,11 @@ def cons_fraction_exact(spec: RankOneSpec, i: int, j: int, k: int) -> Fraction:
     """
     _check_int("k", k, 2)
     N, total = _tuple_product(spec, i, j, k)
-    counts = N.values() if isinstance(N, dict) else N
-    return Fraction(total - countOf(counts, 1), total)  # the counts sum to total
+    if isinstance(N, dict):
+        ones = countOf(N.values(), 1)
+    else:  # 1-byte digits are the bytes of the image, counted in C
+        ones = N.tobytes().count(1) if N.itemsize == 1 else countOf(N, 1)
+    return Fraction(total - ones, total)  # the counts sum to total
 
 
 def conservativity_sufficient(

@@ -78,6 +78,8 @@ def _check_level(spec: RankOneSpec, n: int, h: int, what: str = "height") -> Non
 
 def _check_stages(i: int, j: int) -> None:
     """Accept only a stage range ``i..j``: int stages, each at least 0, with ``i <= j``."""
+    if type(i) is type(j) is int and 0 <= i <= j:
+        return
     _check_int("stage index", i, 0)
     _check_int("stage index", j, 0)
     if j < i:
@@ -159,8 +161,10 @@ class Budget(
         """``base ** k``, refused first when ``k * base.bit_length()``, a bound on its bits, passes
         ``max_height_bits``; the refusal names the base, as ``name_stage`` when a stage is given,
         and the bits, not the power."""
-        what = "{1}**{2} of up to {0} bits" if stage is None else "{1}_{3}**{2} of up to {0} bits"
-        self.check("max_height_bits", k * base.bit_length(), what, name, k, stage)
+        bits = k * base.bit_length()
+        if bits > self.max_height_bits:
+            what = "{1}**{2} of up to {0} bits" if stage is None else "{1}_{3}**{2} of up to {0} bits"
+            self.check("max_height_bits", bits, what, name, k, stage)
         return base**k
 
 
@@ -235,13 +239,18 @@ class StageSpec(namedtuple("StageSpec", "r spacers")):
     def run(cls, r: int, s0: int, step: int, last: int) -> StageSpec:
         """The stage of ``r`` cuts whose spacers are ``s_i = s0 + step * i`` for ``i < r - 1``,
         then ``last``, held as a run.  It equals the stage that lists them, and refuses in
-        O(1) what that refuses, by the same message: the first bad spacer is named."""
-        _check_int("cut count", r, 2)
-        _check_int("spacer count", s0, 0)
-        _check_int("spacer step", step, None)
-        if s0 + step * (r - 2) < 0:  # step < 0: s_i < 0 from i = s0 // -step + 1 on
-            _check_int("spacer count", s0 % -step + step, 0)
-        _check_int("spacer count", last, 0)
+        O(1) what that refuses, by the same message: the first bad spacer is named.  Four
+        in-range ints pass one inline test; anything else meets the checks one by one."""
+        if not (
+            type(r) is type(s0) is type(step) is type(last) is int
+            and r >= 2 and s0 >= 0 and last >= 0 and s0 + step * (r - 2) >= 0
+        ):
+            _check_int("cut count", r, 2)
+            _check_int("spacer count", s0, 0)
+            _check_int("spacer step", step, None)
+            if s0 + step * (r - 2) < 0:  # step < 0: s_i < 0 from i = s0 // -step + 1 on
+                _check_int("spacer count", s0 % -step + step, 0)
+            _check_int("spacer count", last, 0)
         return tuple.__new__(cls, (r, _SpacerRun(r, s0, step, last)))
 
     @property
@@ -252,9 +261,9 @@ class StageSpec(namedtuple("StageSpec", "r spacers")):
         are read off its step, in O(1)."""
         r, spacers = self
         if type(spacers) is _SpacerRun:
-            s0, steps = spacers.s0, {spacers.step} if r > 2 else set()
-        else:
-            s0, steps = spacers[0], set(map(sub, spacers[1 : r - 1], spacers))
+            s0, step = spacers.s0, spacers.step if r > 2 else None
+            return (s0 if step in (0, None) else None), (s0 if step in (1, None) else None)
+        s0, steps = spacers[0], set(map(sub, spacers[1 : r - 1], spacers))
         return (s0 if steps <= {0} else None), (s0 if steps <= {1} else None)
 
 
@@ -357,29 +366,43 @@ class RankOneSpec:
         :meth:`max_descendant`, is ``h_{m+1} - h_m - s_{m,r-1}``.  A listed
         stage's spacer sum scans its tuple; a run's is its closed form.  No
         ``H_m`` is listed here; :meth:`height_set` lists it when it is first read.
+        ``n`` is a stage index.  The limits are read once a call and each count
+        is compared inline; :meth:`Budget.check` runs only to refuse.
         """
-        self.budget.check("max_stage", n, "stage {}")
-        while len(self._stages) < n:
-            m = len(self._stages)
+        if type(n) is not int or n < 0:
+            _check_int("stage index", n, 0)
+        budget = self.budget
+        if n > budget.max_stage:
+            budget.check("max_stage", n, "stage {}")
+        max_r, max_bits = budget.max_descendants, budget.max_height_bits
+        stages, heights, wden, maxdesc = self._stages, self._heights, self._wden, self._maxdesc
+        while len(stages) < n:
+            m = len(stages)
             stage = self.builder(m, self)
             if not isinstance(stage, StageSpec):
                 raise TypeError("builder must return a StageSpec")
             r, spacers = stage  # one unpacking: each field read is a descriptor call
-            self.check_cut_count(m, r)
-            h = self._heights[m]
-            h_next = r * h + (sum(spacers) if type(spacers) is tuple else spacers.total)
-            self.budget.check("max_height_bits", h_next.bit_length(), "h_{1} of {0} bits", m + 1)
-            self._stages.append(stage)
-            self._heights.append(h_next)
-            self._wden.append(self._wden[m] * r)
-            self._maxdesc.append(self._maxdesc[m] + h_next - h - spacers[r - 1])  # + max H_m
+            if r > max_r:
+                self.check_cut_count(m, r)
+            h = heights[m]
+            if type(spacers) is _SpacerRun:
+                h_next, last = r * h + spacers.total, spacers.last
+            else:
+                h_next, last = r * h + sum(spacers), spacers[-1]
+            if h_next.bit_length() > max_bits:
+                budget.check("max_height_bits", h_next.bit_length(), "h_{1} of {0} bits", m + 1)
+            stages.append(stage)
+            heights.append(h_next)
+            wden.append(wden[m] * r)
+            maxdesc.append(maxdesc[m] + h_next - h - last)  # + max H_m
         return self
 
     def check_cut_count(self, n: int, r: int) -> int:
         """Return ``r``, the cut count of stage ``n``, once it is within ``max_descendants``.
 
-        Every stage passes this check; gallery builders call it before they
-        build a stage's spacers, so an oversized cut costs no memory.
+        Every stage passes this check in :meth:`materialize`.  A builder that
+        lists its spacers calls it first, so an oversized cut costs no memory;
+        a run costs O(1) whatever its cut count, and is left to ``materialize``.
         """
         return self.budget.check("max_descendants", r, "stage {1} cuts into {0} subcolumns", n)
 
@@ -387,7 +410,8 @@ class RankOneSpec:
 
     def _reach(self, n: int, upto: int) -> None:
         """Reject a stage index ``n`` that is not an int of at least 0, then build to ``upto``."""
-        _check_int("stage index", n, 0)
+        if type(n) is not int or n < 0:
+            _check_int("stage index", n, 0)
         self.materialize(upto)
 
     def stage(self, n: int) -> StageSpec:

@@ -95,7 +95,7 @@ def staircase(
     r_of, r_seq = _rule(r, extend, "cut count", 2)
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
-        rn = spec.check_cut_count(n, r_of(n))
+        rn = r_of(n)
         return StageSpec.run(rn, 0, 1, rn - 1)
 
     return RankOneSpec(
@@ -133,7 +133,7 @@ def high_staircase(
     # a repeated tail goes flat, which is caught when that stage is built
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
-        rn, zn = spec.check_cut_count(n, r_of(n)), z_of(n)
+        rn, zn = r_of(n), z_of(n)
         if n > 0 and rn <= spec.stage(n - 1).r:
             raise PreconditionError(
                 f"cut counts must strictly increase: r_{n}={rn} after r_{n - 1}={spec.stage(n - 1).r}"
@@ -204,19 +204,19 @@ def _two_phase(
     pads its last copy so that ``h_{n+2}``, hence each gap of the odd stage,
     is one past the separation bound
     :func:`rankone.core._separation_bound` or the floor
-    ``pad(r_{n+1}, h)``, whichever is larger.
+    ``pad(r_{n+1}, h)``, whichever is larger.  The odd stage takes that
+    prediction as its own ``odd_r``: ``maxd_{n+1}`` is ``maxd + (r - 1) gap``.
     """
+    predicted: dict[int, int] = {}  # odd stage -> its uncapped odd_r, set by the even stage
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
         if n % 2:
-            maxd = spec.max_descendant(n)
-            r = _capped(odd_r(n - 1, spec.height(n - 1), maxd), caps, spec, n)
+            r = _capped(predicted[n], caps, spec, n)
             return StageSpec.run(r, 1, 1, r)  # spacers 1, 2, ..., r
         h, maxd = spec.height(n), spec.max_descendant(n)
         r, gap = even(n, h, maxd)
-        spec.check_cut_count(n, r)
         maxd_next = maxd + (r - 1) * gap
-        r_next = odd_r(n, h, maxd_next)
+        r_next = predicted[n + 1] = odd_r(n, h, maxd_next)
         if caps.max_r is not None:
             r_next = min(r_next, caps.max_r)
         h_next = max(_separation_bound(r_next, maxd_next), pad(r_next, h)) + 1
@@ -370,7 +370,7 @@ def partition_staircase(
     r_of, r_seq = _rule(r, extend, "cut count", 2)
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
-        rn = spec.check_cut_count(n, r_of(n))
+        rn = r_of(n)
         d = (-spec.height(n)) % k
         return StageSpec.run(rn, d, k, d + k * (rn - 1))
 
@@ -402,7 +402,6 @@ def not_eic(
 
     def build(n: int, spec: RankOneSpec) -> StageSpec:
         h = spec.height(n)
-        spec.check_cut_count(n, q)
         return StageSpec.run(q, h, 0, h + 1)
 
     return RankOneSpec(

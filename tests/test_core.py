@@ -4,6 +4,8 @@ import pickle
 import re
 import sys
 import tracemalloc
+import warnings
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankone import gallery
+from rankone import core, gallery
 from rankone.analysis import rho_bound
 from rankone.core import (
     Budget,
@@ -104,7 +106,7 @@ def test_stage_shape_matches_a_brute_classification(stage):
 
 def _listed(r, s0, step, last):
     """The spacers of ``StageSpec.run(r, s0, step, last)``, listed one by one."""
-    return (s0, *[s0 + step * i for i in range(1, r - 1)], last)
+    return (s0, *[s0 + step * i for i in range(1, int(r) - 1)], last)
 
 
 def _outcome(build):
@@ -124,10 +126,27 @@ def _outcome(build):
 )
 @example(r=7, s0=5, step=-2, last=0)  # s_3 = -1 is the first bad spacer, s_5 = -5 the last
 @example(r=2, s0=0, step=-4, last=0)  # the step of two cuts is never read
+@example(r=2, s0=3, step=-7, last=1)
+@example(r=5, s0=6, step=-2, last=0)  # s_3 = 0 exactly: the least spacer meets its floor
+@example(r=4, s0=3, step=0, last=1)  # a constant gap: shape (3, None)
+@example(r=True, s0=0, step=1, last=2)  # a bool or a float in each position
+@example(r=3.0, s0=0, step=1, last=2)
+@example(r=3, s0=True, step=1, last=2)
+@example(r=3, s0=0.0, step=1, last=2)
+@example(r=3, s0=0, step=True, last=2)
+@example(r=2, s0=0, step=1.0, last=2)
+@example(r=3, s0=0, step=1, last=True)
+@example(r=3, s0=0, step=1, last=2.0)
 def test_a_run_stage_agrees_with_its_listed_twin(r, s0, step, last):
+    run = _outcome(lambda: StageSpec.run(r, s0, step, last))
+    if type(step) is not int:  # the twin lists no step: a run refuses it after r and s0
+        before = _outcome(lambda: StageSpec.run(r, s0, 0, 0))
+        if isinstance(before, StageSpec):
+            before = TypeError, f"spacer step must be an int, got {step!r}"
+        assert run == before
+        return
     listed = _listed(r, s0, step, last)
     twin = _outcome(lambda: StageSpec(r, listed))
-    run = _outcome(lambda: StageSpec.run(r, s0, step, last))
     if not isinstance(twin, StageSpec):
         assert run == twin  # the same refusal, by the same message
         return
@@ -190,6 +209,115 @@ def test_a_spec_of_runs_agrees_with_its_listed_twin(runs, data):
             _outcome(lambda: apply_pointwise(sp, point(sp, stage, h, x), k)) for sp in (fast, twin)
         )
         assert fast_image == twin_image
+
+
+def _recurrence(stages, calls, budget):
+    """Heights, width denominators, ``max_descendant`` values and the refusal (type and
+    message, or ``None``) of cycled ``stages`` built to each of ``calls`` in turn: the stage
+    recurrence written out, each count passed through ``Budget.check`` as it is made, and
+    every spacer list summed one by one."""
+    heights, wden, maxd = [1], [1], [0]
+    try:
+        for n in calls:
+            budget.check("max_stage", n, "stage {}")
+            for m in range(len(heights) - 1, n):
+                r, spacers = stages[m % len(stages)]
+                spacers = list(spacers)
+                budget.check("max_descendants", r, "stage {1} cuts into {0} subcolumns", m)
+                h_next = r * heights[m] + sum(spacers)
+                budget.check("max_height_bits", h_next.bit_length(), "h_{1} of {0} bits", m + 1)
+                maxd.append(maxd[m] + h_next - heights[m] - spacers[-1])
+                heights.append(h_next)
+                wden.append(wden[m] * r)
+    except BudgetExceeded as exc:
+        return heights, wden, maxd, (type(exc), str(exc))
+    return heights, wden, maxd, None
+
+
+@st.composite
+def mixed_stage_lists(draw):
+    """One to four stages, each listed or a run, cut into up to 12 subcolumns."""
+    stages = []
+    for _ in range(draw(st.integers(1, 4))):
+        r, s0 = draw(st.integers(2, 12)), draw(st.integers(0, 30))
+        if draw(st.booleans()):
+            stages.append(StageSpec(r, draw(st.lists(st.integers(0, 30), min_size=r, max_size=r))))
+        else:
+            step = draw(st.integers(-(s0 // max(r - 2, 1)), 5))
+            stages.append(StageSpec.run(r, s0, step, draw(st.integers(0, 30))))
+    return stages
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stages=mixed_stage_lists(),
+    n=st.integers(0, 14),
+    limits=st.tuples(st.integers(0, 20), st.integers(1, 40), st.integers(1, 13)),
+    steps=st.integers(1, 3),
+)
+def test_materialize_agrees_with_the_written_out_recurrence(stages, n, limits, steps):
+    """Built at once or a few stages a call, the tables and any refusal, with the stages
+    built when it is raised, are the written-out recurrence's."""
+    max_stage, max_bits, max_r = limits
+    budget = Budget(max_stage=max_stage, max_height_bits=max_bits, max_descendants=max_r)
+    spec = explicit_spec(stages, cycle=True, budget=budget)
+    calls = [*range(steps, n, steps), n]
+    heights, wden, maxd, refusal = _recurrence(stages, calls, budget)
+    for upto in calls:
+        got = _outcome(lambda: spec.materialize(upto))
+        if got is not spec:
+            break
+    assert got == (refusal or spec)
+    assert spec.stages_built == len(heights) - 1
+    assert (spec._heights, spec._wden, spec._maxdesc) == (heights, wden, maxd)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, False, -1, "3"])
+def test_materialize_refuses_a_bad_stage_index(bad):
+    # materialize(2.5) built 3 stages, materialize(True) 1, and -1 returned silently
+    sp = gallery.staircase()
+    if type(bad) is int:
+        with pytest.raises(ValueError, match=f"^stage index must be at least 0, got {bad}$"):
+            sp.materialize(bad)
+    else:
+        with pytest.raises(TypeError, match=f"^stage index must be an int, got {bad!r}$"):
+            sp.materialize(bad)
+    assert sp.stages_built == 0
+
+
+def test_a_stage_step_calls_no_check_that_does_not_refuse(monkeypatch):
+    """The calls of ``_check_int`` and ``Budget.check`` per stage, built one stage a call
+    through ``stage`` as a certificate builds them, or all at once: a run recipe's stage
+    passes every check inline, and ``main_wde``'s odd stage only checks the cut count
+    that ``_capped`` returns."""
+    calls = Counter()
+    real_int, real_check = core._check_int, Budget.check
+
+    def counted_int(*args):
+        calls["_check_int"] += 1
+        return real_int(*args)
+
+    def counted_check(self, *args):
+        calls["Budget.check"] += 1
+        return real_check(self, *args)
+
+    cases = [(gallery.staircase, 60, lambda m: (0, 0)), (gallery.main_wde, 40, lambda m: (0, m % 2))]
+    specs = [(build(), build(), n, pattern) for build, n, pattern in cases]
+    monkeypatch.setattr(core, "_check_int", counted_int)
+    monkeypatch.setattr(gallery, "_check_int", counted_int)
+    monkeypatch.setattr(Budget, "check", counted_check)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", gallery.CapsMakeConstructionUnfaithful)
+        for stepwise, at_once, n, pattern in specs:
+            per_stage = []
+            for m in range(n):
+                calls.clear()
+                stepwise.stage(m)
+                per_stage.append((calls["_check_int"], calls["Budget.check"]))
+            assert per_stage == [*map(pattern, range(n))]
+            calls.clear()
+            at_once.materialize(n)
+            assert (calls["_check_int"], calls["Budget.check"]) == tuple(map(sum, zip(*per_stage)))
 
 
 def test_a_run_stage_is_checked_summed_and_shaped_without_listing(monkeypatch):

@@ -458,6 +458,7 @@ def packed_calls(monkeypatch):
 
 ZEROS = explicit_spec([(4, (0, 0, 0, 0)), (4, (0, 0, 0, 0))])  # D = 0..15
 SPARSE = explicit_spec([(3, (0, 1, 40)), (2, (0, 5)), (2, (1, 900))])  # large last spacers
+WIDE = explicit_spec([(16, (0,) * 16)] * 2)  # D = 0..255: 2-byte digits, N(0) = 256 = 0x0100
 
 
 @pytest.mark.parametrize(
@@ -495,10 +496,11 @@ def test_nonerg_pair_fraction_matches_twin_on_both_paths(spec, n, packed, packed
         (ZEROS, 0, 2, 4, True),
         (SPARSE, 0, 3, 2, False),
         (SPARSE, 0, 3, 3, False),
+        (WIDE, 0, 2, 2, True),
     ],
     ids=[
         "stair3k2", "stair3k3", "stair1-3k4", "zeros2k2", "zeros2k3", "zeros2k4",
-        "sparse3k2", "sparse3k3",
+        "sparse3k2", "sparse3k3", "wide2k2",
     ],
 )
 def test_cons_fraction_matches_twin_on_both_paths(spec, i, j, k, packed, packed_calls):
